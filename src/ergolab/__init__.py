@@ -19,11 +19,11 @@ from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
 from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          OpNormReport, PartialSumStream, RearrangementResult,
                          SupCircleResult, TransformTrace, I_majorant,
-                         gamma_tail, hilbert_partial, interpolation_bound,
-                         interpolation_bound_check, measure_K, modulated_poly,
-                         opnorm_series, phi_series, rearrangement_and_I,
-                         sigma_grid, sigma_of_t, sup_circle,
-                         twisted_bound_check, weighted_average,
+                         circle_column_sups, gamma_tail, hilbert_partial,
+                         interpolation_bound, interpolation_bound_check,
+                         measure_K, modulated_poly, opnorm_series, phi_series,
+                         rearrangement_and_I, sigma_grid, sigma_of_t,
+                         sup_circle, twisted_bound_check, weighted_average,
                          weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
@@ -44,11 +44,11 @@ __all__ = [
     "skew_operator",
     "BoundReport", "KMeasurement", "ModulationSeq", "OpNormReport",
     "PartialSumStream", "RearrangementResult", "SupCircleResult",
-    "TransformTrace", "I_majorant", "gamma_tail", "hilbert_partial",
-    "interpolation_bound", "interpolation_bound_check", "measure_K",
-    "modulated_poly", "opnorm_series", "phi_series", "rearrangement_and_I",
-    "sigma_grid", "sigma_of_t", "sup_circle", "twisted_bound_check",
-    "weighted_average", "weighted_series",
+    "TransformTrace", "I_majorant", "circle_column_sups", "gamma_tail",
+    "hilbert_partial", "interpolation_bound", "interpolation_bound_check",
+    "measure_K", "modulated_poly", "opnorm_series", "phi_series",
+    "rearrangement_and_I", "sigma_grid", "sigma_of_t", "sup_circle",
+    "twisted_bound_check", "weighted_average", "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
     "canonical_hash", "random_hilbert", "random_sup_stat",
     "EXAMPLE_IDS", "ExampleInstance", "example_instance",

@@ -249,16 +249,18 @@ def _gap_class(sched: Schedule) -> WeightExpr | None:
 def _schedule_start(sched: Schedule, *seqs: WeightSeq) -> int:
     """First k whose n_k clears every operand's start index."""
     n_min = max(s.n0 for s in seqs)
+    reach = sched.max_k()
     k = 1
-    while sched.value(k) < n_min:
+    while k <= reach and sched.value(k) < n_min:
         k += 1
+    if k > reach:
+        raise ValueError(f"schedule {sched.describe()} ends before n_k reaches "
+                         f"the start index {n_min}")
     return k
 
 
 def _sched_kmax(sched: Schedule, ladder) -> int:
-    top = max(ladder)
-    mk = sched.max_k()
-    return min(top, mk) if mk is not None else top
+    return min(max(ladder), sched.max_k())
 
 
 def log_derivative_shift(W: WeightExpr) -> WeightExpr | None:

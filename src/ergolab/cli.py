@@ -237,6 +237,8 @@ def _character_fields(M: int, n_max: int, amplitude):
 
 def cmd_slln(args) -> int:
     n_max = args.n_max
+    if n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {n_max}")
     M = args.grid
     while M < 4 * n_max:
         M *= 2

@@ -153,7 +153,8 @@ class Transformation:
         if self.kind == "rotation":
             if self.space.mc:
                 raise ValueError("Monte-Carlo rotation has no grid index map")
-            return (idx + n * self.shift) % M
+            # reduce n * shift mod M in Python ints before it meets int64
+            return (idx + int(n) % M * self.shift % M) % M
         if self.kind == "doubling":
             return (idx * pow(2, n, M)) % M
         # permutation: binary exponentiation on the map

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import Cocycle, VectorField
-from .transforms import ModulationSeq, _psi_on_grid
+from .transforms import ModulationSeq, circle_column_sups
 from .weights import Schedule, WeightSeq
 
 __all__ = [
@@ -169,23 +169,22 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     n_max = ladder[-1]
     k_start = G.n0
     g = G.prefix(n_max)[k_start - G.n0:]
-    cols = np.asarray([n for n in ladder if n >= k_start])
-    angles = 2.0 * np.pi * np.arange(n_lambda) / n_lambda
+    cols = np.asarray([n for n in ladder if n >= k_start], dtype=np.int64)
     g_at = g[cols - k_start]
 
     def one_sample(y: int):
         draws = mod.draws(y, n_max)
         a = ModulationSeq.explicit(draws)
-        mags = _psi_on_grid(a, sched, n_max, angles, k_start, cumulative_cols=cols)
-        sup_stat = float((mags / g_at[None, :]).max(initial=0.0))
+        sups, _ = circle_column_sups(a, sched, n_max, n_lambda, cols, k_start)
+        sup_stat = float((sups / g_at).max(initial=0.0))
         # normalized series sum f_k lam^{n_k}/G_k, traced on the same grid
         bound = float(np.abs(draws[k_start - 1:] / g).max(initial=0.0))
         shifted = ModulationSeq.from_fn(
             lambda ks, d=draws, gg=g, k0=k_start: d[ks - 1] / gg[ks - k0],
             bound=bound if bound > 0.0 else 1.0)
-        smags = _psi_on_grid(shifted, sched, n_max, angles, k_start,
-                             cumulative_cols=cols)
-        return sup_stat, smags.max(axis=0)
+        series_sups, _ = circle_column_sups(shifted, sched, n_max, n_lambda,
+                                            cols, k_start)
+        return sup_stat, series_sups
 
     results = _parallel_map(one_sample, range(samples), threads)
     per_sample = [r[0] for r in results]

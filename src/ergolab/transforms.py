@@ -28,6 +28,7 @@ __all__ = [
     "weighted_average",
     "weighted_series",
     "modulated_poly",
+    "circle_column_sups",
     "sup_circle",
     "measure_K",
     "hilbert_partial",
@@ -305,8 +306,17 @@ def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
 # modulated polynomials on the circle
 
 
+def _schedule_ints(sched: Schedule, n: int) -> np.ndarray:
+    """n_1..n_n as exact int64, rejecting n past the schedule's reach."""
+    reach = sched.max_k()
+    if n > reach:
+        raise ValueError(f"schedule {sched.describe()} has only {reach} terms "
+                         f"with n_k <= 2^62; n={n} is out of reach")
+    return sched.values(n)
+
+
 def _schedule_floats(sched: Schedule, n: int) -> np.ndarray:
-    return sched.values(n).astype(float)
+    return _schedule_ints(sched, n).astype(float)
 
 
 def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
@@ -321,25 +331,87 @@ def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def _psi_on_grid(a: ModulationSeq, sched: Schedule, n: int, angles: np.ndarray,
-                 k_start: int = 1, cumulative_cols=None) -> np.ndarray:
-    """|psi_n| at each grid angle; with ``cumulative_cols`` (sorted indices m)
-    returns the matrix |psi_m| of shape (len(angles), len(cols)) instead."""
+_BLOCK_ENTRIES = 1 << 18  # complex grid values per block of prefix rows
+
+
+def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
+                       k_start: int = 1):
+    """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, and the
+    lowest j attaining it, for each m in the nondecreasing ``cols``.
+
+    On the grid lambda_j = omega^j, omega = e^{2 pi i/M}, every power is
+    exactly omega^{j (n_k mod M)}, so psi_m(omega^.) is one unnormalized
+    inverse DFT of the coefficients a_k scattered at the integer residues
+    n_k mod M.  Columns are handled in blocks of B = max(1, 2^18 // M)
+    running-prefix rows; the last row carries into the next block, so memory
+    stays O(B M + n).
+    """
+    if M < 1:
+        raise ValueError(f"grid size must be >= 1, got {M}")
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.size == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
+        raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
+    n_ints = _schedule_ints(sched, n)[k_start - 1:]
     ks = np.arange(k_start, n + 1, dtype=np.int64)
-    n_vals = _schedule_floats(sched, n)[k_start - 1:]
-    coefs = a.values(ks, n_vals)
-    nterms = len(ks)
-    rows = max(1, _CHUNK // max(nterms, 1))
-    out = []
-    for lo in range(0, len(angles), rows):
-        chunk = angles[lo:lo + rows]
-        phases = np.exp(1j * np.outer(chunk, n_vals))
-        if cumulative_cols is None:
-            out.append(np.abs(phases @ coefs))
-        else:
-            partial = np.cumsum(phases * coefs[None, :], axis=1)
-            out.append(np.abs(partial[:, np.asarray(cumulative_cols) - k_start]))
-    return np.concatenate(out, axis=0)
+    coefs = a.values(ks, n_ints.astype(float))
+    residues = n_ints % M
+    B = min(cols.size, max(1, _BLOCK_ENTRIES // M))
+    sups = np.empty(cols.size)
+    argj = np.empty(cols.size, dtype=np.int64)
+    prefix = np.zeros(M, dtype=complex)
+    X_buf = np.empty((B, M), dtype=complex)
+    mags_buf = np.empty((B, M))
+    lo = k_start
+    for b0 in range(0, cols.size, B):
+        block = cols[b0:b0 + B]
+        X, mags = X_buf[:block.size], mags_buf[:block.size]
+        hi = int(block[-1])
+        sl = slice(lo - k_start, hi - k_start + 1)
+        rows = np.searchsorted(block, ks[sl], side="left")
+        # only the residues hit in this block change between rows
+        hit, where = np.unique(residues[sl], return_inverse=True)
+        flat = rows * hit.size + where
+        size = block.size * hit.size
+        D = (np.bincount(flat, coefs[sl].real, size)
+             + 1j * np.bincount(flat, coefs[sl].imag, size)).reshape(block.size, hit.size)
+        D[0] += prefix[hit]
+        np.cumsum(D, axis=0, out=D)
+        X[:] = prefix
+        X[:, hit] = D
+        prefix = X[-1].copy()
+        np.fft.ifft(X, axis=1, norm="forward", out=X)
+        np.abs(X, out=mags)
+        argj[b0:b0 + B] = mags.argmax(axis=1)
+        sups[b0:b0 + B] = mags.max(axis=1)
+        lo = hi + 1
+    return sups, argj
+
+
+def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:
+    required = 4 * degree
+    if M_grid is None:
+        return max(required, 8)
+    if M_grid < required and not allow_coarse:
+        raise ValueError(
+            f"grid of {M_grid} points is too coarse for degree {degree} "
+            f"(need >= {required}); pass allow_coarse to override")
+    return M_grid
+
+
+def _refine(a: ModulationSeq, sched: Schedule, n: int, M_grid: int, j: int,
+            k_start: int):
+    """Bounded 1-d maximization of |psi_n| on the grid cells next to omega^j;
+    returns (value, its angle, the angle of omega^j)."""
+    def neg(theta):
+        return -abs(modulated_poly(a, sched, n, np.exp(1j * theta), k_start))
+
+    theta_j = 2.0 * np.pi * j / M_grid
+    h = 2.0 * np.pi / M_grid
+    res = minimize_scalar(neg, bounds=(theta_j - h, theta_j + h),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(-res.fun), float(res.x), theta_j
 
 
 @dataclass
@@ -358,29 +430,14 @@ def sup_circle(a: ModulationSeq, sched: Schedule, n: int, M_grid: int | None = N
     The oversampling rule M_grid >= 4 * n_n keeps the grid-miss error of the
     degree-n_n polynomial modulus well below test tolerances.
     """
-    n_n = sched.value(n)
-    required = 4 * n_n
-    if M_grid is None:
-        M_grid = max(required, 8)
-    if M_grid < required and not allow_coarse:
-        raise ValueError(
-            f"grid of {M_grid} points is too coarse for degree {n_n} "
-            f"(need >= {required}); pass allow_coarse to override")
+    M_grid = _grid_guard(M_grid, sched.value(n), allow_coarse)
     if a.is_zero():
         return SupCircleResult(0.0, 0.0, 1 + 0j, M_grid, n)
-    angles = 2.0 * np.pi * np.arange(M_grid) / M_grid
-    mags = _psi_on_grid(a, sched, n, angles, k_start)
-    j = int(np.argmax(mags))
-    grid_max = float(mags[j])
-
-    def neg(theta):
-        return -abs(modulated_poly(a, sched, n, np.exp(1j * theta), k_start))
-
-    h = 2.0 * np.pi / M_grid
-    res = minimize_scalar(neg, bounds=(angles[j] - h, angles[j] + h),
-                          method="bounded", options={"xatol": 1e-12})
-    refined = max(grid_max, float(-res.fun))
-    theta = float(res.x) if -res.fun >= grid_max else float(angles[j])
+    sups, argj = circle_column_sups(a, sched, n, M_grid, [n], k_start)
+    grid_max, j = float(sups[0]), int(argj[0])
+    value, theta_x, theta_j = _refine(a, sched, n, M_grid, j, k_start)
+    refined = max(grid_max, value)
+    theta = theta_x if value >= grid_max else theta_j
     return SupCircleResult(refined, refined, complex(np.exp(1j * theta)), M_grid, n)
 
 
@@ -399,38 +456,25 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
     """Measured sup over n <= n_max and the lambda grid of |psi_n|/G_n.
 
     The sup runs over every n (not just a ladder) so downstream Abel-type
-    bounds can rely on |psi_k| <= K G_k for all k.
+    bounds can rely on |psi_k| <= K G_k for all k.  Exact grid ties go to
+    the lowest grid index, then to the lowest n.
     """
     if k_start is None:
         k_start = G.n0
-    n_top = sched.value(n_max)
-    required = 4 * n_top
-    if M_grid is None:
-        M_grid = max(required, 8)
-    if M_grid < required and not allow_coarse:
-        raise ValueError(
-            f"grid of {M_grid} points is too coarse for degree {n_top} "
-            f"(need >= {required}); pass allow_coarse to override")
+    M_grid = _grid_guard(M_grid, sched.value(n_max), allow_coarse)
     g = G.prefix(n_max)[k_start - G.n0:]
     if a.is_zero():
         return KMeasurement(0.0, k_start, 1 + 0j, M_grid, n_max)
-    angles = 2.0 * np.pi * np.arange(M_grid) / M_grid
     cols = np.arange(k_start, n_max + 1)
-    mags = _psi_on_grid(a, sched, n_max, angles, k_start, cumulative_cols=cols)
-    ratios = mags / g[None, :]
-    flat = int(np.argmax(ratios))
-    ji, ni = divmod(flat, ratios.shape[1])
+    sups, argj = circle_column_sups(a, sched, n_max, M_grid, cols, k_start)
+    ratios = sups / g
+    K_grid = float(ratios.max())
+    tied = np.flatnonzero(ratios == K_grid)
+    ni = int(tied[np.argmin(argj[tied])])
     n_star = int(cols[ni])
-    K_grid = float(ratios[ji, ni])
-
-    def neg(theta):
-        return -abs(modulated_poly(a, sched, n_star, np.exp(1j * theta), k_start))
-
-    h = 2.0 * np.pi / M_grid
-    res = minimize_scalar(neg, bounds=(angles[ji] - h, angles[ji] + h),
-                          method="bounded", options={"xatol": 1e-12})
-    K = max(K_grid, float(-res.fun) / g[ni])
-    theta = float(res.x) if -res.fun / g[ni] >= K_grid else float(angles[ji])
+    value, theta_x, theta_j = _refine(a, sched, n_star, M_grid, int(argj[ni]), k_start)
+    K = max(K_grid, value / g[ni])
+    theta = theta_x if value / g[ni] >= K_grid else theta_j
     return KMeasurement(K, n_star, complex(np.exp(1j * theta)), M_grid, n_max)
 
 
@@ -512,16 +556,13 @@ def twisted_bound_check(a: ModulationSeq, sched: Schedule, G: WeightSeq, K: floa
     """max_lam |sum_{k<=n} a_k k^{ir} lam^{n_k}|  vs  |r| K G_{n,r}."""
     k_start = G.n0
     n_max = max(n_ladder)
-    angles = 2.0 * np.pi * np.arange(n_lambda) / n_lambda
     cols = np.asarray(sorted(n_ladder))
     entries = []
     max_ratio = 0.0
     worst = {}
     for r in rs:
         twisted = a.compose(ModulationSeq.power_twist(r))
-        mags = _psi_on_grid(twisted, sched, n_max, angles, k_start,
-                            cumulative_cols=cols)
-        lhs = mags.max(axis=0)
+        lhs, _ = circle_column_sups(twisted, sched, n_max, n_lambda, cols, k_start)
         per_r = 0.0
         for ci, nn in enumerate(cols):
             rhs = abs(r) * K * twisted_weight(G, r, int(nn))

@@ -339,8 +339,8 @@ class Schedule:
             raise IndexError(f"explicit schedule has only {len(vals)} entries")
         return vals[k - 1]
 
-    def max_k(self, index_cap: int = INDEX_CAP) -> int | None:
-        """Largest k with n_k <= index_cap, or None if unbounded below the cap."""
+    def max_k(self, index_cap: int = INDEX_CAP) -> int:
+        """Largest k with n_k <= index_cap (0 when already n_1 exceeds it)."""
         if self.kind == "explicit":
             vals = self._explicit
             ks = [i + 1 for i, v in enumerate(vals) if v <= index_cap]

@@ -60,6 +60,20 @@ def test_check_parse_error_returns_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("random", "--stat", "sup", "--schedule", "explicit:1,2,3",
+     "--ladder", "8,16", "--no-regime-check"),
+    ("hilbert", "--n-max", "40", "--schedule", "superexp"),
+    ("check", "--G", "n", "--W", "n^2", "--schedule", "explicit:1,2"),
+    ("check", "--G", "n^0.25*ln(n)^-1", "--W", "n^0.75",
+     "--schedule", "explicit:1,3,7,15,31,63,127"),
+    ("slln", "--G", "n", "--W", "n", "--n-max", "0"),
+])
+def test_schedule_reach_errors_return_2(tmp_path, capsys, argv):
+    assert _run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_returns_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -88,6 +88,15 @@ def test_koopman_power_uses_exact_index_arithmetic():
     assert np.array_equal(big.values, np.roll(f.values, -shift, axis=0))
 
 
+@pytest.mark.parametrize("n", [2**62, 2**62 - 1, np.int64(2**62 - 3)])
+def test_rotation_index_map_exact_near_index_cap(n):
+    # n * shift overflows int64 here; the map must still match Python ints
+    M, shift = 1000, 997
+    T = Transformation.rotation(SampleSpace.circle(M), shift)
+    expected = [(i + int(n) * shift) % M for i in range(M)]
+    assert T.index_map(n).tolist() == expected
+
+
 def test_doubling_isometry_on_bandlimited_fields():
     space = SampleSpace.circle(256)
     T = LinearOperator.koopman(Transformation.doubling(space))

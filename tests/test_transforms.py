@@ -11,12 +11,12 @@ from ergolab.operators import (LinearOperator, SampleSpace, Transformation,
                                VectorField, random_field)
 from ergolab.registry import example_instance
 from ergolab.transforms import (I_majorant, ModulationSeq, PartialSumStream,
-                                TransformTrace, gamma_tail, hilbert_partial,
-                                interpolation_bound, measure_K, modulated_poly,
-                                opnorm_series, phi_series, rearrangement_and_I,
-                                sigma_grid, sigma_of_t, sup_circle,
-                                twisted_bound_check, weighted_average,
-                                weighted_series)
+                                TransformTrace, circle_column_sups, gamma_tail,
+                                hilbert_partial, interpolation_bound, measure_K,
+                                modulated_poly, opnorm_series, phi_series,
+                                rearrangement_and_I, sigma_grid, sigma_of_t,
+                                sup_circle, twisted_bound_check,
+                                weighted_average, weighted_series)
 from ergolab.weights import Schedule, WeightSeq
 
 
@@ -120,6 +120,107 @@ def test_modulated_poly_oracles():
     assert abs(modulated_poly(ones, ident, 3, w)) == pytest.approx(0.0, abs=1e-14)
     alt = ModulationSeq.explicit([(-1.0) ** k for k in range(1, 6)])
     assert modulated_poly(alt, ident, 5, -1.0 + 0j) == pytest.approx(5.0)
+
+
+def _dense_column_mags(a, sched, M, cols, k_start=1):
+    """|psi_m(omega^j)| for each m in cols and every j, one fsum per point."""
+    return np.asarray([
+        [abs(modulated_poly(a, sched, m, np.exp(2j * np.pi * j / M), k_start))
+         for j in range(M)]
+        for m in cols])
+
+
+def _random_coefs(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("sched, n, M, k_start", [
+    (Schedule.identity(), 40, 256, 1),
+    (Schedule.identity(), 40, 256, 5),
+    (Schedule.power(2.0), 12, 600, 1),
+    (Schedule.geometric(1.5), 14, 1024, 2),
+    (Schedule.explicit([2, 3, 5, 11, 12, 40, 41, 90]), 8, 384, 1),
+    (Schedule.identity(), 200, 16, 1),          # coarse grid: n_k > M
+    (Schedule.power(2.0), 20, 24, 1),           # coarse, residues collide
+])
+def test_circle_column_sups_match_dense_fsum(sched, n, M, k_start):
+    a = ModulationSeq.explicit(_random_coefs(n, seed=n + M))
+    cols = sorted({k_start, (k_start + n) // 2, n - 1, n})
+    sups, argj = circle_column_sups(a, sched, n, M, cols, k_start)
+    mags = _dense_column_mags(a, sched, M, cols, k_start)
+    ref = mags.max(axis=1)
+    assert np.allclose(sups, ref, rtol=1e-12, atol=0.0)
+    # the reported index attains the max (near-ties sit within rounding)
+    attained = mags[np.arange(len(cols)), argj]
+    assert np.allclose(attained, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("sched", [
+    Schedule.power(3.0),
+    # residues alternate 1, 2, so later blocks add onto carried entries
+    Schedule.explicit([1 + (k // 2) * (1 << 16) + k % 2 for k in range(11)]),
+])
+def test_circle_column_sups_many_blocks_carry_prefix(sched):
+    # M = 2^16 gives blocks of 4 columns; every prefix must carry across
+    coefs = _random_coefs(11, seed=7)
+    M = 1 << 16
+    sups, _ = circle_column_sups(ModulationSeq.explicit(coefs), sched, 11, M,
+                                 range(1, 12))
+    for m in (1, 4, 5, 9, 11):
+        # exact residues keep this dense reference exact in the phase
+        phases = np.exp(2j * np.pi * np.outer(np.arange(M), sched.values(m) % M) / M)
+        assert sups[m - 1] == pytest.approx(np.abs(phases @ coefs[:m]).max(), rel=1e-12)
+
+
+def test_circle_column_sups_ties_take_lowest_index():
+    # psi(lam) = lam - lam^3 on the 4th roots of unity is 0, 2, 0, 2
+    a = ModulationSeq.explicit([1.0, -1.0])
+    sups, argj = circle_column_sups(a, Schedule.explicit([1, 3]), 2, 4, [1, 2])
+    assert sups.tolist() == [1.0, 2.0]
+    assert argj.tolist() == [0, 1]
+
+
+def test_measure_K_tie_prefers_lowest_grid_index_then_n():
+    # |psi_2| and |psi_3| both peak at exactly 5: at j = 2 and at j = 1
+    a = ModulationSeq.explicit([2 - 2j, -1 + 2j, 1 + 1j])
+    sched = Schedule.explicit([3, 6, 7])
+    sups, argj = circle_column_sups(a, sched, 3, 4, [1, 2, 3])
+    assert sups[1] == sups[2] == 5.0
+    assert argj.tolist() == [0, 2, 1]
+    G = WeightSeq.from_callable(lambda n: np.ones_like(np.asarray(n, float)),
+                                n0=1, label="1")
+    m = measure_K(a, sched, G, 3, M_grid=4, allow_coarse=True)
+    assert m.n_at_max == 3
+    assert m.K >= 5.0
+
+
+def test_circle_column_sups_rejects_bad_input():
+    a = ModulationSeq.constant(1.0)
+    with pytest.raises(ValueError):
+        circle_column_sups(a, Schedule.explicit([1, 2, 3]), 16, 64, [8, 16])
+    with pytest.raises(ValueError):
+        circle_column_sups(a, Schedule.superexp(), 40, 64, [40])
+    with pytest.raises(ValueError):
+        circle_column_sups(a, Schedule.identity(), 16, 64, [16, 8])
+    with pytest.raises(ValueError):
+        circle_column_sups(a, Schedule.identity(), 16, 0, [16])
+    sups, argj = circle_column_sups(a, Schedule.identity(), 16, 64, [])
+    assert sups.size == 0 and argj.size == 0
+
+
+def test_measure_K_streams_in_small_memory():
+    import tracemalloc
+    G = WeightSeq.from_text("n", n0=1)
+    a = ModulationSeq.explicit(np.exp(2j * np.pi * 0.3 * np.arange(1, 1025) ** 2))
+    tracemalloc.start()
+    try:
+        measure_K(a, Schedule.identity(), G, 1024, M_grid=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense magnitude matrix plus its ratio matrix took 2 M n 8 B = 64 MB
+    assert peak < 8 * 2**20
 
 
 def test_sup_circle_against_dense_scan():
