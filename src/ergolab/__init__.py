@@ -9,9 +9,9 @@ from .weights import (INDEX_CAP, GapSeq, Schedule, WeightExpr, WeightSeq,
                       WeightSyntaxError, asymptotic_class, interpolated_weight,
                       parse_weight, scale_weight, twisted_weight)
 from .admissibility import (LADDER, AdmissibilityReport, bertrand_converges,
-                            check_1RT1, check_admissible, check_rrr, check_T21,
-                            check_T72, check_T73, check_T322,
-                            check_weak_admissible, series_report)
+                            check_1RT1, check_admissible, check_full_W1,
+                            check_rrr, check_T21, check_T72, check_T73,
+                            check_T322, check_weak_admissible, series_report)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
                         VectorField, bandlimited_random_field, character_field,
                         cocycle_product, operator_from_json, operator_norm,
@@ -20,15 +20,16 @@ from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          OpNormReport, PartialSumStream, RearrangementResult,
                          SupCircleResult, TransformTrace, I_majorant,
                          circle_column_sups, gamma_tail, hilbert_partial,
-                         interpolation_bound, interpolation_bound_check,
+                         hilbert_trace, interpolation_bound, interpolation_bound_check,
                          measure_K, modulated_poly, opnorm_series, phi_series,
                          rearrangement_and_I, sigma_grid, sigma_of_t,
                          sup_circle, twisted_bound_check, weighted_average,
                          weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
-                          random_sup_stat)
-from .registry import EXAMPLE_IDS, ExampleInstance, example_instance
+                          random_sup_stat, slln_chain, slln_diagnosis)
+from .registry import (EXAMPLE_IDS, ExampleInstance, check_t8, check_t41,
+                       check_t44, example_instance, random_hilbert_e5)
 
 __all__ = [
     "__version__",
@@ -36,8 +37,8 @@ __all__ = [
     "WeightSyntaxError", "asymptotic_class", "interpolated_weight",
     "parse_weight", "scale_weight", "twisted_weight",
     "LADDER", "AdmissibilityReport", "bertrand_converges", "check_1RT1",
-    "check_admissible", "check_rrr", "check_T21", "check_T72", "check_T73",
-    "check_T322", "check_weak_admissible", "series_report",
+    "check_admissible", "check_full_W1", "check_rrr", "check_T21", "check_T72",
+    "check_T73", "check_T322", "check_weak_admissible", "series_report",
     "Cocycle", "LinearOperator", "SampleSpace", "Transformation",
     "VectorField", "bandlimited_random_field", "character_field",
     "cocycle_product", "operator_from_json", "operator_norm", "random_field",
@@ -45,11 +46,14 @@ __all__ = [
     "BoundReport", "KMeasurement", "ModulationSeq", "OpNormReport",
     "PartialSumStream", "RearrangementResult", "SupCircleResult",
     "TransformTrace", "I_majorant", "circle_column_sups", "gamma_tail",
-    "hilbert_partial", "interpolation_bound", "interpolation_bound_check",
-    "measure_K", "modulated_poly", "opnorm_series", "phi_series",
-    "rearrangement_and_I", "sigma_grid", "sigma_of_t", "sup_circle",
-    "twisted_bound_check", "weighted_average", "weighted_series",
+    "hilbert_partial", "hilbert_trace", "interpolation_bound",
+    "interpolation_bound_check", "measure_K", "modulated_poly",
+    "opnorm_series", "phi_series", "rearrangement_and_I", "sigma_grid",
+    "sigma_of_t", "sup_circle", "twisted_bound_check", "weighted_average",
+    "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
-    "canonical_hash", "random_hilbert", "random_sup_stat",
-    "EXAMPLE_IDS", "ExampleInstance", "example_instance",
+    "canonical_hash", "random_hilbert", "random_sup_stat", "slln_chain",
+    "slln_diagnosis",
+    "EXAMPLE_IDS", "ExampleInstance", "check_t8", "check_t41", "check_t44",
+    "example_instance", "random_hilbert_e5",
 ]

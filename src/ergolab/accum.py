@@ -8,20 +8,13 @@ bit-reproducible across runs and thread counts.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["KahanSum", "kahan_cumsum", "kahan_sum"]
+__all__ = ["KahanSum", "kahan_cumsum"]
 
 
 class KahanSum:
-    """Running compensated sum. ``add`` for scalars, ``add_block`` for arrays.
-
-    Array blocks are first collapsed with ``math.fsum`` (exact) and then folded
-    into the running compensated pair, so the result is at least as accurate as
-    a term-by-term Kahan loop while staying fast for vectorized term tables.
-    """
+    """Running compensated sum of scalars."""
 
     __slots__ = ("s", "c")
 
@@ -35,19 +28,9 @@ class KahanSum:
         self.c = (t - self.s) - y
         self.s = t
 
-    def add_block(self, xs) -> None:
-        self.add(math.fsum(xs))
-
     @property
     def value(self) -> float:
         return self.s
-
-
-def kahan_sum(xs) -> float:
-    acc = KahanSum()
-    for x in xs:
-        acc.add(float(x))
-    return acc.value
 
 
 def kahan_cumsum(xs) -> np.ndarray:

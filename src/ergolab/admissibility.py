@@ -25,7 +25,6 @@ from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
     "LADDER",
-    "LADDER_XL",
     "AdmissibilityReport",
     "bertrand_converges",
     "series_report",
@@ -36,11 +35,11 @@ __all__ = [
     "check_T73",
     "check_T322",
     "check_rrr",
+    "check_full_W1",
     "check_1RT1",
 ]
 
 LADDER = (10**2, 10**3, 10**4, 10**5, 10**6)
-LADDER_XL = LADDER + (10**7,)  # opt-in
 
 _CONV_REL_TOL = 1e-3    # S_hi - S_mid < tol * S_mid  => converged heuristically
 _DIVERGE_RATIO_FLOOR = 0.8  # block ratios below this never read as divergence
@@ -274,6 +273,14 @@ def log_derivative_shift(W: WeightExpr) -> WeightExpr | None:
     return None
 
 
+def _t21_class(G: WeightSeq, W: WeightSeq) -> WeightExpr | None:
+    """Class of the (T21) term (G_n/W_n)(1 - W_n/W_{n+1}), when symbolic."""
+    shift = None if W.expr is None else log_derivative_shift(W.expr)
+    if G.expr is None or shift is None:
+        return None
+    return (G.expr / W.expr) * shift
+
+
 def twisted_class(G: WeightExpr, r: float) -> WeightExpr | None:
     """Class of G_{n,r} = G_n/|r| + sum_{k<n} G_k/k."""
     a = G.n_exp
@@ -357,13 +364,9 @@ def check_T21(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
         i = ks - n_start
         return (g[i] / w[i]) * (1.0 - w[i] / w[i + 1])
 
-    cls = None
-    if G.expr is not None and W.expr is not None:
-        shift = log_derivative_shift(W.expr)
-        if shift is not None:
-            cls = (G.expr / W.expr) * shift
     params = {"G": G.label, "W": W.label}
-    return series_report("T21", params, term, n_start, N_max, cls, ladder)
+    return series_report("T21", params, term, n_start, N_max, _t21_class(G, W),
+                         ladder)
 
 
 def check_T72(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
@@ -462,6 +465,33 @@ def check_rrr(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
     return rep
 
 
+def check_full_W1(G: WeightSeq, W: WeightSeq, p: float,
+                  ladder=LADDER) -> AdmissibilityReport:
+    """Series sum (G_n/W_n)^p over every index n, not only along a schedule."""
+    n_start = max(G.n0, W.n0)
+    n_max = min(max(ladder), 10**6)
+    g = G.prefix(n_max)[n_start - G.n0:]
+    w = W.prefix(n_max)[n_start - W.n0:]
+
+    def term(ks):
+        i = ks - n_start
+        return (g[i] / w[i]) ** p
+
+    cls = _ratio_class(G, W)
+    if cls is not None:
+        cls = cls**p
+    return series_report("full-W1", {"G": G.label, "W": W.label, "p": p},
+                         term, n_start, n_max, cls, ladder)
+
+
+def _gamma_class(G: WeightSeq, sched: Schedule, alpha: float) -> WeightExpr | None:
+    """Class of n_k^alpha / G_k^2, when symbolic."""
+    if G.expr is None:
+        return None
+    composed = asymptotic_class(WeightExpr(n_exp=alpha), sched)
+    return None if composed is None else composed * G.expr**-2.0
+
+
 def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
                ladder=LADDER) -> AdmissibilityReport:
     """gamma = sum_k n_k^alpha / G_k^2; returns gamma on convergence.
@@ -478,11 +508,7 @@ def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
     def term(ks):
         return n_vals[ks - 1] ** alpha / g[ks - G.n0] ** 2
 
-    cls = None
-    if G.expr is not None:
-        composed = asymptotic_class(WeightExpr(n_exp=alpha), sched)
-        if composed is not None:
-            cls = composed * G.expr**-2.0
+    cls = _gamma_class(G, sched, alpha)
     params = {"alpha": alpha, "G": G.label, "schedule": sched.describe()}
     rep = series_report("RT1gamma", params, term, k_start, kmax, cls, ladder)
     if rep.verdict == "converges":

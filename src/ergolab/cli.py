@@ -1,5 +1,5 @@
-"""Command-line front end: run configuration, example registry access,
-orchestration of the checks and experiments, and CSV/JSON emission.
+"""Command-line front end: parses arguments into run configurations, calls
+the library's checks and experiments, and writes their CSV/JSON outputs.
 
 Exit codes: 0 success, 1 for ``--expect`` mismatches, 2 for parse errors.
 Outputs land in a run directory named by the canonical config hash, so a
@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .admissibility import (LADDER, check_1RT1, check_admissible, check_rrr,
-                            check_T21, series_report)
-from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
-                        VectorField, operator_from_json, operator_norm,
-                        random_field)
-from .registry import EXAMPLE_IDS, example_instance
-from .stochastics import (RandomModulation, ae_convergence_diag,
-                          canonical_hash, random_hilbert, random_sup_stat)
-from .transforms import (ModulationSeq, TransformTrace, hilbert_partial,
-                         interpolation_bound_check, measure_K, opnorm_series,
-                         twisted_bound_check)
+from .admissibility import (LADDER, check_1RT1, check_admissible,
+                            check_full_W1, check_rrr, check_T21)
+from .registry import (EXAMPLE_IDS, check_t8, check_t41, check_t44,
+                       example_instance, random_hilbert_e5)
+from .stochastics import (RandomModulation, canonical_hash, random_sup_stat,
+                          slln_chain, slln_diagnosis)
+from .transforms import hilbert_trace
 from .weights import Schedule, WeightSeq, WeightSyntaxError
 
 __all__ = ["main", "build_parser", "run_dir_for"]
@@ -105,10 +102,6 @@ def write_json(path: Path, obj: dict, config: dict) -> None:
                                default=_json_default) + "\n")
 
 
-def _echo(msg: str) -> None:
-    print(msg)
-
-
 # ---------------------------------------------------------------------------
 # expectation handling
 
@@ -132,7 +125,7 @@ def check_expectations(expect: str | None, reports: dict) -> bool:
         if token == "not-admissible":
             pairs = [reports.get("W3"), reports.get("W4")]
             if all(r is not None and r.verdict == "converges" for r in pairs):
-                _echo("expect not-admissible: FAILED (both conditions converge)")
+                print("expect not-admissible: FAILED (both conditions converge)")
                 ok = False
             continue
         if token in _EXPECT_GROUPS:
@@ -146,21 +139,13 @@ def check_expectations(expect: str | None, reports: dict) -> bool:
             rep = reports.get(kind)
             if rep is None or rep.verdict != verdict:
                 got = "missing" if rep is None else rep.verdict
-                _echo(f"expect {kind}={verdict}: FAILED (got {got})")
+                print(f"expect {kind}={verdict}: FAILED (got {got})")
                 ok = False
     return ok
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _instance_from_args(args):
-    kwargs = {"p": args.p, "beta": args.beta, "gamma": args.gamma,
-              "alpha": args.alpha, "eps": args.eps}
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
-    return example_instance(args.example, **kwargs)
 
 
 def cmd_check(args) -> int:
@@ -173,7 +158,11 @@ def cmd_check(args) -> int:
     run_dir = run_dir_for(args.out, config)
 
     if args.example:
-        inst = _instance_from_args(args)
+        kwargs = {"p": args.p, "beta": args.beta, "gamma": args.gamma,
+                  "alpha": args.alpha, "eps": args.eps}
+        if args.delta is not None:
+            kwargs["delta"] = args.delta
+        inst = example_instance(args.example, **kwargs)
         reports = inst.run_checks(ladder)
         G, W = inst.G, inst.W
     else:
@@ -187,52 +176,19 @@ def cmd_check(args) -> int:
         reports = {"W3": r3, "W4": r4,
                    "T21": check_T21(G, W, n_max, ladder),
                    "rrr": check_rrr(G, W, n_max, ladder)}
-
     if args.full_sequence:
-        n_start = max(G.n0, W.n0)
-        n_max = min(max(ladder), 10**6)
-        g = G.prefix(n_max)[n_start - G.n0:]
-        w = W.prefix(n_max)[n_start - W.n0:]
-        p = args.p
-
-        def term(ks):
-            i = ks - n_start
-            return (g[i] / w[i]) ** p
-
-        cls = None
-        if G.expr is not None and W.expr is not None:
-            cls = (G.expr / W.expr) ** p
-        reports["full-W1"] = series_report(
-            "full-W1", {"G": G.label, "W": W.label, "p": p},
-            term, n_start, n_max, cls, ladder)
+        reports["full-W1"] = check_full_W1(G, W, args.p, ladder)
 
     for kind, rep in reports.items():
         write_json(run_dir / f"{kind}.json", rep.to_json(), config)
-        _echo(f"{kind}: {rep.verdict} ({rep.verdict_source})")
+        print(f"{kind}: {rep.verdict} ({rep.verdict_source})")
 
     ok = check_expectations(args.expect, reports)
-    if args.example:
-        inst_ok = _instance_from_args(args).verdicts_ok(reports)
-        if not inst_ok:
-            _echo(f"registry expectations for {args.example}: FAILED")
-        ok = ok and inst_ok
-    _echo(f"reports written to {run_dir}")
+    if args.example and not inst.verdicts_ok(reports):
+        print(f"registry expectations for {args.example}: FAILED")
+        ok = False
+    print(f"reports written to {run_dir}")
     return 0 if ok else 1
-
-
-def _character_fields(M: int, n_max: int, amplitude):
-    """Generator state for f_k(x) = amplitude(k) e^{2 pi i k x} on the grid."""
-    x = np.arange(M) / M
-    base = np.exp(2j * np.pi * x)
-
-    def fseq(k: int, _cache={"k": 0, "phase": np.ones(M, dtype=complex)}):
-        if k != _cache["k"] + 1:
-            raise ValueError("character stream must be consumed in order")
-        _cache["phase"] = _cache["phase"] * base
-        _cache["k"] = k
-        return _cache["phase"] * amplitude(k)
-
-    return fseq
 
 
 def cmd_slln(args) -> int:
@@ -255,76 +211,31 @@ def cmd_slln(args) -> int:
             raise ValueError("slln pipelines are registered for EwA only")
         inst = example_instance("EwA", eps=args.eps)
         G, W = inst.G, inst.W
-        amp = (lambda k: 0.0) if args.zero_field else (lambda k: np.sqrt(float(k)))
+        amp = math.sqrt          # ||f_k||_2 = sqrt(k)
     else:
         if not (args.G and args.W):
             raise ValueError("slln needs --example EwA or both --G and --W")
         G = WeightSeq.from_text(args.G)
         W = WeightSeq.from_text(args.W)
-        amp = (lambda k: 0.0) if args.zero_field else (lambda k: 1.0)
+        amp = lambda k: 1.0      # noqa: E731
+    if args.zero_field:
+        amp = lambda k: 0.0      # noqa: E731
 
-    fseq = _character_fields(M, n_max, amp)
-    space = SampleSpace.circle(M)
-    trace = TransformTrace(space_weights=space.weights, p=2.0)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    sample_idx = np.sort(rng.choice(np.arange(1, M), size=args.sample_points,
-                                    replace=False))
-    step = max(1, n_max // 2048)
-    record = sorted(set(range(1, n_max + 1, step)) | set(ladder) | {n_max})
-
-    k_start = max(G.n0, W.n0)
-    S = np.zeros(M, dtype=complex)
-    series = np.zeros(M, dtype=complex)
-    snapshots = []
-    w_vals = W.prefix(n_max)
-    ri = 0
-    for n in range(1, n_max + 1):
-        f = fseq(n)
-        S += f
-        if n >= k_start:
-            series += f / w_vals[n - W.n0]
-        if n in ladder:
-            snapshots.append(series[sample_idx].copy())
-        if ri < len(record) and n == record[ri]:
-            ri += 1
-            if n >= k_start:
-                sw = np.abs(series)
-                trace.record(n,
-                             pointwise=sw,
-                             norm_Sn_over_Wn=np.sqrt(np.mean(np.abs(S)**2))
-                             / w_vals[n - W.n0],
-                             series_partial_norm=np.sqrt(np.mean(sw**2)))
-
+    trace, snapshots = slln_chain(G, W, amp, n_max, M, args.seed, ladder,
+                                  args.sample_points)
     trace.to_csv(run_dir / "trace.csv")
-    diag = ae_convergence_diag(np.stack(snapshots, axis=1), ladder)
-    rrr = check_rrr(G, W, min(10**6, max(10**5, n_max)))
-    verdict_obj = diag.to_json()
-    verdict_obj["meaningful_regime"] = bool(rrr.meaningful)
-    write_json(run_dir / "ae.json", verdict_obj, config)
+    diag, rrr = slln_diagnosis(G, W, snapshots, ladder, n_max)
+    write_json(run_dir / "ae.json",
+               {**diag.to_json(), "meaningful_regime": bool(rrr.meaningful)}, config)
     write_json(run_dir / "rrr.json", rrr.to_json(), config)
-    _echo(f"ae verdict: {diag.verdict}; meaningful regime: {rrr.meaningful}")
-    _echo(f"outputs written to {run_dir}")
+    print(f"ae verdict: {diag.verdict}; meaningful regime: {rrr.meaningful}")
+    print(f"outputs written to {run_dir}")
     if args.expect:
         wanted = args.expect.strip()
         if diag.verdict != wanted:
-            _echo(f"expect {wanted}: FAILED (got {diag.verdict})")
+            print(f"expect {wanted}: FAILED (got {diag.verdict})")
             return 1
     return 0
-
-
-def _doubly_stochastic(m: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    P = np.zeros((m, m))
-    eye = np.eye(m)
-    for _ in range(m):
-        P += eye[rng.permutation(m)]
-    return P / m
-
-
-def _random_contraction(d: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return R / operator_norm(R)
 
 
 def cmd_hilbert(args) -> int:
@@ -335,88 +246,35 @@ def cmd_hilbert(args) -> int:
               "allow_coarse": args.allow_coarse}
     run_dir = run_dir_for(args.out, config)
 
-    if args.check == "t41":
-        instances = [
-            ("ones-identity", ModulationSeq.constant(1.0), Schedule.identity(),
-             WeightSeq.from_text("n", n0=1)),
-            ("rotated-identity", ModulationSeq.rotation(np.exp(2j * np.pi * 0.3)),
-             Schedule.identity(), WeightSeq.from_text("n", n0=1)),
-            ("ones-shifted", ModulationSeq.constant(1.0), Schedule.power(1.0),
-             WeightSeq.from_text("n", n0=1)),
-        ]
-        ladder = parse_ladder(args.ladder) if args.ladder else (32, 64, 128, 256, 512)
-        worst = 0.0
-        results = {}
-        for name, a, sched, G in instances:
-            K = measure_K(a, sched, G, max(ladder),
-                          allow_coarse=args.allow_coarse).K
-            rep = twisted_bound_check(a, sched, G, K, rs=(0.5, 1.0, 2.0),
-                                      n_ladder=ladder, n_lambda=256)
-            results[name] = rep.to_json()
-            results[name]["K"] = K
-            worst = max(worst, rep.max_ratio)
-            _echo(f"t41 {name}: max ratio {rep.max_ratio:.6f} (K={K:.6f})")
-        write_json(run_dir / "t41.json", {"instances": results,
-                                          "max_ratio": worst}, config)
-        return 0 if worst <= 1.0 + 1e-6 else 1
+    if args.check:
+        kwargs = {"allow_coarse": args.allow_coarse}
+        if args.ladder:
+            kwargs["ladder"] = parse_ladder(args.ladder)
+        if args.check == "t41":
+            doc, passed = check_t41(**kwargs)
+            for name, rep in doc["instances"].items():
+                print(f"t41 {name}: max ratio {rep['max_ratio']:.6f} "
+                      f"(K={rep['K']:.6f})")
+        elif args.check == "t44":
+            doc, passed = check_t44(args.p, args.seed, **kwargs)
+            print(f"t44 worst ratio: {doc['report']['max_ratio']:.8f} "
+                  f"(K={doc['K']:.6f}, p={args.p})")
+        else:
+            doc, passed = check_t8(args.seed, **kwargs)
+            for i, rep in enumerate(doc["contractions"]):
+                print(f"t8 contraction {i}: bound ok={rep['all_pairs_ok']} "
+                      f"monotone={rep['gaps_monotone']}")
+        write_json(run_dir / f"{args.check}.json", doc, config)
+        return 0 if passed else 1
 
-    if args.check == "t44":
-        m = 8
-        T = LinearOperator.markov(_doubly_stochastic(m, args.seed))
-        space = SampleSpace.finite(m)
-        a = ModulationSeq.constant(1.0)
-        sched = Schedule.identity()
-        G = WeightSeq.from_text("n", n0=1)
-        ladder = parse_ladder(args.ladder) if args.ladder else (16, 32, 64, 128, 256)
-        K = measure_K(a, sched, G, max(ladder), allow_coarse=args.allow_coarse).K
-        fields = [random_field(space, 1, seed=args.seed + 1 + i) for i in range(20)]
-        rep = interpolation_bound_check(a, T, sched, G, K, args.p, fields, ladder)
-        write_json(run_dir / "t44.json",
-                   {"report": rep.to_json(), "K": K, "p": args.p}, config)
-        _echo(f"t44 worst ratio: {rep.max_ratio:.8f} (K={K:.6f}, p={args.p})")
-        return 0 if rep.max_ratio <= 1.0 + 1e-8 else 1
-
-    if args.check == "t8":
-        inst = example_instance("E5")
-        sched = Schedule.identity()
-        a = ModulationSeq.constant(1.0)
-        ladder = parse_ladder(args.ladder) if args.ladder else \
-            tuple(2**j for j in range(5, 13))
-        K = measure_K(a, sched, inst.G, max(ladder),
-                      allow_coarse=args.allow_coarse).K
-        all_ok, mono = True, True
-        results = []
-        for i in range(5):
-            A = LinearOperator.from_matrix(_random_contraction(6, args.seed + i))
-            rep = opnorm_series(a, A, sched, inst.W, ladder, K, inst.G)
-            all_ok = all_ok and rep.all_pairs_ok
-            mono = mono and rep.gaps_monotone
-            results.append({"gaps": rep.gaps, "all_pairs_ok": rep.all_pairs_ok,
-                            "gaps_monotone": rep.gaps_monotone})
-            _echo(f"t8 contraction {i}: bound ok={rep.all_pairs_ok} "
-                  f"monotone={rep.gaps_monotone}")
-        write_json(run_dir / "t8.json", {"K": K, "contractions": results}, config)
-        return 0 if (all_ok and mono) else 1
-
-    # trace mode: one transform run on an explicit operator
-    G = WeightSeq.from_text(args.G or "n", n0=None)
+    # trace mode: one transform run; --G is validated, the transform uses W
+    WeightSeq.from_text(args.G or "n", n0=None)
     W = WeightSeq.from_text(args.W or "n", n0=None)
     sched = parse_schedule(args.schedule or "identity")
-    if args.operator:
-        T = operator_from_json(json.loads(Path(args.operator).read_text()))
-        space = (T.transformation.space if T.kind == "koopman"
-                 else SampleSpace.finite(T.matrix.shape[0]))
-    else:
-        space = SampleSpace.circle(1024)
-        T = LinearOperator.koopman(Transformation.rotation(space, 1))
-    a = ModulationSeq.constant(1.0)
-    if args.lam is not None:
-        a = a.compose(ModulationSeq.rotation(np.exp(2j * np.pi * args.lam)))
-    f = random_field(space, 1, seed=args.seed)
-    trace = TransformTrace(space_weights=space.weights, p=2.0)
-    hilbert_partial(a, T, sched, W, f, args.n_max, trace=trace)
+    operator = json.loads(Path(args.operator).read_text()) if args.operator else None
+    trace = hilbert_trace(W, sched, args.n_max, args.seed, args.lam, operator)
     trace.to_csv(run_dir / "trace.csv")
-    _echo(f"trace written to {run_dir}")
+    print(f"trace written to {run_dir}")
     return 0
 
 
@@ -440,25 +298,14 @@ def cmd_random(args) -> int:
                               no_regime_check=args.no_regime_check,
                               threads=args.threads)
     else:
-        m = 16
-        space = SampleSpace.finite(m)
-        base = Transformation.permutation(space, np.roll(np.arange(m), -1))
-        fibers = np.broadcast_to(_random_contraction(2, args.seed + 999),
-                                 (m, 2, 2)).copy()
-        C = Cocycle(base, fibers)
-        inst = example_instance("E5")
-        checks = inst.run_checks(ladder=LADDER)
-        pre = [checks["W3"], checks["W4"], checks["T21"]]
-        est = random_hilbert(mod, C, None, np.array([1.0, 0.0]),
-                             Schedule.identity(), inst.W, ladder, args.samples,
-                             regime_reports=pre,
-                             no_regime_check=args.no_regime_check,
-                             threads=args.threads)
+        est = random_hilbert_e5(mod, ladder, args.samples,
+                                no_regime_check=args.no_regime_check,
+                                threads=args.threads)
     est.config = config
     write_json(run_dir / "estimate.json", est.to_json(), config)
-    _echo(f"{est.statistic}: mean {est.mean:.6g}, max {est.max:.6g} "
+    print(f"{est.statistic}: mean {est.mean:.6g}, max {est.max:.6g} "
           f"({est.samples} samples, regime={est.regime})")
-    _echo(f"outputs written to {run_dir}")
+    print(f"outputs written to {run_dir}")
     return 0
 
 
@@ -466,10 +313,10 @@ def cmd_list_examples(_args) -> int:
     for ex_id in EXAMPLE_IDS:
         inst = example_instance(ex_id)
         claims = ",".join(sorted(inst.expected))
-        _echo(f"{ex_id}: G={inst.G.label}  W={inst.W.label}  "
+        print(f"{ex_id}: G={inst.G.label}  W={inst.W.label}  "
               f"schedule={inst.sched.describe()}  checks=[{claims}]")
         if inst.notes:
-            _echo(f"    {inst.notes}")
+            print(f"    {inst.notes}")
     return 0
 
 

@@ -33,28 +33,20 @@ _CONTRACTION_SLACK = 1e-12
 
 class SampleSpace:
     """Probability space: Lebesgue on [0,1) via an equispaced grid of M
-    points, a Monte Carlo point cloud, or a uniform finite space of m atoms."""
+    points, or a uniform finite space of m atoms."""
 
-    def __init__(self, kind: str, size: int, mc: bool = False, seed: int | None = None):
+    def __init__(self, kind: str, size: int):
         if kind not in ("circle", "finite"):
             raise ValueError(f"unknown sample space kind {kind!r}")
         self.kind = kind
         self.size = int(size)
-        self.mc = bool(mc)
-        self.seed = seed
         if kind == "circle":
             if size < 2:
                 raise ValueError("circle grid needs M >= 2")
-            if mc:
-                rng = np.random.Generator(np.random.Philox(key=seed or 0))
-                self.points = rng.random(size)
-            else:
-                self.points = np.arange(size) / size
+            self.points = np.arange(size) / size
         else:
             if size < 1:
                 raise ValueError("finite space needs m >= 1")
-            if mc:
-                raise ValueError("finite spaces have no Monte Carlo mode")
             self.points = np.arange(size)
         self.weights = np.full(self.size, 1.0 / self.size)
 
@@ -63,60 +55,43 @@ class SampleSpace:
         return cls("circle", M)
 
     @classmethod
-    def circle_mc(cls, n_points: int, seed: int) -> "SampleSpace":
-        return cls("circle", n_points, mc=True, seed=seed)
-
-    @classmethod
     def finite(cls, m: int) -> "SampleSpace":
         return cls("finite", m)
 
     def describe(self) -> dict:
-        d = {"kind": self.kind}
-        d["M" if self.kind == "circle" else "m"] = self.size
-        if self.mc:
-            d["mc"] = True
-            d["seed"] = self.seed
-        return d
+        return {"kind": self.kind, "M" if self.kind == "circle" else "m": self.size}
 
     def __eq__(self, other):
         return (isinstance(other, SampleSpace) and self.kind == other.kind
-                and self.size == other.size and self.mc == other.mc
-                and self.seed == other.seed)
+                and self.size == other.size)
 
     def __hash__(self):
-        return hash((self.kind, self.size, self.mc, self.seed))
+        return hash((self.kind, self.size))
 
 
 class Transformation:
     """Measure-preserving map on a sample space.
 
     rotation(j, M): x -> x + j/M on the matching M-point grid (exact index
-    shift).  Irrational rotations are only used through explicit orbits in
-    Monte-Carlo mode, never through grid interpolation.
+    shift).
     doubling: x -> 2x mod 1 on a grid of M = 2^m points (exact index map,
     non-invertible).
     permutation(pi): atom i -> pi[i] on a finite space.
     """
 
     def __init__(self, kind: str, space: SampleSpace, *, shift: int | None = None,
-                 pi=None, theta: float | None = None):
+                 pi=None):
         self.kind = kind
         self.space = space
         self.shift = shift
-        self.theta = theta
         self.pi = None if pi is None else np.asarray(pi, dtype=np.int64)
         if kind == "rotation":
             if space.kind != "circle":
                 raise ValueError("rotation needs a circle space")
-            if space.mc:
-                if theta is None:
-                    raise ValueError("Monte-Carlo rotation needs theta")
-            else:
-                if shift is None:
-                    raise ValueError("grid rotation needs an integer shift j (theta = j/M)")
-                self.theta = shift / space.size
+            if shift is None:
+                raise ValueError("grid rotation needs an integer shift j (theta = j/M)")
         elif kind == "doubling":
-            if space.kind != "circle" or space.mc:
+            if space.kind != "circle":
                 raise ValueError("doubling needs a circle grid")
             if space.size & (space.size - 1):
                 raise ValueError("doubling grid size must be a power of two")
@@ -133,10 +108,6 @@ class Transformation:
         return cls("rotation", space, shift=int(shift) % space.size)
 
     @classmethod
-    def rotation_mc(cls, space: SampleSpace, theta: float) -> "Transformation":
-        return cls("rotation", space, theta=float(theta))
-
-    @classmethod
     def doubling(cls, space: SampleSpace) -> "Transformation":
         return cls("doubling", space)
 
@@ -151,8 +122,6 @@ class Transformation:
         M = self.space.size
         idx = np.arange(M, dtype=np.int64)
         if self.kind == "rotation":
-            if self.space.mc:
-                raise ValueError("Monte-Carlo rotation has no grid index map")
             # reduce n * shift mod M in Python ints before it meets int64
             return (idx + int(n) % M * self.shift % M) % M
         if self.kind == "doubling":
@@ -167,13 +136,6 @@ class Transformation:
             base = base[base]
             e >>= 1
         return result
-
-    def orbit_points(self, x: float, steps) -> np.ndarray:
-        """Exact orbit x + k*theta mod 1 (MC rotations), k over ``steps``."""
-        if self.kind != "rotation":
-            raise ValueError("orbit_points is for rotations")
-        steps = np.asarray(steps, dtype=float)
-        return np.mod(x + steps * self.theta, 1.0)
 
     def is_measure_preserving(self) -> bool:
         """Pushforward of the grid/atom weights equals the weights."""
@@ -478,9 +440,6 @@ class Cocycle:
         matrices = np.asarray(matrices, dtype=complex)
         cells = np.searchsorted(breakpoints, base.space.points, side="right") - 1
         return cls(base, matrices[cells])
-
-    def fiber_at_index(self, i: int) -> np.ndarray:
-        return self.fibers[i]
 
 
 def cocycle_product(C: Cocycle, omega: int, n: int) -> np.ndarray:

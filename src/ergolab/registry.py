@@ -1,24 +1,33 @@
-"""Registry of the built-in weight-pair examples.
+"""Registry of the built-in weight-pair examples and the registered bound
+checks and experiments built on them.
 
 Each entry instantiates a (G, W, schedule, gaps) quadruple together with the
 verdicts its construction guarantees, so runs can assert their expectations.
 Verdict sets list every acceptable outcome: symbolic entries are exact, while
 callable-backed weights can only produce numeric claims and may honestly
-report ``unknown``.
+report ``unknown``.  The t41, t44 and t8 bound checks and the random
+transform over a cocycle run fixed, seeded instances and return what a run
+writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .admissibility import (LADDER, check_admissible, check_rrr, check_T21,
                             check_weak_admissible)
+from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
+                        operator_norm, random_field)
+from .stochastics import MCEstimate, random_hilbert
+from .transforms import (ModulationSeq, interpolation_bound_check, measure_K,
+                         opnorm_series, twisted_bound_check)
 from .weights import INDEX_CAP, GapSeq, Schedule, WeightExpr, WeightSeq
 
-__all__ = ["ExampleInstance", "EXAMPLE_IDS", "example_instance"]
+__all__ = ["ExampleInstance", "EXAMPLE_IDS", "example_instance", "check_t41",
+           "check_t44", "check_t8", "random_hilbert_e5"]
 
 EXAMPLE_IDS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "EwA")
 
@@ -35,9 +44,8 @@ class ExampleInstance:
     expected: dict                      # check kind -> set of allowed verdicts
     weak_only: bool = False             # E0/EwA claim weak admissibility only
     notes: str = ""
-    extra: dict = field(default_factory=dict)
 
-    def run_checks(self, ladder=LADDER, with_t21: bool = True) -> dict:
+    def run_checks(self, ladder=LADDER) -> dict:
         reports = {}
         if self.weak_only:
             r1, r2 = check_weak_admissible(self.W, self.G, self.sched, self.xi,
@@ -46,10 +54,9 @@ class ExampleInstance:
         else:
             r3, r4 = check_admissible(self.W, self.G, self.sched, self.p, ladder)
             reports["W3"], reports["W4"] = r3, r4
-        if with_t21:
-            n_max = min(max(ladder), 10**6)
-            reports["T21"] = check_T21(self.G, self.W, n_max, ladder)
-            reports["rrr"] = check_rrr(self.G, self.W, n_max, ladder)
+        n_max = min(max(ladder), 10**6)
+        reports["T21"] = check_T21(self.G, self.W, n_max, ladder)
+        reports["rrr"] = check_rrr(self.G, self.W, n_max, ladder)
         return reports
 
     def verdicts_ok(self, reports: dict) -> bool:
@@ -72,14 +79,17 @@ def _power_pair_expected(p: float, beta: float, delta: float) -> dict:
     return {"W3": v, "W4": v}
 
 
+E7_ALPHA = 0.5
+
+
 def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
                      gamma: float = 1.0, alpha: float = 1.0,
-                     delta: float | None = None, eps: float = 0.25,
-                     e7_alpha: float = 0.5) -> ExampleInstance:
+                     delta: float | None = None,
+                     eps: float = 0.25) -> ExampleInstance:
     """Build one registry entry with the given parameters.
 
     ``alpha`` is the log-power of E3/E6; E7's schedule exponent is the
-    separate ``e7_alpha`` (its r = 1/e7_alpha must be a whole number)."""
+    fixed ``E7_ALPHA``."""
     if ex_id not in EXAMPLE_IDS:
         raise KeyError(f"unknown example {ex_id!r}; known: {EXAMPLE_IDS}")
     if not p > 1.0:
@@ -160,21 +170,17 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
     if ex_id == "E7":
         if not (beta > 0.0 and gamma >= 1.0):
             raise ValueError("E7 needs beta > 0 and gamma >= 1")
-        r = 1.0 / e7_alpha
-        if not float(r).is_integer() or r <= 1.0:
-            raise ValueError("E7 needs 1/e7_alpha a whole number > 1")
         if delta is None:
-            delta = p * (1.0 - e7_alpha) + 1.0
-        if delta < p * (1.0 - e7_alpha) + 1.0:
-            raise ValueError("E7 needs delta >= p(1 - e7_alpha) + 1")
+            delta = p * (1.0 - E7_ALPHA) + 1.0
+        if delta < p * (1.0 - E7_ALPHA) + 1.0:
+            raise ValueError(f"E7 needs delta >= p(1 - {E7_ALPHA:g}) + 1")
         G = WeightSeq.from_text(f"ln(n)^{beta + 1.0 / p:g}*lnln(n)^{gamma:g}")
         W = WeightSeq.from_text(
             f"n^{delta / p:g}*ln(n)^{beta + 1.0 / p:g}*lnln(n)^{gamma:g}")
-        sched = Schedule.power(r)
+        sched = Schedule.power(1.0 / E7_ALPHA)
         return ExampleInstance(
             "E7", p, G, W, sched, GapSeq.derived(sched),
-            {"p": p, "beta": beta, "gamma": gamma, "delta": delta,
-             "e7_alpha": e7_alpha},
+            {"p": p, "beta": beta, "gamma": gamma, "delta": delta},
             {"W3": {"converges"}, "W4": {"converges"},
              "T21": {"converges"}, "rrr": {"diverges"}})
 
@@ -236,3 +242,103 @@ def t21_terms(G: WeightSeq, W: WeightSeq, n) -> np.ndarray:
     w = W.values(n)
     w1 = W.values(n + 1.0)
     return (g / w) * (1.0 - w / w1)
+
+
+# ---------------------------------------------------------------------------
+# registered bound checks and experiments
+
+
+def _doubly_stochastic(m: int, seed: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    P = np.zeros((m, m))
+    eye = np.eye(m)
+    for _ in range(m):
+        P += eye[rng.permutation(m)]
+    return P / m
+
+
+def _random_contraction(d: int, seed: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return R / operator_norm(R)
+
+
+def check_t41(ladder=(32, 64, 128, 256, 512), allow_coarse: bool = False):
+    """Twisted bound (T41) on three fixed instances at r = 0.5, 1, 2.
+
+    Returns the t41 document and whether every ratio is <= 1 + 1e-6."""
+    instances = [
+        ("ones-identity", ModulationSeq.constant(1.0), Schedule.identity()),
+        ("rotated-identity", ModulationSeq.rotation(np.exp(2j * np.pi * 0.3)),
+         Schedule.identity()),
+        ("ones-shifted", ModulationSeq.constant(1.0), Schedule.power(1.0)),
+    ]
+    G = WeightSeq.from_text("n", n0=1)
+    results = {}
+    worst = 0.0
+    for name, a, sched in instances:
+        K = measure_K(a, sched, G, max(ladder), allow_coarse=allow_coarse).K
+        rep = twisted_bound_check(a, sched, G, K, rs=(0.5, 1.0, 2.0),
+                                  n_ladder=ladder, n_lambda=256)
+        results[name] = rep.to_json()
+        results[name]["K"] = K
+        worst = max(worst, rep.max_ratio)
+    return {"instances": results, "max_ratio": worst}, worst <= 1.0 + 1e-6
+
+
+def check_t44(p: float, seed: int, ladder=(16, 32, 64, 128, 256),
+              allow_coarse: bool = False):
+    """Interpolation bound (T44) for a seeded doubly stochastic 8 x 8 Markov
+    operator on 20 seeded random fields.
+
+    Returns the t44 document and whether every ratio is <= 1 + 1e-8."""
+    if not 1.0 <= p <= 2.0:
+        raise ValueError("p must lie in [1, 2]")
+    m = 8
+    T = LinearOperator.markov(_doubly_stochastic(m, seed))
+    space = SampleSpace.finite(m)
+    a = ModulationSeq.constant(1.0)
+    sched = Schedule.identity()
+    G = WeightSeq.from_text("n", n0=1)
+    K = measure_K(a, sched, G, max(ladder), allow_coarse=allow_coarse).K
+    fields = [random_field(space, 1, seed=seed + 1 + i) for i in range(20)]
+    rep = interpolation_bound_check(a, T, sched, G, K, p, fields, ladder)
+    return {"report": rep.to_json(), "K": K, "p": p}, rep.max_ratio <= 1.0 + 1e-8
+
+
+def check_t8(seed: int, ladder=tuple(2**j for j in range(5, 13)),
+             allow_coarse: bool = False):
+    """Operator-norm Cauchy gaps (T8) of the E5 transform for five seeded
+    random 6 x 6 contractions.
+
+    Returns the t8 document and whether every gap meets its bound and the
+    consecutive gaps decrease, for every contraction."""
+    inst = example_instance("E5")
+    sched = Schedule.identity()
+    a = ModulationSeq.constant(1.0)
+    K = measure_K(a, sched, inst.G, max(ladder), allow_coarse=allow_coarse).K
+    ops = [LinearOperator.from_matrix(_random_contraction(6, seed + i))
+           for i in range(5)]
+    results = [{"gaps": rep.gaps, "all_pairs_ok": rep.all_pairs_ok,
+                "gaps_monotone": rep.gaps_monotone}
+               for rep in opnorm_series(a, ops, sched, inst.W, ladder, K, inst.G)]
+    passed = all(r["all_pairs_ok"] and r["gaps_monotone"] for r in results)
+    return {"K": K, "contractions": results}, passed
+
+
+def random_hilbert_e5(mod, ladder, samples: int, no_regime_check: bool = False,
+                      threads: int = 1) -> MCEstimate:
+    """random_hilbert for the E5 weights over a constant cocycle: one random
+    2 x 2 contraction, seeded from the modulation's seed, on every atom of
+    the 16-cycle, applied to g = (1, 0).  (W3), (W4) and (T21) of E5 are its
+    preconditions."""
+    m = 16
+    space = SampleSpace.finite(m)
+    base = Transformation.permutation(space, np.roll(np.arange(m), -1))
+    C = Cocycle.constant(base, _random_contraction(2, mod.seed + 999))
+    inst = example_instance("E5")
+    r3, r4 = check_admissible(inst.W, inst.G, inst.sched, inst.p)
+    return random_hilbert(mod, C, None, np.array([1.0, 0.0]), Schedule.identity(),
+                          inst.W, ladder, samples,
+                          regime_reports=[r3, r4, check_T21(inst.G, inst.W)],
+                          no_regime_check=no_regime_check, threads=threads)

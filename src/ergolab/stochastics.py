@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Cocycle, VectorField
-from .transforms import ModulationSeq, circle_column_sups
+from .admissibility import AdmissibilityReport, check_rrr
+from .operators import Cocycle, SampleSpace, VectorField
+from .transforms import ModulationSeq, TransformTrace, circle_column_sups
 from .weights import Schedule, WeightSeq
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "random_sup_stat",
     "random_hilbert",
     "ae_convergence_diag",
+    "slln_chain",
+    "slln_diagnosis",
     "canonical_hash",
 ]
 
@@ -361,3 +364,62 @@ def ae_convergence_diag(partials, ladder) -> AEDiagnosis:
     else:
         verdict = "indeterminate"
     return AEDiagnosis(verdict, gaps.tolist(), exponent, ladder)
+
+
+# ---------------------------------------------------------------------------
+# weighted strong law on the circle
+
+
+def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
+               seed: int, ladder, sample_points: int):
+    """Weighted strong-law chain for the orthogonal fields
+    f_k(x) = amplitude(k) e^{2 pi i k x} on the M-point circle grid.
+
+    Returns the trace of ||S_n||_2/W_n, of the weighted series
+    sum_{k<=n} f_k/W_k and of its running maximal function, and the series
+    at ``sample_points`` seeded grid points, one array per ladder entry
+    reached by n_max.
+    """
+    space = SampleSpace.circle(M)
+    base = np.exp(2j * np.pi * space.points)    # e^{2 pi i x}; f_k = amp(k) base^k
+    phase = np.ones(M, dtype=complex)
+    trace = TransformTrace(space_weights=space.weights, p=2.0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sample_idx = np.sort(rng.choice(np.arange(1, M), size=sample_points,
+                                    replace=False))
+    step = max(1, n_max // 2048)
+    record = sorted(set(range(1, n_max + 1, step)) | set(ladder) | {n_max})
+
+    k_start = max(G.n0, W.n0)
+    S = np.zeros(M, dtype=complex)
+    series = np.zeros(M, dtype=complex)
+    snapshots = []
+    w_vals = W.prefix(n_max)
+    ri = 0
+    for n in range(1, n_max + 1):
+        phase = phase * base
+        f = phase * amplitude(n)
+        S += f
+        if n >= k_start:
+            series += f / w_vals[n - W.n0]
+        if n in ladder:
+            snapshots.append(series[sample_idx].copy())
+        if ri < len(record) and n == record[ri]:
+            ri += 1
+            if n >= k_start:
+                sw = np.abs(series)
+                trace.record(n,
+                             pointwise=sw,
+                             norm_Sn_over_Wn=np.sqrt(np.mean(np.abs(S)**2))
+                             / w_vals[n - W.n0],
+                             series_partial_norm=np.sqrt(np.mean(sw**2)))
+    return trace, snapshots
+
+
+def slln_diagnosis(G: WeightSeq, W: WeightSeq, snapshots, ladder,
+                   n_max: int) -> tuple[AEDiagnosis, AdmissibilityReport]:
+    """a.e. diagnosis of the sampled series from ``slln_chain`` and the
+    divergence check of sum G_k/W_k that marks the meaningful regime."""
+    diag = ae_convergence_diag(np.stack(snapshots, axis=1), ladder)
+    rrr = check_rrr(G, W, min(10**6, max(10**5, n_max)))
+    return diag, rrr

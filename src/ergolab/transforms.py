@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from .accum import kahan_cumsum
-from .operators import LinearOperator, VectorField
-from .weights import Schedule, WeightExpr, WeightSeq, asymptotic_class, twisted_weight
+from .admissibility import _gamma_class, _t21_class, _tail_estimate
+from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
+                        operator_from_json, operator_norm, random_field)
+from .weights import Schedule, WeightSeq, twisted_weight
 
 __all__ = [
     "ModulationSeq",
@@ -32,6 +33,7 @@ __all__ = [
     "sup_circle",
     "measure_K",
     "hilbert_partial",
+    "hilbert_trace",
     "phi_series",
     "twisted_bound_check",
     "interpolation_bound",
@@ -204,12 +206,6 @@ class TransformTrace:
         if math.isinf(self.p):
             return float(arr.max(initial=0.0))
         return float(np.sum(w * arr**self.p) ** (1.0 / self.p))
-
-    def running_max(self):
-        return None if self._max is None else self._max.copy()
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows if name in row]
 
     def to_csv(self, path) -> None:
         present = [c for c in self.COLUMNS
@@ -416,8 +412,7 @@ def _refine(a: ModulationSeq, sched: Schedule, n: int, M_grid: int, j: int,
 
 @dataclass
 class SupCircleResult:
-    lower_bound: float          # certified: an attained value of |psi_n|
-    value: float                # heuristic sup after local refinement
+    value: float                # an attained value of |psi_n|, after local refinement
     lam: complex
     grid_size: int
     n: int
@@ -432,13 +427,13 @@ def sup_circle(a: ModulationSeq, sched: Schedule, n: int, M_grid: int | None = N
     """
     M_grid = _grid_guard(M_grid, sched.value(n), allow_coarse)
     if a.is_zero():
-        return SupCircleResult(0.0, 0.0, 1 + 0j, M_grid, n)
+        return SupCircleResult(0.0, 1 + 0j, M_grid, n)
     sups, argj = circle_column_sups(a, sched, n, M_grid, [n], k_start)
     grid_max, j = float(sups[0]), int(argj[0])
     value, theta_x, theta_j = _refine(a, sched, n, M_grid, j, k_start)
     refined = max(grid_max, value)
     theta = theta_x if value >= grid_max else theta_j
-    return SupCircleResult(refined, refined, complex(np.exp(1j * theta)), M_grid, n)
+    return SupCircleResult(refined, complex(np.exp(1j * theta)), M_grid, n)
 
 
 @dataclass
@@ -533,6 +528,31 @@ def phi_series(a: ModulationSeq, T: LinearOperator, sched: Schedule, W: WeightSe
             norms = out.pointwise_norms()
             trace.record(k, pointwise=norms, series_partial_norm=out.norm(trace.p))
     return out
+
+
+def hilbert_trace(W: WeightSeq, sched: Schedule, n: int, seed: int,
+                  lam: float | None = None, operator: dict | None = None) -> TransformTrace:
+    """Trace of the transform sum_{k<=n} a_k T^{n_k} f / W_k of a seeded
+    random scalar field f, with a_k = 1, or a_k = e^{2 pi i lam n_k} when the
+    angle ``lam`` (in turns) is given.
+
+    ``operator`` is a JSON operator description (see operator_from_json); by
+    default T is the Koopman operator of x -> x + 1/1024 on a 1024-point grid.
+    """
+    if operator is not None:
+        T = operator_from_json(operator)
+        space = (T.transformation.space if T.kind == "koopman"
+                 else SampleSpace.finite(T.matrix.shape[0]))
+    else:
+        space = SampleSpace.circle(1024)
+        T = LinearOperator.koopman(Transformation.rotation(space, 1))
+    a = ModulationSeq.constant(1.0)
+    if lam is not None:
+        a = a.compose(ModulationSeq.rotation(np.exp(2j * np.pi * lam)))
+    f = random_field(space, 1, seed=seed)
+    trace = TransformTrace(space_weights=space.weights, p=2.0)
+    hilbert_partial(a, T, sched, W, f, n, trace=trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -635,19 +655,21 @@ class OpNormReport:
     entries: list = field(default_factory=list, repr=False)
 
 
-def opnorm_series(a: ModulationSeq, A: LinearOperator, sched: Schedule,
+def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
                   W: WeightSeq, n_ladder, K: float, G: WeightSeq,
-                  tail_N: int = 10**6, k_start: int | None = None) -> OpNormReport:
+                  tail_N: int = 10**6, k_start: int | None = None) -> list:
     """Operator-norm partial sums of sum a_k A^{n_k}/W_k with the tail bound
 
         gap(j, n) <= tail(j) + ||S_j(A)/W_j|| + ||S_n(A)/W_n||,
-        tail(j) = K sum_{k>=j} (G_k/W_k)(1 - W_k/W_{k+1}).
-    """
-    from .operators import operator_norm
+        tail(j) = K sum_{k>=j} (G_k/W_k)(1 - W_k/W_{k+1}),
 
-    if A.kind not in ("matrix", "markov"):
-        raise ValueError("operator-norm series needs a matrix operator")
-    _require_bounded(A)
+    for each matrix operator A in ``ops``; returns one report per operator.
+    The tail does not depend on A, so it is summed once for all of them.
+    """
+    for A in ops:
+        if A.kind not in ("matrix", "markov"):
+            raise ValueError("operator-norm series needs a matrix operator")
+        _require_bounded(A)
     if k_start is None:
         k_start = max(W.n0, G.n0)
     ladder = sorted(n_ladder)
@@ -659,6 +681,29 @@ def opnorm_series(a: ModulationSeq, A: LinearOperator, sched: Schedule,
     w = W.prefix(n_max)[k_start - W.n0:]
     g = G.prefix(n_max)[k_start - G.n0:]
 
+    # tail(j): numeric suffix to tail_N plus the symbolic class remainder
+    tail_top = max(tail_N, n_max)
+    gt = G.prefix(tail_top + 1)[k_start - G.n0:]
+    wt = W.prefix(tail_top + 1)[k_start - W.n0:]
+    terms = (gt[:-1] / wt[:-1]) * (1.0 - wt[:-1] / wt[1:])
+    csums = kahan_cumsum(terms)
+    total = csums[-1]
+    cls = _t21_class(G, W)
+    est = None if cls is None else _tail_estimate(cls, tail_top)
+    remainder = 0.0 if est is None else est
+
+    def tail(j: int) -> float:
+        i = j - k_start
+        head = csums[i - 1] if i > 0 else 0.0
+        return K * (total - head + remainder)
+
+    return [_opnorm_report(A, sched, coefs, w, g, ladder, k_start, K, tail)
+            for A in ops]
+
+
+def _opnorm_report(A: LinearOperator, sched: Schedule, coefs, w, g, ladder,
+                   k_start: int, K: float, tail) -> OpNormReport:
+    n_max = ladder[-1]
     d = A.matrix.shape[0]
     S = np.zeros((d, d), dtype=complex)          # unweighted sum a_k A^{n_k}
     Sw = np.zeros((d, d), dtype=complex)         # weighted sum a_k A^{n_k}/W_k
@@ -671,27 +716,6 @@ def opnorm_series(a: ModulationSeq, A: LinearOperator, sched: Schedule,
         if li < len(ladder) and k == ladder[li]:
             snapshots[k] = (operator_norm(S) / w[i], Sw.copy())
             li += 1
-
-    # tail(j): numeric suffix to tail_N plus the symbolic class remainder
-    tail_top = max(tail_N, n_max)
-    gt = G.prefix(tail_top + 1)[k_start - G.n0:]
-    wt = W.prefix(tail_top + 1)[k_start - W.n0:]
-    terms = (gt[:-1] / wt[:-1]) * (1.0 - wt[:-1] / wt[1:])
-    csums = kahan_cumsum(terms)
-    total = csums[-1]
-    remainder = 0.0
-    if G.expr is not None and W.expr is not None:
-        from .admissibility import log_derivative_shift, _tail_estimate
-        shift = log_derivative_shift(W.expr)
-        if shift is not None:
-            est = _tail_estimate((G.expr / W.expr) * shift, tail_top)
-            if est is not None:
-                remainder = est
-
-    def tail(j: int) -> float:
-        i = j - k_start
-        head = csums[i - 1] if i > 0 else 0.0
-        return K * (total - head + remainder)
 
     entries = []
     all_ok = True
@@ -723,19 +747,13 @@ def gamma_tail(G: WeightSeq, sched: Schedule, alpha: float, N: int) -> float:
     """Upper estimate for sum_{k>N} n_k^alpha / G_k^2 (needs symbolic class)."""
     if G.expr is None:
         raise ValueError("tail estimate needs a symbolic weight")
-    composed = asymptotic_class(WeightExpr(n_exp=alpha), sched)
-    if composed is None:
+    cls = _gamma_class(G, sched, alpha)
+    if cls is None:
         raise ValueError("tail estimate needs a symbolic schedule")
-    cls = composed * G.expr**-2.0
-    from .admissibility import bertrand_converges
-    if not bertrand_converges(cls):
+    tail = _tail_estimate(cls, N)
+    if tail is None:
         raise ValueError("gamma series diverges; no tail estimate")
-    if cls.superexp_coeff < 0.0:
-        return 2.0 * float(cls(float(N + 1)))
-    # substitute x = N/u; quad mishandles slow tails on the infinite interval
-    val, _err = quad(lambda u: cls(float(N) / u) * float(N) / u**2,
-                     0.0, 1.0, limit=200)
-    return float(val) + float(cls(float(N + 1)))
+    return tail
 
 
 def sigma_of_t(G: WeightSeq, sched: Schedule, t: float, N: int, alpha: float,

@@ -124,9 +124,6 @@ class WeightExpr:
     def exponents(self):
         return (self.n_exp, self.log_exp, self.loglog_exp)
 
-    def is_constant(self) -> bool:
-        return not (self.n_exp or self.log_exp or self.loglog_exp or self.superexp_coeff)
-
     # -- serialization ------------------------------------------------------
 
     def canonical(self) -> str:
@@ -573,12 +570,6 @@ def interpolated_weight(G: WeightSeq, p: float, n: int) -> float:
     a = 2.0 * (p - 1.0) / p
     b = (2.0 - p) / p
     return G.eval(n) ** a * float(n) ** b
-
-
-def interpolated_expr(expr: WeightExpr, p: float) -> WeightExpr:
-    if not (1.0 < p <= 2.0):
-        raise ValueError("p must lie in (1, 2]")
-    return expr ** (2.0 * (p - 1.0) / p) * WeightExpr(n_exp=(2.0 - p) / p)
 
 
 def scale_weight(W: WeightSeq, delta: float) -> WeightSeq:

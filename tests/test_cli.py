@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
+from ergolab.registry import example_instance
+from ergolab.weights import WeightSeq
 
 
 def _run(tmp_path, *argv):
@@ -152,3 +155,85 @@ def test_run_dir_is_config_keyed(tmp_path):
     b = run_dir_for(tmp_path, {"x": 2})
     assert a != b
     assert a == run_dir_for(tmp_path, {"x": 1})
+
+
+# ---------------------------------------------------------------------------
+# experiment paths
+
+
+def _only_run_dir(tmp_path):
+    runs = list(tmp_path.iterdir())
+    assert len(runs) == 1
+    return runs[0]
+
+
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    i = header.index(name)
+    return [int(r.split(",")[0]) for r in lines[1:]], \
+        [float(r.split(",")[i]) for r in lines[1:]]
+
+
+def test_slln_ewa_norms_verdict_and_rerun(tmp_path):
+    args = ["slln", "--example", "EwA", "--n-max", "256", "--grid", "1024"]
+    assert _run(tmp_path, *args) == 0
+    run_dir = _only_run_dir(tmp_path)
+    ns, ratios = _csv_column(run_dir / "trace.csv", "norm_Sn_over_Wn")
+    assert ns == list(range(1, 257))
+    inst = example_instance("EwA", eps=0.5)
+    exact = inst.G.values(np.asarray(ns, dtype=float)) \
+        / inst.W.values(np.asarray(ns, dtype=float))
+    assert np.max(np.abs(np.asarray(ratios) / exact - 1.0)) <= 1e-12
+    ae = json.loads((run_dir / "ae.json").read_text())
+    assert ae["verdict"] == "consistent-with-convergence"
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert set(first) == {"trace.csv", "ae.json", "rrr.json"}
+    assert _run(tmp_path, *args) == 0
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+
+
+def test_slln_zero_field(tmp_path):
+    assert _run(tmp_path, "slln", "--example", "EwA", "--zero-field",
+                "--n-max", "128", "--grid", "512") == 0
+    run_dir = _only_run_dir(tmp_path)
+    _, ratios = _csv_column(run_dir / "trace.csv", "norm_Sn_over_Wn")
+    assert ratios == [0.0] * 128
+    ae = json.loads((run_dir / "ae.json").read_text())
+    assert ae["verdict"] == "consistent-with-convergence"
+    assert ae["gaps"] and set(ae["gaps"]) == {0.0}
+
+
+def _markov_json(path, scale=1.0):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    m = 8
+    P = sum(np.eye(m)[rng.permutation(m)] for _ in range(m)) / m
+    path.write_text(json.dumps({"kind": "markov", "matrix": (scale * P).tolist()}))
+    return str(path)
+
+
+def test_hilbert_trace_with_markov_operator(tmp_path):
+    op = _markov_json(tmp_path / "markov.json")
+    out = tmp_path / "out"
+    assert main(["hilbert", "--lam", "0.3", "--n-max", "16", "--operator", op,
+                 "--out", str(out)]) == 0
+    ns, norms = _csv_column(_only_run_dir(out) / "trace.csv", "series_partial_norm")
+    # one row per index from the start index of the default W = n
+    assert ns == list(range(WeightSeq.from_text("n").n0, 17))
+    assert all(v > 0.0 for v in norms)
+
+
+def test_hilbert_rejects_operator_without_power_bound(tmp_path, capsys):
+    op = _markov_json(tmp_path / "scaled.json", scale=1.5)
+    assert main(["hilbert", "--lam", "0.3", "--n-max", "16", "--operator", op,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_full_sequence_writes_report(tmp_path):
+    assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", "--schedule",
+                "power:2", "--full-sequence", "--ladder", "100,1000") == 0
+    doc = json.loads((_only_run_dir(tmp_path) / "full-W1.json").read_text())
+    assert doc["kind"] == "full-W1"
+    # (G_n/W_n)^2 = 1/n over every index, whatever the schedule
+    assert (doc["verdict"], doc["verdict_source"]) == ("diverges", "symbolic")

@@ -15,8 +15,7 @@ from ergolab.operators import (Cocycle, LinearOperator, SampleSpace,
 
 
 def test_space_weights_sum_to_one():
-    for space in (SampleSpace.circle(64), SampleSpace.finite(5),
-                  SampleSpace.circle_mc(33, seed=1)):
+    for space in (SampleSpace.circle(64), SampleSpace.finite(5)):
         assert np.sum(space.weights) == pytest.approx(1.0)
 
 

@@ -354,8 +354,8 @@ def test_opnorm_series_contraction():
     inst = example_instance("E5")
     a = ModulationSeq.constant(1.0)
     K = measure_K(a, Schedule.identity(), inst.G, 256).K
-    rep = opnorm_series(a, A, Schedule.identity(), inst.W,
-                        (32, 64, 128, 256), K=K, G=inst.G, tail_N=10**5)
+    rep, = opnorm_series(a, [A], Schedule.identity(), inst.W,
+                         (32, 64, 128, 256), K=K, G=inst.G, tail_N=10**5)
     assert rep.all_pairs_ok
     assert len(rep.gaps) == 3
 
