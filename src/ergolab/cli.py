@@ -46,6 +46,8 @@ def parse_ladder(text: str) -> tuple:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = parse_int_token(lo_s), parse_int_token(hi_s)
+        if lo < 1:
+            raise ValueError(f"ladder range {text!r} must start at 1 or above")
         out = []
         v = lo
         while v <= hi:
@@ -196,6 +198,8 @@ def cmd_slln(args) -> int:
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
     M = args.grid
+    if M < 2:
+        raise ValueError(f"--grid must be >= 2, got {M}")
     while M < 4 * n_max:
         M *= 2
     ladder = parse_ladder(args.ladder) if args.ladder else \
@@ -406,7 +410,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (WeightSyntaxError, ValueError, KeyError) as e:
+    except (WeightSyntaxError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

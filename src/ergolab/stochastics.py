@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _LAWS = ("rademacher", "gaussian", "complex-gaussian", "zero")
+_BLOCK_ENTRIES = 1 << 13  # complex running-sum entries per block of one sample
 
 
 def canonical_hash(obj) -> str:
@@ -204,22 +205,19 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
 # random one-sided ergodic Hilbert transforms over a cocycle
 
 
-def _cocycle_coefficients(C: Cocycle, h_values, g, sched: Schedule, kmax: int):
+def _cocycle_coefficients(C: Cocycle, h_values, g, n_vals) -> np.ndarray:
     """V[k, w] = h(alpha^{n_k} w) * (T_w ... T_{alpha^{n_k - 1} w}) g, for all
     base points w at once (shared across Monte Carlo samples)."""
     M = C.space.size
     d = C.dim
     g = np.asarray(g, dtype=complex)
     step = C.base.index_map(1)
-    n_vals = [sched.value(k) for k in range(1, kmax + 1)]
-    V = np.empty((kmax, M, d), dtype=complex)
+    V = np.empty((len(n_vals), M, d), dtype=complex)
     # prods[w] = product of the first m fibers along the orbit of w
     prods = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
     idx = np.arange(M)         # alpha^m applied to each w
     m = 0
-    ki = 0
-    while ki < kmax:
-        target = n_vals[ki]
+    for ki, target in enumerate(n_vals.tolist()):
         while m < target:
             prods = np.einsum("wij,wjk->wik", prods, C.fibers[idx])
             idx = step[idx]
@@ -228,7 +226,6 @@ def _cocycle_coefficients(C: Cocycle, h_values, g, sched: Schedule, kmax: int):
         if h_values is not None:
             vec = vec * h_values[idx][:, None]
         V[ki] = vec
-        ki += 1
     return V
 
 
@@ -257,9 +254,15 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
         if h.space != C.space or h.dim != 1:
             raise ValueError("h must be a scalar field on the cocycle's space")
         h_values = h.values[:, 0]
-    V = _cocycle_coefficients(C, h_values, g, sched, kmax)
+    n_vals = sched.values(kmax)
+    V = _cocycle_coefficients(C, h_values, g, n_vals)
+    terms = V[k_start - 1:]
     w = W.prefix(kmax)[k_start - W.n0:]
     mu = C.space.weights
+    rows = np.unique(ladder) - k_start
+    # the running sums are taken in blocks of B rows with the last row carried,
+    # so that a sample's working set stays O(B M d) instead of O(kmax M d)
+    B = max(1, _BLOCK_ENTRIES // (V.shape[1] * V.shape[2]))
 
     deterministic = isinstance(mod, ModulationSeq)
     if deterministic:
@@ -267,30 +270,25 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
 
     def one_sample(y: int):
         if deterministic:
-            ks = np.arange(1, kmax + 1, dtype=np.int64)
-            n_floats = np.asarray([float(sched.value(int(k))) for k in ks])
-            draws = mod.values(ks, n_floats)
+            draws = mod.values(np.arange(1, kmax + 1), n_vals.astype(float))
         else:
             draws = mod.draws(y, kmax)
         coeff = draws[k_start - 1:] / w
-        S = np.zeros_like(V[0])
         running = np.zeros(V.shape[1])
-        li = 0
+        S = np.zeros(V.shape[1:], dtype=complex)
         snaps = []
-        gaps = []
-        prev = None
-        for i, k in enumerate(range(k_start, kmax + 1)):
-            S = S + coeff[i] * V[k - 1]
-            norms = np.linalg.norm(S, axis=1)
-            np.maximum(running, norms, out=running)
-            if li < len(ladder) and k == ladder[li]:
-                snaps.append(S.copy())
-                if prev is not None:
-                    gaps.append(float(np.linalg.norm(S - prev, axis=1).max()))
-                prev = snaps[-1]
-                li += 1
+        for lo in range(0, coeff.size, B):
+            # row i: S_k = sum_{k_start <= j <= k} coeff_j V_j at k = k_start + lo + i
+            blk = coeff[lo:lo + B, None, None] * terms[lo:lo + B]
+            blk[0] += S
+            np.cumsum(blk, axis=0, out=blk)
+            S = blk[-1]
+            np.maximum(running, np.linalg.norm(blk, axis=2).max(axis=0), out=running)
+            snaps.append(blk[rows[(rows >= lo) & (rows < lo + B)] - lo])
+        snaps = np.concatenate(snaps)
+        gaps = np.linalg.norm(np.diff(snaps, axis=0), axis=2).max(axis=1)
         maxfn_l2 = float(np.sqrt(np.sum(mu * running**2)))
-        return maxfn_l2, gaps, snaps[-1]
+        return maxfn_l2, gaps.tolist(), snaps[-1]
 
     results = _parallel_map(one_sample, range(samples), threads)
     per_sample = [r[0] for r in results]

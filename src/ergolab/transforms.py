@@ -311,8 +311,12 @@ def _schedule_ints(sched: Schedule, n: int) -> np.ndarray:
     return sched.values(n)
 
 
-def _schedule_floats(sched: Schedule, n: int) -> np.ndarray:
-    return _schedule_ints(sched, n).astype(float)
+def _terms(a: ModulationSeq, sched: Schedule, n: int, k_start: int):
+    """(n_k, a_k) for k = k_start..n: the exact int64 indices and the
+    coefficients evaluated at them, the one source of both for every series."""
+    n_ints = _schedule_ints(sched, n)[k_start - 1:]
+    ks = np.arange(k_start, n + 1, dtype=np.int64)
+    return n_ints, a.values(ks, n_ints.astype(float))
 
 
 def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
@@ -320,10 +324,9 @@ def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
     """psi_n(lam) = sum_{k<=n} a_k lam^{n_k}, compensated real/imag sums."""
     if a.is_zero() or n < k_start:
         return 0j
-    ks = np.arange(k_start, n + 1, dtype=np.int64)
-    n_vals = _schedule_floats(sched, n)[k_start - 1:]
+    n_ints, coefs = _terms(a, sched, n, k_start)
     ang = math.atan2(complex(lam).imag, complex(lam).real)
-    terms = a.values(ks, n_vals) * np.exp(1j * ang * n_vals)
+    terms = coefs * np.exp(1j * ang * n_ints.astype(float))
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
@@ -349,9 +352,7 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         return np.zeros(0), np.zeros(0, dtype=np.int64)
     if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
-    n_ints = _schedule_ints(sched, n)[k_start - 1:]
-    ks = np.arange(k_start, n + 1, dtype=np.int64)
-    coefs = a.values(ks, n_ints.astype(float))
+    n_ints, coefs = _terms(a, sched, n, k_start)
     residues = n_ints % M
     B = min(cols.size, max(1, _BLOCK_ENTRIES // M))
     sups = np.empty(cols.size)
@@ -365,7 +366,7 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         X, mags = X_buf[:block.size], mags_buf[:block.size]
         hi = int(block[-1])
         sl = slice(lo - k_start, hi - k_start + 1)
-        rows = np.searchsorted(block, ks[sl], side="left")
+        rows = np.searchsorted(block, np.arange(lo, hi + 1), side="left")
         # only the residues hit in this block change between rows
         hit, where = np.unique(residues[sl], return_inverse=True)
         flat = rows * hit.size + where
@@ -507,17 +508,14 @@ def phi_series(a: ModulationSeq, T: LinearOperator, sched: Schedule, W: WeightSe
     out = VectorField.zero(f.space, f.dim)
     if a.is_zero():
         return out
-    ks = np.arange(k_start, n + 1, dtype=np.int64)
-    w = W.prefix(n)[k_start - W.n0:]
-    n_floats = _schedule_floats(sched, n)[k_start - 1:]
-    coeffs = a.values(ks, n_floats) / w
+    n_ints, coeffs = _terms(a, sched, n, k_start)
+    coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
     if t != 0.0:
-        coeffs = coeffs / ks.astype(float) ** (beta * t)
+        coeffs = coeffs / np.arange(k_start, n + 1, dtype=float) ** (beta * t)
 
     prev_nk = 0
     g = f
-    for i, k in enumerate(range(k_start, n + 1)):
-        n_k = sched.value(k)
+    for i, (k, n_k) in enumerate(zip(range(k_start, n + 1), n_ints.tolist())):
         if T.kind in ("koopman", "matrix", "markov"):
             g = T.apply_power(n_k, f)
         else:
@@ -541,15 +539,19 @@ def hilbert_trace(W: WeightSeq, sched: Schedule, n: int, seed: int,
     """
     if operator is not None:
         T = operator_from_json(operator)
-        space = (T.transformation.space if T.kind == "koopman"
-                 else SampleSpace.finite(T.matrix.shape[0]))
+        if T.kind == "koopman":
+            space, d = T.transformation.space, 1
+        elif T.kind == "skew":
+            space, d = T.cocycle.space, T.cocycle.dim
+        else:
+            space, d = SampleSpace.finite(T.matrix.shape[0]), 1
     else:
-        space = SampleSpace.circle(1024)
+        space, d = SampleSpace.circle(1024), 1
         T = LinearOperator.koopman(Transformation.rotation(space, 1))
     a = ModulationSeq.constant(1.0)
     if lam is not None:
         a = a.compose(ModulationSeq.rotation(np.exp(2j * np.pi * lam)))
-    f = random_field(space, 1, seed=seed)
+    f = random_field(space, d, seed=seed)
     trace = TransformTrace(space_weights=space.weights, p=2.0)
     hilbert_partial(a, T, sched, W, f, n, trace=trace)
     return trace
@@ -619,9 +621,7 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
         k_start = G.n0
     ladder = sorted(n_ladder)
     n_max = ladder[-1]
-    ks = np.arange(k_start, n_max + 1, dtype=np.int64)
-    n_floats = _schedule_floats(sched, n_max)[k_start - 1:]
-    coefs = a.values(ks, n_floats)
+    n_ints, coefs = _terms(a, sched, n_max, k_start)
     g_vals = G.prefix(n_max)[k_start - G.n0:]
     entries = []
     max_ratio = 0.0
@@ -630,8 +630,8 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
         fnorm = f.norm(p)
         partial = VectorField.zero(f.space, f.dim)
         li = 0
-        for i, k in enumerate(range(k_start, n_max + 1)):
-            partial = partial + T.apply_power(sched.value(k), f) * coefs[i]
+        for i, (k, n_k) in enumerate(zip(range(k_start, n_max + 1), n_ints.tolist())):
+            partial = partial + T.apply_power(n_k, f) * coefs[i]
             if li < len(ladder) and k == ladder[li]:
                 bound = interpolation_bound(k, a.sup_bound, K,
                                             float(g_vals[i]), p) * fnorm
@@ -675,9 +675,7 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     ladder = sorted(n_ladder)
     n_max = ladder[-1]
 
-    ks = np.arange(k_start, n_max + 1, dtype=np.int64)
-    n_floats = _schedule_floats(sched, n_max)[k_start - 1:]
-    coefs = a.values(ks, n_floats)
+    n_ints, coefs = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]
     g = G.prefix(n_max)[k_start - G.n0:]
 
@@ -697,20 +695,19 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
         head = csums[i - 1] if i > 0 else 0.0
         return K * (total - head + remainder)
 
-    return [_opnorm_report(A, sched, coefs, w, g, ladder, k_start, K, tail)
+    return [_opnorm_report(A, n_ints, coefs, w, g, ladder, k_start, K, tail)
             for A in ops]
 
 
-def _opnorm_report(A: LinearOperator, sched: Schedule, coefs, w, g, ladder,
+def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
                    k_start: int, K: float, tail) -> OpNormReport:
-    n_max = ladder[-1]
     d = A.matrix.shape[0]
     S = np.zeros((d, d), dtype=complex)          # unweighted sum a_k A^{n_k}
     Sw = np.zeros((d, d), dtype=complex)         # weighted sum a_k A^{n_k}/W_k
     snapshots = {}
     li = 0
-    for i, k in enumerate(range(k_start, n_max + 1)):
-        P = A.matrix_power(sched.value(k))
+    for i, (k, n_k) in enumerate(zip(range(k_start, ladder[-1] + 1), n_ints.tolist())):
+        P = A.matrix_power(n_k)
         S = S + coefs[i] * P
         Sw = Sw + (coefs[i] / w[i]) * P
         if li < len(ladder) and k == ladder[li]:
@@ -777,7 +774,7 @@ def sigma_grid(G: WeightSeq, sched: Schedule, ts, N: int, alpha: float,
         tail = gamma_tail(G, sched, alpha, N)
     k_start = G.n0
     g2 = G.prefix(N)[0:] ** 2
-    n_half = _schedule_floats(sched, N)[k_start - 1:] / 2.0
+    n_half = _schedule_ints(sched, N)[k_start - 1:].astype(float) / 2.0
     inv_g2 = 1.0 / g2
     rows = max(1, _CHUNK // max(len(n_half), 1))
     partial = np.empty(ts.shape)

@@ -31,8 +31,11 @@ __all__ = [
 
 #: materialization cap: indices above this are never enumerated
 INDEX_CAP = 2**62
-#: cap for fractional-power schedules, where floor(k^r) is only exact
-#: while k^r is below the float integer threshold
+#: cap for fractional-power schedules: above 2^53 a float no longer holds
+#: every integer.  Below it n_k is the floor of the rounded power, which can
+#: still be one off the exact floor (102571^2.5 = 3369469069481.9997... but
+#: libm rounds it to ...482.0), so value() and values() share one numpy
+#: expression for it
 FLOAT_EXACT_CAP = 2**53
 
 
@@ -321,7 +324,7 @@ class Schedule:
             r = self.param
             if float(r).is_integer():
                 return k ** int(r) + 1
-            v = float(k) ** r
+            v = float((np.asarray([k], dtype=float) ** r)[0])  # as in values()
             if v > FLOAT_EXACT_CAP:
                 raise OverflowError(f"n_{k} exceeds the exact-floor cap for fractional r")
             return int(math.floor(v)) + 1
@@ -578,25 +581,20 @@ def scale_weight(W: WeightSeq, delta: float) -> WeightSeq:
         raise ValueError("delta must be positive")
     if delta == 1.0:
         return W
+    expr = fn = None
     if W.expr is not None:
         expr = replace(W.expr, scale=W.expr.scale / delta)
-        seq = WeightSeq.__new__(WeightSeq)
-        seq.expr, seq.fn = expr, None
-        seq.label = expr.canonical()
+        label = ""
     else:
-        fn = W.fn
-        seq = WeightSeq.__new__(WeightSeq)
-        seq.expr, seq.fn = None, (lambda n, _fn=fn, _d=delta: np.asarray(_fn(n)) / _d)
-        seq.label = f"({W.label})/{delta:g}"
-    seq._memo = np.empty(0)
-    seq._twisted_prefix = None
+        fn = lambda n, _fn=W.fn, _d=delta: np.asarray(_fn(n)) / _d  # noqa: E731
+        label = f"({W.label})/{delta:g}"
+    at = expr if expr is not None else fn
     n0 = W.n0
-    while seq.values(np.asarray([n0], dtype=float))[0] < 1.0:
+    while np.atleast_1d(at(np.asarray([n0], dtype=float)))[0] < 1.0:
         n0 += 1
         if n0 - W.n0 > 1 << 20:
             raise ValueError("scaled sequence never reaches 1; not a weight")
-    seq.n0 = n0
-    return seq
+    return WeightSeq(expr=expr, fn=fn, n0=n0, label=label)
 
 
 # ---------------------------------------------------------------------------

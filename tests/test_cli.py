@@ -33,6 +33,24 @@ def test_parse_ladder():
         parse_ladder("2^6..2^3")
 
 
+@pytest.mark.parametrize("text", ["0..8", "-4..8"])
+def test_parse_ladder_rejects_range_below_one(text):
+    with pytest.raises(ValueError):
+        parse_ladder(text)
+
+
+def test_ladder_range_below_one_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "random", "--stat", "sup", "--ladder", "0..8") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", ["0", "-8", "1"])
+def test_slln_rejects_grid_below_two(tmp_path, capsys, grid):
+    assert _run(tmp_path, "slln", "--G", "n", "--W", "n", "--n-max", "4",
+                "--grid", grid) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_schedule():
     assert parse_schedule("identity").value(7) == 7
     assert parse_schedule("power:2").value(3) == 10
@@ -227,6 +245,25 @@ def test_hilbert_rejects_operator_without_power_bound(tmp_path, capsys):
     op = _markov_json(tmp_path / "scaled.json", scale=1.5)
     assert main(["hilbert", "--lam", "0.3", "--n-max", "16", "--operator", op,
                  "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hilbert_trace_with_skew_operator(tmp_path):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    op = tmp_path / "skew.json"
+    op.write_text(json.dumps({"kind": "skew", "space": {"kind": "finite", "m": 2},
+                              "pi": [1, 0], "fibers": [eye, eye]}))
+    out = tmp_path / "out"
+    assert main(["hilbert", "--n-max", "4", "--operator", str(op),
+                 "--out", str(out)]) == 0
+    ns, norms = _csv_column(_only_run_dir(out) / "trace.csv", "series_partial_norm")
+    assert ns == [3, 4]
+    assert all(v > 0.0 for v in norms)
+
+
+def test_hilbert_missing_operator_file_exits_2(tmp_path, capsys):
+    assert main(["hilbert", "--n-max", "4", "--operator",
+                 str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

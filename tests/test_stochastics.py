@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ergolab import stochastics
 from ergolab.admissibility import series_report
 from ergolab.operators import Cocycle, SampleSpace, Transformation, VectorField
 from ergolab.stochastics import (MCEstimate, RandomModulation,
@@ -157,6 +158,35 @@ def test_deterministic_hilbert_matches_matrix_sum():
     expected = max(np.linalg.norm(p) for p in prefixes)
     assert est.per_sample[0] == pytest.approx(expected, rel=1e-13)
     assert len(est.extra["cauchy_gaps"][0]) == 1
+
+
+def test_hilbert_repeated_ladder_entry_is_matched_once():
+    C, _ = _constant_setup()
+    mod = RandomModulation("gaussian", seed=3)
+    W = WeightSeq.from_text("n", n0=1)
+    runs = [random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
+                           ladder, samples=3, no_regime_check=True)
+            for ladder in ((16, 32, 32), (16, 32))]
+    assert runs[0].per_sample == runs[1].per_sample
+    assert runs[0].extra["cauchy_gaps"] == runs[1].extra["cauchy_gaps"]
+    for a, b in zip(runs[0].final_fields, runs[1].final_fields):
+        assert np.array_equal(a, b)
+
+
+def test_hilbert_block_size_does_not_change_results(monkeypatch):
+    # the running sums are taken in blocks of rows with the last row carried;
+    # one row per block is the plain sequential sum
+    C, _ = _constant_setup()
+    mod = RandomModulation("complex-gaussian", seed=9)
+    args = (mod, C, None, [1.0, 0.0], Schedule.identity(),
+            WeightSeq.from_text("n", n0=1), (5, 9, 30))
+    base = random_hilbert(*args, samples=3, no_regime_check=True)
+    for entries in (6, 42):       # M d = 6: blocks of 1 and of 7 rows
+        monkeypatch.setattr(stochastics, "_BLOCK_ENTRIES", entries)
+        again = random_hilbert(*args, samples=3, no_regime_check=True)
+        assert again.digest() == base.digest()
+        for a, b in zip(again.final_fields, base.final_fields):
+            assert np.array_equal(a, b)
 
 
 def test_hilbert_rejects_vector_h():

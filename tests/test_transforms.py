@@ -308,6 +308,23 @@ def test_hilbert_partial_koopman_oracle():
     assert np.allclose(out.values, f.values * phases, atol=1e-13)
 
 
+@pytest.mark.parametrize("r, n", [(6.5, 160), (7.75, 77)])
+def test_hilbert_partial_fractional_schedule_direct_sum(r, n):
+    # sum_k f(x + n_k/64)/k with the n_k of Schedule.values; a kernel that
+    # mixed two formulas for n_k was off here by 6.3e-3 and 1.6e-2 of max|sum|
+    M = 64
+    space = SampleSpace.circle(M)
+    T = LinearOperator.koopman(Transformation.rotation(space, 1))
+    f = random_field(space, 1, seed=11)
+    sched = Schedule.power(r)
+    out = hilbert_partial(ModulationSeq.constant(1.0), T, sched,
+                          WeightSeq.from_text("n", n0=1), f, n)
+    x = np.arange(M)
+    direct = sum(f.values[(x + nk) % M] / k
+                 for k, nk in enumerate(sched.values(n).tolist(), start=1))
+    assert np.abs(out.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 # ---------------------------------------------------------------------------
 # bound checks
 

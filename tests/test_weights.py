@@ -162,6 +162,16 @@ def test_fractional_power_overflow_guard():
     assert s.value(s.max_k()) <= FLOAT_EXACT_CAP
 
 
+@pytest.mark.parametrize("r", [2.5, 3.5, 6.5, 7.75])
+def test_fractional_power_value_matches_values(r):
+    # one n_k formula: the scalar and the array path floor the same power
+    # (the first disagreements used to be k = 102571, 8483, 160 and 77)
+    s = Schedule.power(r)
+    K = min(s.max_k(), 150_000)
+    vals = s.values(K)
+    assert [s.value(k) for k in range(1, K + 1)] == vals.tolist()
+
+
 def test_max_k_identity_unbounded_to_cap():
     assert Schedule.identity().max_k() == INDEX_CAP
 
