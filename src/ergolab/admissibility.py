@@ -249,13 +249,20 @@ def _schedule_start(sched: Schedule, *seqs: WeightSeq) -> int:
     """First k whose n_k clears every operand's start index."""
     n_min = max(s.n0 for s in seqs)
     reach = sched.max_k()
-    k = 1
-    while k <= reach and sched.value(k) < n_min:
-        k += 1
-    if k > reach:
+    # gallop, then bisect: n_lo < n_min <= n_hi, with n_0 read as 0
+    lo, hi = 0, 1
+    while hi < reach and sched.value(hi) < n_min:
+        lo, hi = hi, min(2 * hi, reach)
+    if reach < 1 or sched.value(hi) < n_min:
         raise ValueError(f"schedule {sched.describe()} ends before n_k reaches "
                          f"the start index {n_min}")
-    return k
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if sched.value(mid) < n_min:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _sched_kmax(sched: Schedule, ladder) -> int:

@@ -378,6 +378,9 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     at ``sample_points`` seeded grid points, one array per ladder entry
     reached by n_max.
     """
+    k_start = max(G.n0, W.n0)
+    if n_max < k_start:
+        raise ValueError(f"n_max={n_max} is below the start index {k_start}")
     space = SampleSpace.circle(M)
     base = np.exp(2j * np.pi * space.points)    # e^{2 pi i x}; f_k = amp(k) base^k
     phase = np.ones(M, dtype=complex)
@@ -388,7 +391,6 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     step = max(1, n_max // 2048)
     record = sorted(set(range(1, n_max + 1, step)) | set(ladder) | {n_max})
 
-    k_start = max(G.n0, W.n0)
     S = np.zeros(M, dtype=complex)
     series = np.zeros(M, dtype=complex)
     snapshots = []

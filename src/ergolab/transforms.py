@@ -543,6 +543,8 @@ def hilbert_trace(W: WeightSeq, sched: Schedule, n: int, seed: int,
             space, d = T.transformation.space, 1
         elif T.kind == "skew":
             space, d = T.cocycle.space, T.cocycle.dim
+        elif T.kind == "matrix":
+            space, d = SampleSpace.finite(1), T.matrix.shape[0]
         else:
             space, d = SampleSpace.finite(T.matrix.shape[0]), 1
     else:

@@ -454,11 +454,17 @@ class WeightSeq:
 
     Small-index singularities (ln 1 = 0, lnln undefined for n <= e) are cut
     off by the start index n0.  When not given, n0 defaults to the smallest
-    n >= 3 whose value is >= 1 and nondecreasing over a 64-index lookahead.
+    n >= 3 whose value is >= 1 and nondecreasing over a 64-index lookahead
+    (all 65 window values finite), searched below 2^20.  The search scans
+    blocks of candidates, doubling from 256 to 2^16: one evaluation per
+    block, and prefix sums of the decreasing-or-NaN steps and of the
+    non-finite values test every window of the block at once.
     """
 
     LOOKAHEAD = 64
     _N0_SEARCH_LIMIT = 1 << 20
+    _N0_BLOCK_MIN = 1 << 8
+    _N0_BLOCK_MAX = 1 << 16
 
     def __init__(self, expr: WeightExpr | None = None, fn=None, n0: int | None = None,
                  label: str = ""):
@@ -502,12 +508,20 @@ class WeightSeq:
         return np.atleast_1d(out)
 
     def _default_n0(self) -> int:
-        n = 3
+        L = self.LOOKAHEAD
+        n, size = 3, self._N0_BLOCK_MIN
         while n < self._N0_SEARCH_LIMIT:
-            probe = self.values(np.arange(n, n + self.LOOKAHEAD + 1, dtype=float))
-            if probe[0] >= 1.0 and np.all(np.diff(probe) >= 0.0) and np.all(np.isfinite(probe)):
-                return n
-            n += 1
+            hi = min(n + size, self._N0_SEARCH_LIMIT)
+            m = hi - n
+            # candidate n + c has the window v[c..c+L]
+            v = self.values(np.arange(n, hi + L, dtype=float))
+            bad = np.concatenate(([0], np.cumsum(~(np.diff(v) >= 0.0))))
+            nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(v))))
+            ok = (v[:m] >= 1.0) & (bad[L:] == bad[:m]) \
+                & (nonfinite[L + 1:] == nonfinite[:m])
+            if ok.any():
+                return n + int(np.argmax(ok))
+            n, size = hi, min(2 * size, self._N0_BLOCK_MAX)
         raise ValueError(f"no valid start index found for weight {self.label!r}")
 
     # -- memoized prefix ----------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.admissibility import (LADDER, _heuristic_claim, bertrand_converges,
-                                   check_1RT1, check_admissible, check_rrr,
-                                   check_T21, check_T72, check_T73, check_T322,
+from ergolab.admissibility import (LADDER, _heuristic_claim, _schedule_start,
+                                   bertrand_converges, check_1RT1,
+                                   check_admissible, check_rrr, check_T21,
+                                   check_T72, check_T73, check_T322,
                                    check_weak_admissible, series_report)
 from ergolab.registry import EXAMPLE_IDS, example_instance
 from ergolab.weights import GapSeq, Schedule, WeightExpr, WeightSeq
@@ -225,3 +226,29 @@ def test_e4_schedule_recursion():
     vals = inst.sched._explicit
     for a, b in zip(vals, vals[1:]):
         assert b == a**3 + a + 1      # floor(G_{n_k}) + n_k + 1 with G = n^3
+
+
+def _linear_schedule_start(sched, n_min):
+    """The first k with n_k >= n_min by stepping k = 1, 2, ...; None when the
+    schedule ends first."""
+    reach = sched.max_k()
+    k = 1
+    while k <= reach and sched.value(k) < n_min:
+        k += 1
+    return k if k <= reach else None
+
+
+@pytest.mark.parametrize("sched", [
+    Schedule.identity(), Schedule.monomial(3), Schedule.power(2.0),
+    Schedule.power(2.5), Schedule.superexp(), Schedule.geometric(1.5),
+    Schedule.explicit([1, 4, 9, 16, 100]),
+], ids=lambda s: s.kind + str(s.param or ""))
+def test_schedule_start_matches_linear_search(sched):
+    for n_min in (1, 2, 3, 4, 5, 9, 10, 16, 17, 27, 28, 99, 100, 101, 5504, 10**5):
+        seqs = (WeightSeq.from_text("n", n0=n_min), WeightSeq.from_text("n", n0=1))
+        ref = _linear_schedule_start(sched, n_min)
+        if ref is None:
+            with pytest.raises(ValueError, match="ends before n_k reaches"):
+                _schedule_start(sched, *seqs)
+        else:
+            assert _schedule_start(sched, *seqs) == ref

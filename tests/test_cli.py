@@ -261,6 +261,25 @@ def test_hilbert_trace_with_skew_operator(tmp_path):
     assert all(v > 0.0 for v in norms)
 
 
+def test_hilbert_trace_with_matrix_operator(tmp_path):
+    op = tmp_path / "matrix.json"
+    op.write_text(json.dumps({"kind": "matrix", "matrix": [[0.5, 0], [0, 0.5]]}))
+    out = tmp_path / "out"
+    assert main(["hilbert", "--n-max", "4", "--operator", str(op),
+                 "--out", str(out)]) == 0
+    ns, norms = _csv_column(_only_run_dir(out) / "trace.csv", "series_partial_norm")
+    assert ns == [3, 4]
+    assert all(v > 0.0 for v in norms)
+
+
+def test_slln_n_max_below_start_index_exits_2(tmp_path, capsys):
+    # G = n^0.25 / ln(n) starts at n0 = 5504: no term of the series is reached
+    assert _run(tmp_path, "slln", "--G", "n^0.25*ln(n)^-1", "--W", "n",
+                "--n-max", "64") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below the start index 5504" in err
+
+
 def test_hilbert_missing_operator_file_exits_2(tmp_path, capsys):
     assert main(["hilbert", "--n-max", "4", "--operator",
                  str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 2

@@ -1,5 +1,6 @@
 """Weight algebra: parser, schedules, derived weights, asymptotic classes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -208,6 +209,128 @@ def test_weightseq_prefix_memo_is_stable():
     a = W.prefix(100).copy()
     W.prefix(1000)
     assert np.array_equal(W.prefix(100), a)
+
+
+# ---------------------------------------------------------------------------
+# default start-index search
+
+
+def _reference_n0(seq):
+    """The per-n search the block scan replaced: one 65-point window per n.
+    Returns None where it finds no start index below the limit."""
+    n = 3
+    while n < seq._N0_SEARCH_LIMIT:
+        probe = seq.values(np.arange(n, n + seq.LOOKAHEAD + 1, dtype=float))
+        if probe[0] >= 1.0 and np.all(np.diff(probe) >= 0.0) and np.all(np.isfinite(probe)):
+            return n
+        n += 1
+    return None
+
+
+@pytest.fixture
+def checked_n0(monkeypatch):
+    """Below a limit of 2^12, every default start-index search runs both the
+    block scan and the reference loop and must agree.  Yields the list of
+    start indices checked (None for a rejection)."""
+    monkeypatch.setattr(WeightSeq, "_N0_SEARCH_LIMIT", 1 << 12)
+    scan = WeightSeq._default_n0
+    checked = []
+
+    def both(self):
+        ref = _reference_n0(self)
+        try:
+            n0 = scan(self)
+        except ValueError:
+            n0 = None
+        assert n0 == ref, f"{self.label}: block scan {n0}, per-n loop {ref}"
+        checked.append(n0)
+        if n0 is None:
+            raise ValueError(f"no valid start index found for weight {self.label!r}")
+        return n0
+
+    monkeypatch.setattr(WeightSeq, "_default_n0", both)
+    return checked
+
+
+def _build(**kw):
+    try:
+        WeightSeq(**kw)
+    except ValueError:
+        pass
+
+
+def test_n0_scan_matches_reference_on_registry(checked_n0):
+    from ergolab.registry import EXAMPLE_IDS, example_instance
+    for ex, p, beta, g in itertools.product(EXAMPLE_IDS, (1.5, 2.0, 3.0),
+                                            (1.0, 0.5, 1 / 3, 0.25), (1.0, 2.0)):
+        try:
+            inst = example_instance(ex, p=p, beta=beta, gamma=g, alpha=g)
+        except ValueError:   # beta = 1 turns E3/E6 into non-weights
+            continue
+        for seq in (inst.G, inst.W):   # weights built with an explicit n0
+            _build(expr=seq.expr, fn=seq.fn)
+    assert None in checked_n0 and len(set(checked_n0)) > 3
+
+
+def test_n0_scan_matches_reference_on_texts(checked_n0):
+    # the --G/--W texts of the benchmark's ad-hoc checks and rejections, and
+    # a weight that increases early and decreases later
+    texts = ["n^0.5", "n^0.8", "n", "n^0.25*ln(n)", "n^0.75", "n^1.5*ln(n)",
+             "n^0.75*ln(n)", "n^1.25", "n^0.25", "n^0.5*ln(n)^2", "ln(n)^-1",
+             "n^1.5", "n^2", "n^0.1", "0.5", "n^-0.1*ln(n)^3",
+             "ln(n)", "lnln(n)", "n^0.5*lnln(n)^-2", "n^0.01*ln(n)^-1"]
+    for text in texts:
+        _build(expr=parse_weight(text))
+    assert len(checked_n0) == len(texts) and None in checked_n0
+
+
+def test_n0_scan_matches_reference_on_fuzz_corpus(checked_n0):
+    # the criterion-10 round-trip corpus
+    rng = np.random.Generator(np.random.Philox(key=100))
+    for _ in range(200):
+        _build(expr=WeightExpr(
+            scale=float(10.0 ** rng.uniform(-2.0, 2.0)),
+            n_exp=float(np.round(rng.uniform(-3.0, 3.0), 3)),
+            log_exp=float(np.round(rng.uniform(-3.0, 3.0), 3)),
+            loglog_exp=float(np.round(rng.uniform(-3.0, 3.0), 3))))
+    accepted = [n0 for n0 in checked_n0 if n0 is not None]
+    assert len(checked_n0) == 200 and 50 < len(accepted) < 150
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_n0_scan_matches_reference_on_callables(checked_n0):
+    _build(fn=lambda n: np.where(n < 40.0, np.nan, n))
+    _build(fn=lambda n: np.where(n < 700.0, np.inf, n))
+    _build(fn=lambda n: np.sqrt(n * (n + 1.0) / 2.0))
+    _build(fn=lambda n: 2.0 - np.sin(n / 5.0))   # never monotone for 65 steps
+    assert checked_n0 == [40, 700, 3, None]
+
+
+def test_n0_rejection_evaluates_few_blocks(monkeypatch):
+    calls = []
+    values = WeightSeq.values
+
+    def counted(self, n):
+        calls.append(np.size(n))
+        return values(self, n)
+
+    monkeypatch.setattr(WeightSeq, "values", counted)
+    with pytest.raises(ValueError, match="no valid start index"):
+        WeightSeq.from_text("ln(n)^-1")
+    assert len(calls) <= 40
+    assert sum(calls) >= WeightSeq._N0_SEARCH_LIMIT - 3
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("below", ["decreasing", "nan"])
+def test_n0_scan_block_edges(blocks, past, below):
+    # candidates 3..258 form the first block, 259..770 the second, ...
+    edge = 3 + WeightSeq._N0_BLOCK_MIN * (2**blocks - 1)
+    start = float(edge + past)
+    head = (lambda n: 4096.0 - n) if below == "decreasing" else (lambda n: np.nan * n)
+    W = WeightSeq.from_callable(lambda n: np.where(n < start, head(n), n), n0=None)
+    assert W.n0 == edge + past
 
 
 def test_ewa_weights_closed_form():
