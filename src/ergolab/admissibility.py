@@ -31,9 +31,6 @@ __all__ = [
     "check_weak_admissible",
     "check_admissible",
     "check_T21",
-    "check_T72",
-    "check_T73",
-    "check_T322",
     "check_rrr",
     "check_full_W1",
     "check_1RT1",
@@ -288,19 +285,6 @@ def _t21_class(G: WeightSeq, W: WeightSeq) -> WeightExpr | None:
     return (G.expr / W.expr) * shift
 
 
-def twisted_class(G: WeightExpr, r: float) -> WeightExpr | None:
-    """Class of G_{n,r} = G_n/|r| + sum_{k<n} G_k/k."""
-    a = G.n_exp
-    if a > 0.0:
-        return WeightExpr(scale=G.scale * (1.0 / abs(r) + 1.0 / a),
-                          n_exp=a, log_exp=G.log_exp, loglog_exp=G.loglog_exp)
-    if a == 0.0 and G.log_exp > -1.0:
-        # sum (ln k)^b (lnln k)^c / k ~ (ln n)^{b+1} (lnln n)^c / (b+1)
-        return WeightExpr(scale=G.scale / (G.log_exp + 1.0),
-                          log_exp=G.log_exp + 1.0, loglog_exp=G.loglog_exp)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the condition checks
 
@@ -374,84 +358,6 @@ def check_T21(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
     params = {"G": G.label, "W": W.label}
     return series_report("T21", params, term, n_start, N_max, _t21_class(G, W),
                          ladder)
-
-
-def check_T72(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
-              ladder=LADDER) -> AdmissibilityReport:
-    """(T21) with the Abel weight G_{n,1} in place of G_n.
-
-    W is increasing, so |1 - W_n/W_{n+1}| needs no absolute value.
-    """
-    n_start = max(G.n0, W.n0)
-    g = G.prefix(N_max + 1)
-    pre = G.twisted_prefix_sums(N_max)  # sums of G_k/k, k = G.n0 .. N
-    w = W.prefix(N_max + 1)[n_start - W.n0:]
-
-    def term(ks):
-        i = ks - n_start
-        gi = ks - G.n0
-        # G_{n,1} = G_n + sum_{k=n0}^{n-1} G_k/k
-        g_tw = g[gi] + np.where(gi > 0, pre[gi - 1], 0.0)
-        return (g_tw / w[i]) * (1.0 - w[i] / w[i + 1])
-
-    cls = None
-    if G.expr is not None and W.expr is not None:
-        tw = twisted_class(G.expr, 1.0)
-        shift = log_derivative_shift(W.expr)
-        if tw is not None and shift is not None:
-            cls = (tw / W.expr) * shift
-    params = {"G": G.label, "W": W.label}
-    return series_report("T72", params, term, n_start, N_max, cls, ladder)
-
-
-def check_T73(W: WeightSeq, beta: float, N_max: int = 10**6,
-              ladder=LADDER) -> AdmissibilityReport:
-    """Series sum 1/(k^beta W_k)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    w = W.prefix(N_max)
-
-    def term(ks):
-        return 1.0 / (ks.astype(float) ** beta * w[ks - W.n0])
-
-    cls = None
-    if W.expr is not None:
-        cls = (WeightExpr(n_exp=beta) * W.expr) ** -1.0
-    return series_report("T73", {"beta": beta, "W": W.label}, term, W.n0, N_max, cls, ladder)
-
-
-def check_T322(a_values, G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
-               ladder=LADDER, increment_class: WeightExpr | str | None = None
-               ) -> AdmissibilityReport:
-    """Series sum |a_k - a_{k+1}| G_k / W_k.
-
-    ``a_values``: callable k-array -> complex values of the modulation
-    (transforms.ModulationSeq.term_values fits).  ``increment_class``: the
-    symbolic class of |a_k - a_{k+1}| when known, or "zero" for a constant
-    modulation.
-    """
-    n_start = max(G.n0, W.n0)
-    g = G.prefix(N_max)[n_start - G.n0:]
-    w = W.prefix(N_max)[n_start - W.n0:]
-
-    def term(ks):
-        a_k = np.asarray(a_values(ks))
-        a_k1 = np.asarray(a_values(ks + 1))
-        i = ks - n_start
-        return np.abs(a_k - a_k1) * g[i] / w[i]
-
-    cls = None
-    if increment_class == "zero":
-        # increments vanish identically; the series is exactly 0
-        rep = series_report("T322", {"G": G.label, "W": W.label}, term,
-                            n_start, N_max, None, ladder)
-        rep.verdict, rep.verdict_source = "converges", "symbolic"
-        rep.comparison_class, rep.tail_estimate = None, 0.0
-        return rep
-    if increment_class is not None and G.expr is not None and W.expr is not None:
-        cls = increment_class * (G.expr / W.expr)
-    return series_report("T322", {"G": G.label, "W": W.label}, term,
-                         n_start, N_max, cls, ladder)
 
 
 def check_rrr(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,

@@ -20,10 +20,8 @@ __all__ = [
     "LinearOperator",
     "Cocycle",
     "operator_norm",
-    "cocycle_product",
     "skew_operator",
     "random_field",
-    "bandlimited_random_field",
     "character_field",
     "operator_from_json",
 ]
@@ -137,16 +135,6 @@ class Transformation:
             e >>= 1
         return result
 
-    def is_measure_preserving(self) -> bool:
-        """Pushforward of the grid/atom weights equals the weights."""
-        if self.kind == "doubling":
-            # exact 2-to-1 on indices; preserves Lebesgue but not atom weights
-            return False
-        m = self.index_map(1)
-        push = np.zeros(self.space.size)
-        np.add.at(push, m, self.space.weights)
-        return bool(np.allclose(push, self.space.weights, rtol=0, atol=0))
-
 
 class VectorField:
     """Sampled C^d-valued function on a sample space, with L_p norms."""
@@ -213,19 +201,6 @@ def random_field(space: SampleSpace, d: int, seed: int) -> VectorField:
     rng = np.random.Generator(np.random.Philox(key=seed))
     vals = rng.standard_normal((space.size, d)) + 1j * rng.standard_normal((space.size, d))
     return VectorField(space, vals / math.sqrt(2.0))
-
-
-def bandlimited_random_field(space: SampleSpace, d: int, seed: int) -> VectorField:
-    """Random trig polynomial with modes in [0, M/2); stays alias-free under
-    the doubling index map, where its Koopman action is an exact isometry."""
-    if space.kind != "circle":
-        raise ValueError("band-limited fields live on the circle")
-    M = space.size
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n_modes = M // 2
-    coef = rng.standard_normal((n_modes, d)) + 1j * rng.standard_normal((n_modes, d))
-    phases = np.exp(2j * np.pi * np.outer(space.points, np.arange(n_modes)))
-    return VectorField(space, phases @ coef / math.sqrt(2.0 * n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +380,7 @@ class LinearOperator:
 class Cocycle:
     """Family of fiber contractions driven by a base transformation.
 
-    finite kind: one d x d contraction per atom.  circle kind: a matrix-valued
-    step function on a partition of [0,1), materialized per grid point.
+    One d x d contraction per atom or grid point of the base space.
     """
 
     def __init__(self, base: Transformation, fibers):
@@ -429,33 +403,6 @@ class Cocycle:
     def constant(cls, base: Transformation, T) -> "Cocycle":
         T = np.asarray(T, dtype=complex)
         return cls(base, np.broadcast_to(T, (base.space.size,) + T.shape).copy())
-
-    @classmethod
-    def from_step_function(cls, base: Transformation, breakpoints, matrices) -> "Cocycle":
-        """Circle kind: fiber at x is matrices[j] for the partition cell
-        [breakpoints[j], breakpoints[j+1]) containing x (breakpoints[0]=0)."""
-        if base.space.kind != "circle":
-            raise ValueError("step-function cocycles live on the circle")
-        breakpoints = np.asarray(breakpoints, dtype=float)
-        matrices = np.asarray(matrices, dtype=complex)
-        cells = np.searchsorted(breakpoints, base.space.points, side="right") - 1
-        return cls(base, matrices[cells])
-
-
-def cocycle_product(C: Cocycle, omega: int, n: int) -> np.ndarray:
-    """Ordered product T_w T_{a(w)} ... T_{a^{n-1}(w)} at grid/atom index omega."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    if not 0 <= omega < C.space.size:
-        raise ValueError(f"point index {omega} outside the space")
-    d = C.dim
-    P = np.eye(d, dtype=complex)
-    step = C.base.index_map(1)
-    x = omega
-    for _ in range(n):
-        P = P @ C.fibers[x]
-        x = int(step[x])
-    return P
 
 
 def skew_operator(C: Cocycle, audit_fields: int = 10, audit_seed: int = 7) -> LinearOperator:

@@ -381,6 +381,9 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     k_start = max(G.n0, W.n0)
     if n_max < k_start:
         raise ValueError(f"n_max={n_max} is below the start index {k_start}")
+    if not any(k_start <= j <= n_max for j in ladder):
+        raise ValueError(f"no ladder entry lies in [{k_start}, {n_max}], "
+                         "from the start index to n_max")
     space = SampleSpace.circle(M)
     base = np.exp(2j * np.pi * space.points)    # e^{2 pi i x}; f_k = amp(k) base^k
     phase = np.ones(M, dtype=complex)

@@ -1,5 +1,5 @@
-"""Weighted averages, weighted series, modulated polynomials and the
-one-sided ergodic Hilbert transforms built from them.
+"""Weighted series, modulated polynomials and the one-sided ergodic
+Hilbert transforms built from them.
 
 Everything here works with explicit truncations.  Suprema over the unit
 circle are computed on oversampled grids with a local refinement and are
@@ -25,12 +25,9 @@ from .weights import Schedule, WeightSeq, twisted_weight
 __all__ = [
     "ModulationSeq",
     "TransformTrace",
-    "PartialSumStream",
-    "weighted_average",
     "weighted_series",
     "modulated_poly",
     "circle_column_sups",
-    "sup_circle",
     "measure_K",
     "hilbert_partial",
     "hilbert_trace",
@@ -39,7 +36,6 @@ __all__ = [
     "interpolation_bound",
     "interpolation_bound_check",
     "opnorm_series",
-    "sigma_of_t",
     "sigma_grid",
     "gamma_tail",
     "rearrangement_and_I",
@@ -170,8 +166,7 @@ class TransformTrace:
     discrete maximal function) and records its L_p norm.
     """
 
-    COLUMNS = ("n", "norm_Sn_over_Wn", "series_partial_norm",
-               "running_max_Lp", "sup_circle")
+    COLUMNS = ("n", "norm_Sn_over_Wn", "series_partial_norm", "running_max_Lp")
 
     def __init__(self, space_weights=None, p: float = 2.0):
         self.space_weights = None if space_weights is None else np.asarray(space_weights)
@@ -180,7 +175,7 @@ class TransformTrace:
         self._max = None
 
     def record(self, n: int, *, pointwise=None, norm_Sn_over_Wn=None,
-               series_partial_norm=None, sup_circle=None) -> None:
+               series_partial_norm=None) -> None:
         if self.rows and n <= self.rows[-1]["n"]:
             raise ValueError("trace indices must be strictly increasing")
         row = {"n": int(n)}
@@ -195,8 +190,6 @@ class TransformTrace:
             else:
                 np.maximum(self._max, pointwise, out=self._max)
             row["running_max_Lp"] = self._lp(self._max)
-        if sup_circle is not None:
-            row["sup_circle"] = float(sup_circle)
         self.rows.append(row)
 
     def _lp(self, arr: np.ndarray) -> float:
@@ -226,44 +219,7 @@ def _csv_cell(v):
 
 
 # ---------------------------------------------------------------------------
-# weighted averages and series
-
-
-class PartialSumStream:
-    """Streams S_n = sum_{k=k_start}^{n} f_k, reusing the prefix across
-    increasing n (each field is requested exactly once)."""
-
-    def __init__(self, fseq, k_start: int = 1):
-        self.fseq = fseq
-        self.k_start = int(k_start)
-        self.next_k = int(k_start)
-        self.S = None
-
-    def advance(self, n: int) -> VectorField:
-        if self.S is not None and n < self.next_k - 1:
-            raise ValueError("stream can only advance forward")
-        while self.next_k <= n:
-            f = self.fseq(self.next_k)
-            if f is None:
-                raise ValueError(f"field f_{self.next_k} is undefined")
-            self.S = f.copy() if self.S is None else self.S + f
-            self.next_k += 1
-        if self.S is None:
-            raise ValueError(f"empty sum: n={n} is below k_start={self.k_start}")
-        return self.S
-
-
-def weighted_average(fseq, W: WeightSeq, n: int, stream: PartialSumStream | None = None,
-                     k_start: int | None = None) -> VectorField:
-    """(1/W_n) sum_{k<=n} f_k; pass a stream to reuse prefix sums across n."""
-    if k_start is None:
-        k_start = stream.k_start if stream is not None else 1
-    if n < max(k_start, W.n0):
-        raise ValueError(f"n={n} is below the start index")
-    if stream is None:
-        stream = PartialSumStream(fseq, k_start)
-    S = stream.advance(n)
-    return S * (1.0 / W.eval(n))
+# weighted series
 
 
 def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
@@ -387,6 +343,8 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
 
 
 def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:
+    # M_grid >= 4 * degree keeps the grid-miss error of the polynomial
+    # modulus well below test tolerances
     required = 4 * degree
     if M_grid is None:
         return max(required, 8)
@@ -409,32 +367,6 @@ def _refine(a: ModulationSeq, sched: Schedule, n: int, M_grid: int, j: int,
     res = minimize_scalar(neg, bounds=(theta_j - h, theta_j + h),
                           method="bounded", options={"xatol": 1e-12})
     return float(-res.fun), float(res.x), theta_j
-
-
-@dataclass
-class SupCircleResult:
-    value: float                # an attained value of |psi_n|, after local refinement
-    lam: complex
-    grid_size: int
-    n: int
-
-
-def sup_circle(a: ModulationSeq, sched: Schedule, n: int, M_grid: int | None = None,
-               allow_coarse: bool = False, k_start: int = 1) -> SupCircleResult:
-    """Grid maximum of |psi_n| over |lam| = 1 with one local refinement.
-
-    The oversampling rule M_grid >= 4 * n_n keeps the grid-miss error of the
-    degree-n_n polynomial modulus well below test tolerances.
-    """
-    M_grid = _grid_guard(M_grid, sched.value(n), allow_coarse)
-    if a.is_zero():
-        return SupCircleResult(0.0, 1 + 0j, M_grid, n)
-    sups, argj = circle_column_sups(a, sched, n, M_grid, [n], k_start)
-    grid_max, j = float(sups[0]), int(argj[0])
-    value, theta_x, theta_j = _refine(a, sched, n, M_grid, j, k_start)
-    refined = max(grid_max, value)
-    theta = theta_x if value >= grid_max else theta_j
-    return SupCircleResult(refined, complex(np.exp(1j * theta)), M_grid, n)
 
 
 @dataclass
@@ -753,12 +685,6 @@ def gamma_tail(G: WeightSeq, sched: Schedule, alpha: float, N: int) -> float:
     if tail is None:
         raise ValueError("gamma series diverges; no tail estimate")
     return tail
-
-
-def sigma_of_t(G: WeightSeq, sched: Schedule, t: float, N: int, alpha: float,
-               tail: float | None = None):
-    lo, hi = sigma_grid(G, sched, np.asarray([t]), N, alpha, tail)
-    return float(lo[0]), float(hi[0])
 
 
 def sigma_grid(G: WeightSeq, sched: Schedule, ts, N: int, alpha: float,

@@ -10,7 +10,7 @@ supported numerically through callable-backed sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "WeightSyntaxError",
     "parse_weight",
     "twisted_weight",
-    "interpolated_weight",
-    "scale_weight",
     "asymptotic_class",
 ]
 
@@ -513,10 +511,12 @@ class WeightSeq:
         while n < self._N0_SEARCH_LIMIT:
             hi = min(n + size, self._N0_SEARCH_LIMIT)
             m = hi - n
-            # candidate n + c has the window v[c..c+L]
-            v = self.values(np.arange(n, hi + L, dtype=float))
-            bad = np.concatenate(([0], np.cumsum(~(np.diff(v) >= 0.0))))
-            nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(v))))
+            # candidate n + c has the window v[c..c+L]; overflow to inf or
+            # NaN is expected here and counted below as a failed window
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = self.values(np.arange(n, hi + L, dtype=float))
+                bad = np.concatenate(([0], np.cumsum(~(np.diff(v) >= 0.0))))
+                nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(v))))
             ok = (v[:m] >= 1.0) & (bad[L:] == bad[:m]) \
                 & (nonfinite[L + 1:] == nonfinite[:m])
             if ok.any():
@@ -578,37 +578,6 @@ def twisted_weight(G: WeightSeq, r: float, n: int) -> float:
     if n == G.n0:
         return head
     return head + float(G.twisted_prefix_sums(n - 1)[-1])
-
-
-def interpolated_weight(G: WeightSeq, p: float, n: int) -> float:
-    """G_n^(p) = G_n^{2(p-1)/p} * n^{(2-p)/p}; equals G_n at p = 2."""
-    if not (1.0 < p <= 2.0):
-        raise ValueError("p must lie in (1, 2]")
-    a = 2.0 * (p - 1.0) / p
-    b = (2.0 - p) / p
-    return G.eval(n) ** a * float(n) ** b
-
-
-def scale_weight(W: WeightSeq, delta: float) -> WeightSeq:
-    """The weight {W_n / delta}; n0 advances until the value is back >= 1."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if delta == 1.0:
-        return W
-    expr = fn = None
-    if W.expr is not None:
-        expr = replace(W.expr, scale=W.expr.scale / delta)
-        label = ""
-    else:
-        fn = lambda n, _fn=W.fn, _d=delta: np.asarray(_fn(n)) / _d  # noqa: E731
-        label = f"({W.label})/{delta:g}"
-    at = expr if expr is not None else fn
-    n0 = W.n0
-    while np.atleast_1d(at(np.asarray([n0], dtype=float)))[0] < 1.0:
-        n0 += 1
-        if n0 - W.n0 > 1 << 20:
-            raise ValueError("scaled sequence never reaches 1; not a weight")
-    return WeightSeq(expr=expr, fn=fn, n0=n0, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ergolab.admissibility import (LADDER, _heuristic_claim, _schedule_start,
                                    bertrand_converges, check_1RT1,
                                    check_admissible, check_rrr, check_T21,
-                                   check_T72, check_T73, check_T322,
                                    check_weak_admissible, series_report)
 from ergolab.registry import EXAMPLE_IDS, example_instance
 from ergolab.weights import GapSeq, Schedule, WeightExpr, WeightSeq
@@ -132,33 +131,6 @@ def test_check_T21_symbolic_class():
     terms = (g / w) * (1.0 - w / w1)
     env = 0.8 * n ** (-1.3)
     assert np.all(terms <= env * 1.01)
-
-
-def test_check_T72_dominates_T21():
-    # the Abel weight G_{n,1} >= G_n termwise, so the T72 sum dominates
-    G = WeightSeq.from_text("n^0.5", n0=1)
-    W = WeightSeq.from_text("n^0.9", n0=1)
-    r21 = check_T21(G, W, 10**4, SHORT_LADDER)
-    r72 = check_T72(G, W, 10**4, SHORT_LADDER)
-    assert r72.partial_sums[-1][1] >= r21.partial_sums[-1][1]
-    assert r72.verdict == "converges"
-
-
-def test_check_T73():
-    W = WeightSeq.from_text("n^0.5", n0=1)
-    rep = check_T73(W, beta=1.0, N_max=10**4, ladder=SHORT_LADDER)
-    assert rep.verdict == "converges"
-    bad = check_T73(W, beta=0.25, N_max=10**4, ladder=SHORT_LADDER)
-    assert bad.verdict == "diverges"
-
-
-def test_check_T322_zero_increments():
-    G = WeightSeq.from_text("n", n0=1)
-    W = WeightSeq.from_text("n^2", n0=1)
-    rep = check_T322(lambda ks: np.ones(len(ks), dtype=complex), G, W,
-                     10**3, SHORT_LADDER, increment_class="zero")
-    assert rep.verdict == "converges"
-    assert rep.partial_sums[-1][1] == 0.0
 
 
 def test_check_rrr_meaningful_flag():

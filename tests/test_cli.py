@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output layout, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,26 @@ def test_slln_n_max_below_start_index_exits_2(tmp_path, capsys):
                 "--n-max", "64") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "below the start index 5504" in err
+
+
+def test_slln_ladder_below_start_index_exits_2(tmp_path, capsys):
+    # n_max reaches n0 = 5504, but the default ladder 64..4096 lies below it,
+    # so the a.e. diagnosis would compare empty snapshots
+    assert _run(tmp_path, "slln", "--G", "n^0.25*ln(n)^-1", "--W", "n",
+                "--n-max", "6000", "--grid", "1024") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no ladder entry lies in [5504, 6000]" in err
+
+
+def test_overflowing_weight_exits_2_without_warnings(tmp_path, capsys):
+    # n^400 overflows float64 past n ~ 5.9; the start-index scan counts the
+    # non-finite values as failed windows and must not warn about them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "check", "--G", "n^400", "--W", "n^401") == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RuntimeWarning" not in err
 
 
 def test_hilbert_missing_operator_file_exits_2(tmp_path, capsys):

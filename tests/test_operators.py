@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ergolab.operators import (Cocycle, LinearOperator, SampleSpace,
-                               Transformation, VectorField,
-                               bandlimited_random_field, character_field,
-                               cocycle_product, operator_from_json,
-                               operator_norm, random_field, skew_operator)
+                               Transformation, VectorField, character_field,
+                               operator_from_json, operator_norm, random_field,
+                               skew_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +98,13 @@ def test_rotation_index_map_exact_near_index_cap(n):
 def test_doubling_isometry_on_bandlimited_fields():
     space = SampleSpace.circle(256)
     T = LinearOperator.koopman(Transformation.doubling(space))
-    f = bandlimited_random_field(space, 1, seed=3)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    coef = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    f = VectorField.zero(space, 1)
+    for mode in range(128):
+        f = f + character_field(space, mode) * coef[mode]
     # modes sit in [0, M/2), so one application keeps them alias-free
     assert T.apply(f).norm(2) == pytest.approx(f.norm(2), rel=1e-10)
-    assert not Transformation.doubling(space).is_measure_preserving()
-
-
-def test_permutation_is_measure_preserving():
-    space = SampleSpace.finite(6)
-    tr = Transformation.permutation(space, np.roll(np.arange(6), -1))
-    assert tr.is_measure_preserving()
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +155,6 @@ def _two_point_swap_cocycle():
     return Cocycle(base, np.stack([A0, A1])), A0, A1
 
 
-def test_cocycle_product_ordering():
-    C, A0, A1 = _two_point_swap_cocycle()
-    assert np.allclose(cocycle_product(C, 0, 3), A0 @ A1 @ A0)
-    assert np.allclose(cocycle_product(C, 1, 2), A1 @ A0)
-    assert np.allclose(cocycle_product(C, 0, 0), np.eye(2))
-
-
 def test_cocycle_rejects_expanding_fiber():
     space = SampleSpace.finite(2)
     base = Transformation.permutation(space, [1, 0])
@@ -174,28 +163,11 @@ def test_cocycle_rejects_expanding_fiber():
         Cocycle(base, bad)
 
 
-def test_constant_cocycle_is_matrix_power():
-    space = SampleSpace.finite(3)
-    base = Transformation.permutation(space, np.roll(np.arange(3), -1))
-    T = np.array([[0.3, 0.4], [0.1, 0.2]])
-    C = Cocycle.constant(base, T)
-    assert np.allclose(cocycle_product(C, 1, 4), np.linalg.matrix_power(T, 4))
-
-
 def test_skew_operator_contraction_audit():
     C, _, _ = _two_point_swap_cocycle()
     op = skew_operator(C)
     f = random_field(C.space, 2, seed=1)
     assert op.apply(f).norm(2) <= f.norm(2) * (1 + 1e-12)
-
-
-def test_step_function_cocycle_cells():
-    space = SampleSpace.circle(8)
-    base = Transformation.rotation(space, 1)
-    mats = np.stack([np.eye(1) * 0.5, np.eye(1) * 0.25])
-    C = Cocycle.from_step_function(base, [0.0, 0.5], mats)
-    assert C.fibers[0][0, 0] == 0.5       # x = 0 in [0, 0.5)
-    assert C.fibers[4][0, 0] == 0.25      # x = 0.5 in [0.5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from ergolab.weights import (FLOAT_EXACT_CAP, INDEX_CAP, GapSeq, Schedule,
                              WeightExpr, WeightSeq, WeightSyntaxError,
-                             asymptotic_class, interpolated_weight,
-                             parse_weight, scale_weight, twisted_weight)
+                             asymptotic_class, parse_weight, twisted_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -360,33 +359,6 @@ def test_twisted_weight_hand_oracle():
     assert twisted_weight(G, -1.0, 3) == pytest.approx(5.0, rel=1e-15)
     with pytest.raises(ValueError):
         twisted_weight(G, 0.0, 3)
-
-
-def test_interpolated_weight_oracle():
-    G = WeightSeq.from_text("n^2", n0=1)
-    # G_16^{2/3} * 16^{1/3} = 256^{2/3} * 16^{1/3} = 2^{20/3}
-    assert interpolated_weight(G, 1.5, 16) == pytest.approx(2.0 ** (20.0 / 3.0))
-    # p = 2 collapses to G_n
-    assert interpolated_weight(G, 2.0, 7) == pytest.approx(49.0)
-
-
-def test_scale_weight_advances_start():
-    W = WeightSeq.from_text("n", n0=1)
-    half = scale_weight(W, 2.0)
-    assert half.n0 == 2
-    assert half.eval(4) == pytest.approx(2.0)
-    same = scale_weight(W, 1.0)
-    assert same is W
-
-
-def test_scale_weight_brute_force_bound():
-    # replacing W by W/delta multiplies any p-th power ratio sum by delta^p
-    W = WeightSeq.from_text("n^0.7", n0=1)
-    delta, p = 3.0, 2.0
-    scaled = scale_weight(W, delta)
-    n = np.arange(scaled.n0, 200, dtype=float)
-    ratio = (W.values(n) / delta) / scaled.values(n)
-    assert np.allclose(ratio, 1.0, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
