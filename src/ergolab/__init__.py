@@ -20,8 +20,8 @@ from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          I_majorant, circle_column_sups, gamma_tail,
                          hilbert_partial, hilbert_trace, interpolation_bound,
                          interpolation_bound_check, measure_K, modulated_poly,
-                         opnorm_series, phi_series, rearrangement_and_I,
-                         sigma_grid, twisted_bound_check, weighted_series)
+                         opnorm_series, rearrangement_and_I, sigma_grid,
+                         twisted_bound_check, weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
                           random_sup_stat, slln_chain, slln_diagnosis)
@@ -42,8 +42,8 @@ __all__ = [
     "RearrangementResult", "TransformTrace", "I_majorant",
     "circle_column_sups", "gamma_tail", "hilbert_partial", "hilbert_trace",
     "interpolation_bound", "interpolation_bound_check", "measure_K",
-    "modulated_poly", "opnorm_series", "phi_series", "rearrangement_and_I",
-    "sigma_grid", "twisted_bound_check", "weighted_series",
+    "modulated_poly", "opnorm_series", "rearrangement_and_I", "sigma_grid",
+    "twisted_bound_check", "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
     "canonical_hash", "random_hilbert", "random_sup_stat", "slln_chain",
     "slln_diagnosis",

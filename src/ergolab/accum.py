@@ -1,49 +1,24 @@
-"""Compensated summation helpers.
+"""The package's one summation rule.
 
-Long partial sums (up to 1e7 terms) must not drop small tail terms, so all
-series accumulation in this package goes through Kahan-compensated adds.
-Order of accumulation is fixed (ascending index), which makes every sum
-bit-reproducible across runs and thread counts.
+Every series sum in this package is a ``math.fsum`` (Shewchuk's exact
+summation): the float nearest the exact sum of its inputs, whatever their
+count or order, so every sum is bit-reproducible across runs and thread
+counts.  A long series is cut into blocks, each block is fsum'd, and a
+partial or tail sum is the fsum of its block sums; for nonnegative terms
+that lies within 2^-52 relative of the exact value (one rounding in the
+blocks, one in the total).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["KahanSum", "kahan_cumsum"]
+__all__ = ["block_sums"]
 
 
-class KahanSum:
-    """Running compensated sum of scalars."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self, value: float = 0.0):
-        self.s = float(value)
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
-
-
-def kahan_cumsum(xs) -> np.ndarray:
-    """Compensated running sums of ``xs``; out[i] = sum(xs[:i+1])."""
+def block_sums(xs, cuts) -> list:
+    """fsum of xs[cuts[i]:cuts[i+1]] for each pair of consecutive cut points."""
     xs = np.asarray(xs, dtype=float)
-    out = np.empty_like(xs)
-    s = 0.0
-    c = 0.0
-    # plain-float loop; ~3x faster than indexing into the ndarray
-    for i, x in enumerate(xs.tolist()):
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    return out
+    return [math.fsum(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]

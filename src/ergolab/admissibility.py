@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .accum import KahanSum
 from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
@@ -94,11 +93,12 @@ class AdmissibilityReport:
 # series accumulation engine
 
 
-def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list, float]:
+def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
     """Partial sums of sum_{k=k_start}^{K} term(k) at the requested rungs.
 
-    Accumulation is compensated and strictly ascending in k (deterministic).
-    Also returns dyadic block sums (blocks (2^j, 2^{j+1}]) for the decay
+    Terms are evaluated in ascending sub-blocks of at most 2^20; each
+    partial sum is the fsum of the sub-block fsums before its rung.  Also
+    returns dyadic block sums (blocks (2^j, 2^{j+1}]) for the decay
     heuristic.
     """
     rungs = sorted({min(r, kmax) for r in rungs if r >= k_start} | {kmax})
@@ -110,26 +110,20 @@ def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list, fl
         j += 1
     bounds = sorted(e for e in edges if k_start - 1 <= e <= kmax)
 
-    acc = KahanSum()
+    sums = []
     partials = {}
     blocks = {}
     for lo, hi in zip(bounds, bounds[1:]):
-        pos = lo
-        block_acc = 0.0
-        while pos < hi:
-            sub = min(hi, pos + (1 << 20))
-            ks = np.arange(pos + 1, sub + 1, dtype=np.int64)
+        jlo = int(math.log2(lo)) if lo > 0 else -1
+        for pos in range(lo, hi, 1 << 20):
+            ks = np.arange(pos + 1, min(hi, pos + (1 << 20)) + 1, dtype=np.int64)
             vals = np.asarray(term_fn(ks), dtype=float)
             if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
                 raise ArithmeticError("series terms must be finite and nonnegative")
-            s = math.fsum(vals)
-            block_acc += s
-            acc.add(s)
-            pos = sub
-        jlo = int(math.log2(lo)) if lo > 0 else -1
-        blocks[jlo] = blocks.get(jlo, 0.0) + block_acc
+            sums.append(math.fsum(vals))
+            blocks.setdefault(jlo, []).append(sums[-1])
         if hi in rungs:
-            partials[hi] = acc.value
+            partials[hi] = math.fsum(sums)
 
     partial_sums = [(K, partials[K]) for K in rungs]
     top = max(blocks)
@@ -137,8 +131,8 @@ def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list, fl
         # the top block (2^j, 2^{j+1}] was cut off at kmax; a truncated
         # block would fake decay in the ratio heuristic
         del blocks[top]
-    block_sums = [blocks[j] for j in sorted(blocks)]
-    return partial_sums, block_sums, acc.value
+    block_sums = [math.fsum(blocks[j]) for j in sorted(blocks)]
+    return partial_sums, block_sums
 
 
 def _heuristic_claim(partial_sums, block_sums) -> str:
@@ -195,7 +189,7 @@ def series_report(kind: str, params: dict, term_fn, k_start: int, kmax: int,
     """Build a report for sum_{k>=k_start} term(k)."""
     if kmax < k_start:
         raise ValueError(f"empty summation range [{k_start}, {kmax}]")
-    partial_sums, block_sums, _total = _accumulate(term_fn, k_start, kmax, ladder)
+    partial_sums, block_sums = _accumulate(term_fn, k_start, kmax, ladder)
     claim = _heuristic_claim(partial_sums, block_sums)
 
     if symbolic_class is not None:

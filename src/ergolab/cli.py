@@ -157,7 +157,6 @@ def cmd_check(args) -> int:
               "beta": args.beta, "gamma": args.gamma, "alpha": args.alpha,
               "delta": args.delta, "eps": args.eps, "ladder": list(ladder),
               "full_sequence": args.full_sequence}
-    run_dir = run_dir_for(args.out, config)
 
     if args.example:
         kwargs = {"p": args.p, "beta": args.beta, "gamma": args.gamma,
@@ -181,6 +180,7 @@ def cmd_check(args) -> int:
     if args.full_sequence:
         reports["full-W1"] = check_full_W1(G, W, args.p, ladder)
 
+    run_dir = run_dir_for(args.out, config)
     for kind, rep in reports.items():
         write_json(run_dir / f"{kind}.json", rep.to_json(), config)
         print(f"{kind}: {rep.verdict} ({rep.verdict_source})")
@@ -208,7 +208,6 @@ def cmd_slln(args) -> int:
               "W": args.W, "eps": args.eps, "n_max": n_max, "grid": M,
               "seed": args.seed, "ladder": list(ladder),
               "zero_field": args.zero_field, "sample_points": args.sample_points}
-    run_dir = run_dir_for(args.out, config)
 
     if args.example:
         if args.example != "EwA":
@@ -227,8 +226,9 @@ def cmd_slln(args) -> int:
 
     trace, snapshots = slln_chain(G, W, amp, n_max, M, args.seed, ladder,
                                   args.sample_points)
-    trace.to_csv(run_dir / "trace.csv")
     diag, rrr = slln_diagnosis(G, W, snapshots, ladder, n_max)
+    run_dir = run_dir_for(args.out, config)
+    trace.to_csv(run_dir / "trace.csv")
     write_json(run_dir / "ae.json",
                {**diag.to_json(), "meaningful_regime": bool(rrr.meaningful)}, config)
     write_json(run_dir / "rrr.json", rrr.to_json(), config)
@@ -248,7 +248,6 @@ def cmd_hilbert(args) -> int:
               "W": args.W, "schedule": args.schedule, "lam": args.lam,
               "ladder": args.ladder, "operator": args.operator,
               "allow_coarse": args.allow_coarse}
-    run_dir = run_dir_for(args.out, config)
 
     if args.check:
         kwargs = {"allow_coarse": args.allow_coarse}
@@ -268,7 +267,7 @@ def cmd_hilbert(args) -> int:
             for i, rep in enumerate(doc["contractions"]):
                 print(f"t8 contraction {i}: bound ok={rep['all_pairs_ok']} "
                       f"monotone={rep['gaps_monotone']}")
-        write_json(run_dir / f"{args.check}.json", doc, config)
+        write_json(run_dir_for(args.out, config) / f"{args.check}.json", doc, config)
         return 0 if passed else 1
 
     # trace mode: one transform run; --G is validated, the transform uses W
@@ -277,6 +276,7 @@ def cmd_hilbert(args) -> int:
     sched = parse_schedule(args.schedule or "identity")
     operator = json.loads(Path(args.operator).read_text()) if args.operator else None
     trace = hilbert_trace(W, sched, args.n_max, args.seed, args.lam, operator)
+    run_dir = run_dir_for(args.out, config)
     trace.to_csv(run_dir / "trace.csv")
     print(f"trace written to {run_dir}")
     return 0
@@ -290,7 +290,6 @@ def cmd_random(args) -> int:
               "ladder": list(ladder), "n_lambda": args.n_lambda,
               "threads": None,  # thread count must not affect outputs
               "no_regime_check": args.no_regime_check}
-    run_dir = run_dir_for(args.out, config)
     mod = RandomModulation(args.law, args.seed)
 
     if args.stat == "sup":
@@ -306,6 +305,7 @@ def cmd_random(args) -> int:
                                 no_regime_check=args.no_regime_check,
                                 threads=args.threads)
     est.config = config
+    run_dir = run_dir_for(args.out, config)
     write_json(run_dir / "estimate.json", est.to_json(), config)
     print(f"{est.statistic}: mean {est.mean:.6g}, max {est.max:.6g} "
           f"({est.samples} samples, regime={est.regime})")

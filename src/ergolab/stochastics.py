@@ -84,9 +84,6 @@ class RandomModulation:
                    + 1j * rng.standard_normal(kmax)) / math.sqrt(2.0)
         return sign * out
 
-    def modulation(self, y: int, kmax: int, sign: int = 1) -> ModulationSeq:
-        return ModulationSeq.explicit(self.draws(y, kmax, sign))
-
     def describe(self) -> dict:
         return {"law": self.law, "seed": self.seed}
 
@@ -120,9 +117,6 @@ class MCEstimate:
 
     def moment(self, p: float = 2.0) -> float:
         return float(np.mean(np.asarray(self.per_sample) ** p) ** (1.0 / p))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.per_sample, q))
 
     def to_json(self) -> dict:
         return {
@@ -182,10 +176,9 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
         sups, _ = circle_column_sups(a, sched, n_max, n_lambda, cols, k_start)
         sup_stat = float((sups / g_at).max(initial=0.0))
         # normalized series sum f_k lam^{n_k}/G_k, traced on the same grid
-        bound = float(np.abs(draws[k_start - 1:] / g).max(initial=0.0))
-        shifted = ModulationSeq.from_fn(
-            lambda ks, d=draws, gg=g, k0=k_start: d[ks - 1] / gg[ks - k0],
-            bound=bound if bound > 0.0 else 1.0)
+        normalized = np.zeros(n_max, dtype=complex)
+        normalized[k_start - 1:] = draws[k_start - 1:] / g
+        shifted = ModulationSeq.explicit(normalized)
         series_sups, _ = circle_column_sups(shifted, sched, n_max, n_lambda,
                                             cols, k_start)
         return sup_stat, series_sups
@@ -384,6 +377,10 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     if not any(k_start <= j <= n_max for j in ladder):
         raise ValueError(f"no ladder entry lies in [{k_start}, {n_max}], "
                          "from the start index to n_max")
+    if ladder[0] < 1 or ladder[-1] > n_max or \
+            any(lo >= hi for lo, hi in zip(ladder, ladder[1:])):
+        raise ValueError(f"ladder {list(ladder)} must be strictly increasing "
+                         f"within [1, {n_max}]")
     space = SampleSpace.circle(M)
     base = np.exp(2j * np.pi * space.points)    # e^{2 pi i x}; f_k = amp(k) base^k
     phase = np.ones(M, dtype=complex)

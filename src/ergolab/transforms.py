@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from .accum import kahan_cumsum
+from .accum import block_sums
 from .admissibility import _gamma_class, _t21_class, _tail_estimate
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
                         operator_from_json, operator_norm, random_field)
@@ -31,7 +31,6 @@ __all__ = [
     "measure_K",
     "hilbert_partial",
     "hilbert_trace",
-    "phi_series",
     "twisted_bound_check",
     "interpolation_bound",
     "interpolation_bound_check",
@@ -53,16 +52,15 @@ class ModulationSeq:
     """Bounded coefficient sequence {a_k}.
 
     kinds: constant c; rotation (a_k = lam^{n_k}, |lam| = 1); twist
-    (a_k = k^{ir}); explicit list; fn (arbitrary callable over k, used for
-    random streams); product of two modulations.
+    (a_k = k^{ir}); explicit list (used for random streams); product of two
+    modulations.
     """
 
     def __init__(self, kind: str, *, c=None, lam=None, r=None, values=None,
-                 fn=None, bound=None, parts=None):
+                 parts=None):
         self.kind = kind
         self.c = c
         self.r = r
-        self.fn = fn
         self.parts = parts
         self._values = None if values is None else np.asarray(values, dtype=complex)
         if kind == "constant":
@@ -77,10 +75,6 @@ class ModulationSeq:
             self.sup_bound = 1.0
         elif kind == "explicit":
             self.sup_bound = float(np.abs(self._values).max(initial=0.0))
-        elif kind == "fn":
-            if bound is None:
-                raise ValueError("fn modulation needs an explicit sup bound")
-            self.sup_bound = float(bound)
         elif kind == "product":
             self.sup_bound = parts[0].sup_bound * parts[1].sup_bound
         else:
@@ -101,10 +95,6 @@ class ModulationSeq:
     @classmethod
     def explicit(cls, values) -> "ModulationSeq":
         return cls("explicit", values=values)
-
-    @classmethod
-    def from_fn(cls, fn, bound: float) -> "ModulationSeq":
-        return cls("fn", fn=fn, bound=bound)
 
     def compose(self, other: "ModulationSeq") -> "ModulationSeq":
         """Termwise product a_k * b_k."""
@@ -132,11 +122,6 @@ class ModulationSeq:
             if ks.max(initial=0) > len(self._values):
                 raise IndexError("explicit modulation is too short")
             return self._values[ks - 1]
-        if self.kind == "fn":
-            out = np.asarray(self.fn(ks), dtype=complex)
-            if np.abs(out).max(initial=0.0) > self.sup_bound * (1.0 + 1e-12):
-                raise ArithmeticError("modulation exceeded its declared bound")
-            return out
         left = self.parts[0].values(ks, n_vals)
         right = self.parts[1].values(ks, n_vals)
         return left * right
@@ -277,7 +262,7 @@ def _terms(a: ModulationSeq, sched: Schedule, n: int, k_start: int):
 
 def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
                    k_start: int = 1) -> complex:
-    """psi_n(lam) = sum_{k<=n} a_k lam^{n_k}, compensated real/imag sums."""
+    """psi_n(lam) = sum_{k<=n} a_k lam^{n_k}; real and imaginary parts fsum'd."""
     if a.is_zero() or n < k_start:
         return 0j
     n_ints, coefs = _terms(a, sched, n, k_start)
@@ -420,19 +405,7 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
                     trace: TransformTrace | None = None,
                     k_start: int | None = None) -> VectorField:
     """sum_{k<=n} a_k T^{n_k} f / W_k."""
-    return phi_series(a, T, sched, W, beta=0.0, t=0.0, f=f, n=n,
-                      trace=trace, k_start=k_start)
-
-
-def phi_series(a: ModulationSeq, T: LinearOperator, sched: Schedule, W: WeightSeq,
-               beta: float, t: float, f: VectorField, n: int,
-               trace: TransformTrace | None = None,
-               k_start: int | None = None) -> VectorField:
-    """sum_{k<=n} a_k T^{n_k} f / (k^{beta t} W_k); t = 0 is the undamped
-    transform (hilbert_partial runs through this same code path)."""
     _require_bounded(T)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("interpolation parameter t must lie in [0, 1]")
     if k_start is None:
         k_start = W.n0
     if n < k_start:
@@ -442,8 +415,6 @@ def phi_series(a: ModulationSeq, T: LinearOperator, sched: Schedule, W: WeightSe
         return out
     n_ints, coeffs = _terms(a, sched, n, k_start)
     coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
-    if t != 0.0:
-        coeffs = coeffs / np.arange(k_start, n + 1, dtype=float) ** (beta * t)
 
     prev_nk = 0
     g = f
@@ -618,16 +589,14 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     gt = G.prefix(tail_top + 1)[k_start - G.n0:]
     wt = W.prefix(tail_top + 1)[k_start - W.n0:]
     terms = (gt[:-1] / wt[:-1]) * (1.0 - wt[:-1] / wt[1:])
-    csums = kahan_cumsum(terms)
-    total = csums[-1]
     cls = _t21_class(G, W)
     est = None if cls is None else _tail_estimate(cls, tail_top)
-    remainder = 0.0 if est is None else est
+    cuts = [max(j - k_start, 0) for j in ladder] + [len(terms)]
+    blocks = block_sums(terms, cuts) + [0.0 if est is None else est]
+    first_block = {j: i for i, j in enumerate(ladder)}
 
     def tail(j: int) -> float:
-        i = j - k_start
-        head = csums[i - 1] if i > 0 else 0.0
-        return K * (total - head + remainder)
+        return K * math.fsum(blocks[first_block[j]:])
 
     return [_opnorm_report(A, n_ints, coefs, w, g, ladder, k_start, K, tail)
             for A in ops]

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import kahan_cumsum
-
 __all__ = [
     "WeightExpr",
     "WeightSeq",
@@ -472,7 +470,6 @@ class WeightSeq:
         self.fn = fn
         self.label = label or (expr.canonical() if expr is not None else "callable")
         self._memo = np.empty(0)
-        self._twisted_prefix = None  # cumulative sums of G_k/k from n0
         if n0 is None:
             n0 = self._default_n0()
         else:
@@ -545,21 +542,6 @@ class WeightSeq:
             self._memo = np.concatenate((self._memo, new))
         return self._memo[:need]
 
-    def eval(self, n: int) -> float:
-        """Memoized value at n; repeated calls are bit-identical."""
-        if n < self.n0:
-            raise IndexError(f"index {n} below start index n0={self.n0}")
-        return float(self.prefix(n)[n - self.n0])
-
-    def twisted_prefix_sums(self, N: int) -> np.ndarray:
-        """Compensated cumulative sums of G_k/k for k = n0..N."""
-        need = N - self.n0 + 1
-        if self._twisted_prefix is None or need > len(self._twisted_prefix):
-            vals = self.prefix(N)
-            ks = np.arange(self.n0, N + 1, dtype=float)
-            self._twisted_prefix = kahan_cumsum(vals / ks)
-        return self._twisted_prefix[:need]
-
     def __repr__(self):
         return f"WeightSeq({self.label!r}, n0={self.n0})"
 
@@ -572,12 +554,8 @@ def twisted_weight(G: WeightSeq, r: float, n: int) -> float:
     """G_{n,r} = G_n/|r| + sum_{k=n0}^{n-1} G_k/k (Abel-summation weight)."""
     if r == 0:
         raise ValueError("twist parameter r must be nonzero")
-    if n < G.n0:
-        raise IndexError(f"index {n} below start index n0={G.n0}")
-    head = G.eval(n) / abs(r)
-    if n == G.n0:
-        return head
-    return head + float(G.twisted_prefix_sums(n - 1)[-1])
+    g = G.prefix(n)
+    return float(g[-1]) / abs(r) + math.fsum(g[:-1] / np.arange(G.n0, n, dtype=float))
 
 
 # ---------------------------------------------------------------------------

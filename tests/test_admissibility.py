@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.admissibility import (LADDER, _heuristic_claim, _schedule_start,
+from ergolab.admissibility import (LADDER, _accumulate, _heuristic_claim,
+                                   _schedule_start,
                                    bertrand_converges, check_1RT1,
                                    check_admissible, check_rrr, check_T21,
                                    check_weak_admissible, series_report)
@@ -62,6 +63,21 @@ def test_series_report_partial_sums_match_fsum():
                         1, 10**4, None, SHORT_LADDER)
     brute = math.fsum(1.0 / k**2 for k in range(1, 101))
     assert rep.partial_sums[0] == (100, pytest.approx(brute, rel=1e-15))
+
+
+def test_accumulate_partial_sums_are_fsums_of_every_term():
+    # 10^6 positive terms over about seven decades: every rung's partial sum
+    # is the exactly rounded sum of all terms up to it, to 1e-14
+    def term(ks):
+        k = ks.astype(float)
+        return 1.0 / k**1.1 + 1e-9 * np.sin(k) ** 2
+
+    k_start, kmax = 7, 10**6 + 6
+    terms = term(np.arange(k_start, kmax + 1))
+    partials, _blocks = _accumulate(term, k_start, kmax, LADDER)
+    assert [K for K, _ in partials] == list(LADDER) + [kmax]
+    for K, s in partials:
+        assert s == pytest.approx(math.fsum(terms[:K - k_start + 1]), rel=1e-14)
 
 
 def test_heuristic_three_values():

@@ -290,6 +290,27 @@ def test_slln_ladder_below_start_index_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "no ladder entry lies in [5504, 6000]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--G", "ln(n)^-1", "--W", "n"),
+    ("slln", "--G", "n^0.25*ln(n)^-1", "--W", "n", "--n-max", "6000",
+     "--grid", "1024"),
+])
+def test_rejected_run_leaves_no_run_dir(tmp_path, argv):
+    assert _run(tmp_path, *argv) == 2
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("ladder", ["128,64", "64,64", "64,100000"])
+def test_slln_rejects_ladder_not_increasing_within_n_max(tmp_path, capsys, ladder):
+    # the a.e. diagnosis labels one snapshot column per ladder entry, in
+    # ladder order, so the ladder must be strictly increasing and reached
+    assert _run(tmp_path, "slln", "--G", "n", "--W", "n^1.5", "--n-max", "500",
+                "--grid", "2048", "--ladder", ladder) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "strictly increasing within [1, 500]" in err
+    assert list(tmp_path.glob("run-*")) == []
+
+
 def test_overflowing_weight_exits_2_without_warnings(tmp_path, capsys):
     # n^400 overflows float64 past n ~ 5.9; the start-index scan counts the
     # non-finite values as failed windows and must not warn about them

@@ -13,8 +13,8 @@ from ergolab.registry import example_instance
 from ergolab.transforms import (I_majorant, ModulationSeq, TransformTrace,
                                 circle_column_sups, gamma_tail, hilbert_partial,
                                 interpolation_bound, measure_K, modulated_poly,
-                                opnorm_series, phi_series, rearrangement_and_I,
-                                sigma_grid, twisted_bound_check, weighted_series)
+                                opnorm_series, rearrangement_and_I, sigma_grid,
+                                twisted_bound_check, weighted_series)
 from ergolab.weights import Schedule, WeightSeq
 
 
@@ -33,12 +33,6 @@ def test_modulation_values():
     prod = rot.compose(ModulationSeq.constant(3.0))
     assert prod.sup_bound == 3.0
     assert np.allclose(prod.values(ks, ks.astype(float)), 3.0 * lam**ks)
-
-
-def test_modulation_fn_bound_enforced():
-    m = ModulationSeq.from_fn(lambda ks: ks.astype(complex), bound=3.0)
-    with pytest.raises(ArithmeticError):
-        m.values(np.arange(1, 10))
 
 
 def test_modulation_rejects_non_unimodular_rotation():
@@ -251,18 +245,7 @@ def test_measure_K_covers_all_prefixes():
 # hilbert transforms
 
 
-def test_phi_series_t0_equals_hilbert_partial():
-    space = SampleSpace.circle(64)
-    T = LinearOperator.koopman(Transformation.rotation(space, 3))
-    f = random_field(space, 1, seed=4)
-    W = WeightSeq.from_text("n", n0=1)
-    a = ModulationSeq.constant(1.0)
-    h = hilbert_partial(a, T, Schedule.identity(), W, f, 20)
-    p = phi_series(a, T, Schedule.identity(), W, beta=0.5, t=0.0, f=f, n=20)
-    assert np.array_equal(h.values, p.values)
-
-
-def test_phi_series_requires_bounded_operator():
+def test_hilbert_partial_requires_bounded_operator():
     space = SampleSpace.finite(2)
     T = LinearOperator.from_matrix(np.eye(2) * 3.0)
     f = random_field(space, 2, seed=5)
@@ -351,6 +334,32 @@ def test_opnorm_series_contraction():
                          (32, 64, 128, 256), K=K, G=inst.G, tail_N=10**5)
     assert rep.all_pairs_ok
     assert len(rep.gaps) == 3
+
+
+def test_opnorm_tail_is_the_fsum_of_the_terms_from_j(monkeypatch):
+    # the t8 setting: E5 weights, the (T21) terms summed to 10^6 plus the
+    # class remainder past it
+    from ergolab import transforms
+    from ergolab.admissibility import _t21_class, _tail_estimate
+    tails = []
+    monkeypatch.setattr(transforms, "_opnorm_report",
+                        lambda *args: tails.append(args[-1]))
+    inst = example_instance("E5")
+    G, W = inst.G, inst.W
+    ladder = tuple(2**j for j in range(5, 13))
+    K = 1.75
+    opnorm_series(ModulationSeq.constant(1.0), [LinearOperator.from_matrix(np.eye(2))],
+                  Schedule.identity(), W, ladder, K=K, G=G)
+    tail, = tails
+    k_start = max(W.n0, G.n0)
+    g = G.prefix(10**6 + 1)[k_start - G.n0:]
+    w = W.prefix(10**6 + 1)[k_start - W.n0:]
+    terms = (g[:-1] / w[:-1]) * (1.0 - w[:-1] / w[1:])
+    remainder = _tail_estimate(_t21_class(G, W), 10**6)
+    assert remainder > 0.0
+    for j in ladder:
+        exact = K * (math.fsum(terms[j - k_start:]) + remainder)
+        assert tail(j) == pytest.approx(exact, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

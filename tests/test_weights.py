@@ -193,7 +193,7 @@ def test_gapseq_modes():
 def test_weightseq_default_start_skips_log_singularity():
     W = WeightSeq.from_text("ln(n)")
     assert W.n0 == 3                    # ln(2) < 1
-    assert W.eval(3) == pytest.approx(math.log(3.0))
+    assert W.prefix(3)[-1] == pytest.approx(math.log(3.0))
 
 
 def test_weightseq_rejects_decreasing():
@@ -336,8 +336,8 @@ def test_ewa_weights_closed_form():
     # G_n = sqrt(n(n+1)/2), W_n = n^{(1+eps)/4} sqrt(n(n+1)) at eps = 0.5
     from ergolab.registry import example_instance
     inst = example_instance("EwA", eps=0.5)
-    assert inst.G.eval(2) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    assert inst.W.eval(2) == pytest.approx(2**0.375 * math.sqrt(6.0), rel=1e-15)
+    assert inst.G.prefix(2)[-1] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert inst.W.prefix(2)[-1] == pytest.approx(2**0.375 * math.sqrt(6.0), rel=1e-15)
 
 
 def test_ewa_t21_bound_is_sharp():
@@ -359,6 +359,23 @@ def test_twisted_weight_hand_oracle():
     assert twisted_weight(G, -1.0, 3) == pytest.approx(5.0, rel=1e-15)
     with pytest.raises(ValueError):
         twisted_weight(G, 0.0, 3)
+
+
+def test_twisted_weight_at_start_index_is_the_head_alone():
+    # n = n0: the sum over k = n0..n-1 is empty
+    G = WeightSeq.from_text("ln(n)")
+    assert G.n0 == 3
+    assert twisted_weight(G, 2.0, 3) == math.log(3.0) / 2.0
+    with pytest.raises(IndexError):
+        twisted_weight(G, 1.0, 2)
+
+
+def test_twisted_weight_matches_fsum():
+    G = WeightSeq.from_text("n^0.5*ln(n)")
+    n = 5000
+    ks = range(G.n0, n)
+    exact = G.value(n) / 3.0 + math.fsum(G.value(k) / k for k in ks)
+    assert twisted_weight(G, -3.0, n) == pytest.approx(exact, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
