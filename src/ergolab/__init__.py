@@ -17,11 +17,12 @@ from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
                         operator_norm, random_field, skew_operator)
 from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          OpNormReport, RearrangementResult, TransformTrace,
-                         I_majorant, circle_column_sups, gamma_tail,
-                         hilbert_partial, hilbert_trace, interpolation_bound,
-                         interpolation_bound_check, measure_K, modulated_poly,
-                         opnorm_series, rearrangement_and_I, sigma_grid,
-                         twisted_bound_check, weighted_series)
+                         I_majorant, circle_column_sups, circle_prefix_rows,
+                         gamma_tail, hilbert_partial, hilbert_trace,
+                         interpolation_bound, interpolation_bound_check,
+                         measure_K, modulated_poly, opnorm_series,
+                         rearrangement_and_I, sigma_grid, twisted_bound_check,
+                         weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
                           random_sup_stat, slln_chain, slln_diagnosis)
@@ -40,9 +41,10 @@ __all__ = [
     "random_field", "skew_operator",
     "BoundReport", "KMeasurement", "ModulationSeq", "OpNormReport",
     "RearrangementResult", "TransformTrace", "I_majorant",
-    "circle_column_sups", "gamma_tail", "hilbert_partial", "hilbert_trace",
-    "interpolation_bound", "interpolation_bound_check", "measure_K",
-    "modulated_poly", "opnorm_series", "rearrangement_and_I", "sigma_grid",
+    "circle_column_sups", "circle_prefix_rows", "gamma_tail",
+    "hilbert_partial", "hilbert_trace", "interpolation_bound",
+    "interpolation_bound_check", "measure_K", "modulated_poly",
+    "opnorm_series", "rearrangement_and_I", "sigma_grid",
     "twisted_bound_check", "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
     "canonical_hash", "random_hilbert", "random_sup_stat", "slln_chain",

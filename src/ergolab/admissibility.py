@@ -51,9 +51,11 @@ def bertrand_converges(cls: WeightExpr) -> bool:
 
 @dataclass
 class AdmissibilityReport:
+    VERDICTS = ("converges", "diverges", "unknown")
+
     kind: str
     params: dict
-    verdict: str                 # converges | diverges | unknown
+    verdict: str                 # one of VERDICTS
     verdict_source: str          # symbolic | numeric-heuristic
     partial_sums: list           # [(K, S_K), ...]
     comparison_class: tuple | None = None

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissibility import (LADDER, check_1RT1, check_admissible,
-                            check_full_W1, check_rrr, check_T21)
+from .admissibility import (LADDER, AdmissibilityReport, check_1RT1,
+                            check_admissible, check_full_W1, check_rrr,
+                            check_T21)
 from .registry import (EXAMPLE_IDS, check_t8, check_t41, check_t44,
                        example_instance, random_hilbert_e5)
-from .stochastics import (RandomModulation, canonical_hash, random_sup_stat,
-                          slln_chain, slln_diagnosis)
+from .stochastics import (AEDiagnosis, RandomModulation, canonical_hash,
+                          random_sup_stat, slln_chain, slln_diagnosis)
 from .transforms import hilbert_trace
 from .weights import Schedule, WeightSeq, WeightSyntaxError
 
@@ -114,29 +115,39 @@ _EXPECT_GROUPS = {
     "t21": (("T21", "converges"),),
     "meaningful": (("rrr", "diverges"),),
 }
+_REPORT_KINDS = ("W1", "W2", "W3", "W4", "T21", "rrr", "full-W1")  # what check writes
 
 
-def check_expectations(expect: str | None, reports: dict) -> bool:
-    if not expect:
-        return True
-    ok = True
-    for token in expect.split(","):
+def parse_expectations(expect: str | None) -> list:
+    """(token, wanted (kind, verdict) pairs) for each ``--expect`` token, so
+    that an unknown token is refused before any check runs."""
+    parsed = []
+    for token in (expect or "").split(","):
         token = token.strip()
         if not token:
             continue
+        if token == "not-admissible":
+            wanted = ()
+        elif token in _EXPECT_GROUPS:
+            wanted = _EXPECT_GROUPS[token]
+        else:
+            kind, sep, verdict = token.partition("=")
+            if not sep or kind not in _REPORT_KINDS \
+                    or verdict not in AdmissibilityReport.VERDICTS:
+                raise ValueError(f"unknown expectation {token!r}")
+            wanted = ((kind, verdict),)
+        parsed.append((token, wanted))
+    return parsed
+
+
+def check_expectations(expectations: list, reports: dict) -> bool:
+    ok = True
+    for token, wanted in expectations:
         if token == "not-admissible":
             pairs = [reports.get("W3"), reports.get("W4")]
             if all(r is not None and r.verdict == "converges" for r in pairs):
                 print("expect not-admissible: FAILED (both conditions converge)")
                 ok = False
-            continue
-        if token in _EXPECT_GROUPS:
-            wanted = _EXPECT_GROUPS[token]
-        elif "=" in token:
-            kind, verdict = token.split("=", 1)
-            wanted = ((kind, verdict),)
-        else:
-            raise ValueError(f"unknown expectation {token!r}")
         for kind, verdict in wanted:
             rep = reports.get(kind)
             if rep is None or rep.verdict != verdict:
@@ -151,6 +162,7 @@ def check_expectations(expect: str | None, reports: dict) -> bool:
 
 
 def cmd_check(args) -> int:
+    expectations = parse_expectations(args.expect)
     ladder = parse_ladder(args.ladder) if args.ladder else LADDER
     config = {"command": "check", "example": args.example, "G": args.G,
               "W": args.W, "schedule": args.schedule, "p": args.p,
@@ -185,7 +197,7 @@ def cmd_check(args) -> int:
         write_json(run_dir / f"{kind}.json", rep.to_json(), config)
         print(f"{kind}: {rep.verdict} ({rep.verdict_source})")
 
-    ok = check_expectations(args.expect, reports)
+    ok = check_expectations(expectations, reports)
     if args.example and not inst.verdicts_ok(reports):
         print(f"registry expectations for {args.example}: FAILED")
         ok = False
@@ -194,6 +206,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_slln(args) -> int:
+    wanted = (args.expect or "").strip()
+    if wanted and wanted not in AEDiagnosis.VERDICTS:
+        raise ValueError(f"unknown expectation {wanted!r}; choose from "
+                         f"{', '.join(AEDiagnosis.VERDICTS)}")
     n_max = args.n_max
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
@@ -234,11 +250,9 @@ def cmd_slln(args) -> int:
     write_json(run_dir / "rrr.json", rrr.to_json(), config)
     print(f"ae verdict: {diag.verdict}; meaningful regime: {rrr.meaningful}")
     print(f"outputs written to {run_dir}")
-    if args.expect:
-        wanted = args.expect.strip()
-        if diag.verdict != wanted:
-            print(f"expect {wanted}: FAILED (got {diag.verdict})")
-            return 1
+    if wanted and diag.verdict != wanted:
+        print(f"expect {wanted}: FAILED (got {diag.verdict})")
+        return 1
     return 0
 
 

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .accum import block_sums
 from .admissibility import AdmissibilityReport, check_rrr
 from .operators import Cocycle, SampleSpace, VectorField
-from .transforms import ModulationSeq, TransformTrace, circle_column_sups
+from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
+                         circle_prefix_rows)
 from .weights import Schedule, WeightSeq
 
 __all__ = [
@@ -304,7 +306,9 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
 
 @dataclass
 class AEDiagnosis:
-    verdict: str                 # consistent-with-convergence | inconsistent | indeterminate
+    VERDICTS = ("consistent-with-convergence", "inconsistent", "indeterminate")
+
+    verdict: str                 # one of VERDICTS
     gaps: list
     exponent: float | None
     ladder: list
@@ -364,12 +368,15 @@ def ae_convergence_diag(partials, ladder) -> AEDiagnosis:
 def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
                seed: int, ladder, sample_points: int):
     """Weighted strong-law chain for the orthogonal fields
-    f_k(x) = amplitude(k) e^{2 pi i k x} on the M-point circle grid.
+    f_k(x) = amplitude(k) e^{2 pi i k x} on the M-point circle grid, with
+    real amplitudes.
 
     Returns the trace of ||S_n||_2/W_n, of the weighted series
     sum_{k<=n} f_k/W_k and of its running maximal function, and the series
     at ``sample_points`` seeded grid points, one array per ladder entry
-    reached by n_max.
+    reached by n_max.  The series rows come from the exact circle kernel
+    ``circle_prefix_rows``; since M > n_max the characters are orthonormal on
+    the grid, so both norm columns are exact sums of squares (Parseval).
     """
     k_start = max(G.n0, W.n0)
     if n_max < k_start:
@@ -381,39 +388,44 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
             any(lo >= hi for lo, hi in zip(ladder, ladder[1:])):
         raise ValueError(f"ladder {list(ladder)} must be strictly increasing "
                          f"within [1, {n_max}]")
+    if sum(j >= k_start for j in ladder) < 2:
+        raise ValueError(f"only one ladder entry lies in [{k_start}, {n_max}]; "
+                         "the a.e. diagnosis needs two for a Cauchy gap")
+    if M <= n_max:
+        raise ValueError(f"grid of {M} points must exceed n_max={n_max}, so "
+                         "that the characters stay distinct on it")
+    if not 1 <= sample_points <= M - 1:
+        raise ValueError(f"the number of sample points must lie in "
+                         f"[1, {M - 1}], got {sample_points}")
     space = SampleSpace.circle(M)
-    base = np.exp(2j * np.pi * space.points)    # e^{2 pi i x}; f_k = amp(k) base^k
-    phase = np.ones(M, dtype=complex)
     trace = TransformTrace(space_weights=space.weights, p=2.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     sample_idx = np.sort(rng.choice(np.arange(1, M), size=sample_points,
                                     replace=False))
     step = max(1, n_max // 2048)
     record = sorted(set(range(1, n_max + 1, step)) | set(ladder) | {n_max})
+    cols = [n for n in record if n >= k_start]
 
-    S = np.zeros(M, dtype=complex)
-    series = np.zeros(M, dtype=complex)
-    snapshots = []
-    w_vals = W.prefix(n_max)
-    ri = 0
-    for n in range(1, n_max + 1):
-        phase = phase * base
-        f = phase * amplitude(n)
-        S += f
-        if n >= k_start:
-            series += f / w_vals[n - W.n0]
-        if n in ladder:
-            snapshots.append(series[sample_idx].copy())
-        if ri < len(record) and n == record[ri]:
-            ri += 1
-            if n >= k_start:
-                sw = np.abs(series)
-                trace.record(n,
-                             pointwise=sw,
-                             norm_Sn_over_Wn=np.sqrt(np.mean(np.abs(S)**2))
-                             / w_vals[n - W.n0],
-                             series_partial_norm=np.sqrt(np.mean(sw**2)))
-    return trace, snapshots
+    amp = np.fromiter(map(amplitude, range(1, n_max + 1)), float, n_max)
+    w = W.prefix(n_max)[k_start - W.n0:]         # W_k for k = k_start..n_max
+    coefs = amp[k_start - 1:] / w
+    # ||S_n||_2^2 = sum_{k<=n} amp(k)^2 and ||sum_{k_start<=k<=n} c_k e_k||_2^2
+    # = sum c_k^2, each partial sum the fsum of its block sums
+    amp_blocks = block_sums(amp**2, [0] + cols)
+    coef_blocks = block_sums(coefs**2, [0] + [n - k_start + 1 for n in cols])
+
+    snaps = {n: np.zeros(sample_points, dtype=complex) for n in ladder}
+    for b0, X in circle_prefix_rows(coefs, np.arange(k_start, n_max + 1), M,
+                                    cols, k_start):
+        for i, row in enumerate(X, start=b0):
+            n = cols[i]
+            if n in snaps:
+                snaps[n] = row[sample_idx]
+            trace.record(n, pointwise=np.abs(row),
+                         norm_Sn_over_Wn=math.sqrt(math.fsum(amp_blocks[:i + 1]))
+                         / w[n - k_start],
+                         series_partial_norm=math.sqrt(math.fsum(coef_blocks[:i + 1])))
+    return trace, [snaps[n] for n in ladder]
 
 
 def slln_diagnosis(G: WeightSeq, W: WeightSeq, snapshots, ladder,

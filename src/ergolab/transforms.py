@@ -27,6 +27,7 @@ __all__ = [
     "TransformTrace",
     "weighted_series",
     "modulated_poly",
+    "circle_prefix_rows",
     "circle_column_sups",
     "measure_K",
     "hilbert_partial",
@@ -274,37 +275,31 @@ def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
 _BLOCK_ENTRIES = 1 << 18  # complex grid values per block of prefix rows
 
 
-def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
-                       k_start: int = 1):
-    """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, and the
-    lowest j attaining it, for each m in the nondecreasing ``cols``.
+def _block_rows(M: int, n_cols: int) -> int:
+    return min(n_cols, max(1, _BLOCK_ENTRIES // M))
 
-    On the grid lambda_j = omega^j, omega = e^{2 pi i/M}, every power is
-    exactly omega^{j (n_k mod M)}, so psi_m(omega^.) is one unnormalized
-    inverse DFT of the coefficients a_k scattered at the integer residues
-    n_k mod M.  Columns are handled in blocks of B = max(1, 2^18 // M)
-    running-prefix rows; the last row carries into the next block, so memory
-    stays O(B M + n).
+
+def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
+    """Blocks of running-prefix rows psi_m(omega^j) = sum_{k_start<=k<=m}
+    c_k omega^{j r_k}, j = 0..M-1, omega = e^{2 pi i/M}, for each m in the
+    nondecreasing ``cols``.
+
+    ``coefs`` and ``residues`` hold c_k and the exact int64 residues
+    r_k = n_k mod M for k = k_start..cols[-1], so every row is one
+    unnormalized inverse DFT of the coefficients scattered at their residues
+    and no phase is ever rounded.  Yields (b0, X), X[i] being the row of
+    cols[b0 + i], in blocks of B = max(1, 2^18 // M) rows; the last prefix
+    carries into the next block, so memory stays O(B M + n).  X is one
+    reused buffer, valid until the next block is drawn.
     """
-    if M < 1:
-        raise ValueError(f"grid size must be >= 1, got {M}")
     cols = np.asarray(cols, dtype=np.int64)
-    if cols.size == 0:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
-    if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
-        raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
-    n_ints, coefs = _terms(a, sched, n, k_start)
-    residues = n_ints % M
-    B = min(cols.size, max(1, _BLOCK_ENTRIES // M))
-    sups = np.empty(cols.size)
-    argj = np.empty(cols.size, dtype=np.int64)
+    B = _block_rows(M, cols.size)
     prefix = np.zeros(M, dtype=complex)
     X_buf = np.empty((B, M), dtype=complex)
-    mags_buf = np.empty((B, M))
     lo = k_start
     for b0 in range(0, cols.size, B):
         block = cols[b0:b0 + B]
-        X, mags = X_buf[:block.size], mags_buf[:block.size]
+        X = X_buf[:block.size]
         hi = int(block[-1])
         sl = slice(lo - k_start, hi - k_start + 1)
         rows = np.searchsorted(block, np.arange(lo, hi + 1), side="left")
@@ -320,10 +315,32 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         X[:, hit] = D
         prefix = X[-1].copy()
         np.fft.ifft(X, axis=1, norm="forward", out=X)
-        np.abs(X, out=mags)
-        argj[b0:b0 + B] = mags.argmax(axis=1)
-        sups[b0:b0 + B] = mags.max(axis=1)
+        yield b0, X
         lo = hi + 1
+
+
+def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
+                       k_start: int = 1):
+    """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, and the
+    lowest j attaining it, for each m in the nondecreasing ``cols``; the rows
+    come from ``circle_prefix_rows`` at the residues n_k mod M.
+    """
+    if M < 1:
+        raise ValueError(f"grid size must be >= 1, got {M}")
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.size == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
+        raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
+    n_ints, coefs = _terms(a, sched, n, k_start)
+    sups = np.empty(cols.size)
+    argj = np.empty(cols.size, dtype=np.int64)
+    mags_buf = np.empty((_block_rows(M, cols.size), M))
+    for b0, X in circle_prefix_rows(coefs, n_ints % M, M, cols, k_start):
+        mags = mags_buf[:len(X)]
+        np.abs(X, out=mags)
+        argj[b0:b0 + len(X)] = mags.argmax(axis=1)
+        sups[b0:b0 + len(X)] = mags.max(axis=1)
     return sups, argj
 
 

@@ -1,10 +1,15 @@
 """Command line interface: exit codes, output layout, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
@@ -335,3 +340,63 @@ def test_check_full_sequence_writes_report(tmp_path):
     assert doc["kind"] == "full-W1"
     # (G_n/W_n)^2 = 1/n over every index, whatever the schedule
     assert (doc["verdict"], doc["verdict_source"]) == ("diverges", "symbolic")
+
+
+@pytest.mark.parametrize("expect", ["bogus", "W3=bogus", "W9=converges",
+                                    "admissible,bogus"])
+def test_check_unknown_expectation_exits_2_before_any_check(tmp_path, capsys, expect):
+    assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n",
+                "--ladder", "100,1000", "--expect", expect) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: unknown expectation") and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--expect", "bogus"),
+    ("--sample-points", "0"),
+    ("--sample-points", "5000"),
+    ("--sample-points", "-3"),
+    ("--n-max", "64", "--ladder", "64"),
+    ("--n-max", "100"),
+])
+def test_slln_bad_input_exits_2_without_running(tmp_path, capsys, argv):
+    # the default ladder for n_max = 100 is (64,): one entry, no Cauchy gap
+    base = ("slln", "--example", "EwA", "--n-max", "256", "--grid", "1024")
+    assert _run(tmp_path, *base, *argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+_SLLN_EXPECT = st.sampled_from(["", "consistent-with-convergence", "inconsistent",
+                                "indeterminate", "bogus"])
+_LADDER_TEXT = st.one_of(
+    st.lists(st.integers(-4, 600), min_size=1, max_size=5).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.tuples(st.integers(-4, 64), st.integers(-4, 600)).map(
+        lambda t: f"{t[0]}..{t[1]}"))
+
+
+@settings(max_examples=40, deadline=5000, database=None)
+@given(n_max=st.integers(128, 512) | st.integers(-2, 512),
+       grid=st.integers(-2, 4096), ladder=st.none() | _LADDER_TEXT,
+       sample_points=st.integers(1, 64) | st.integers(-4, 5000),
+       expect=_SLLN_EXPECT, example=st.booleans())
+def test_slln_fuzzed_argv_exits_0_1_or_2(n_max, grid, ladder, sample_points,
+                                         expect, example):
+    argv = ["slln", "--n-max", str(n_max), "--grid", str(grid),
+            "--sample-points", str(sample_points)]
+    argv += ["--example", "EwA"] if example else ["--G", "n", "--W", "n^1.5"]
+    if ladder is not None:
+        argv += ["--ladder", ladder]
+    if expect:
+        argv += ["--expect", expect]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))

@@ -6,9 +6,10 @@ import pytest
 from ergolab import stochastics
 from ergolab.admissibility import series_report
 from ergolab.operators import Cocycle, SampleSpace, Transformation, VectorField
+from ergolab.registry import example_instance
 from ergolab.stochastics import (MCEstimate, RandomModulation,
                                  ae_convergence_diag, canonical_hash,
-                                 random_hilbert, random_sup_stat)
+                                 random_hilbert, random_sup_stat, slln_chain)
 from ergolab.transforms import ModulationSeq
 from ergolab.weights import Schedule, WeightSeq
 
@@ -261,3 +262,70 @@ def test_ae_diag_exponent_fit():
     # gaps 1/n_j - 1/n_{j+1} ~ 1/n: slope near -1 on the dyadic ladder
     assert d.exponent == pytest.approx(-1.0, abs=0.1)
     assert d.verdict == "consistent-with-convergence"
+
+
+# ---------------------------------------------------------------------------
+# weighted strong law on the circle
+
+
+def _slln_recurrence(G, W, amplitude, n_max, M, seed, ladder, sample_points):
+    """The chain as a per-step phase recurrence on the grid: the independent
+    oracle for the blocked inverse FFTs and the Parseval norms."""
+    k_start = max(G.n0, W.n0)
+    base = np.exp(2j * np.pi * np.arange(M) / M)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sample_idx = np.sort(rng.choice(np.arange(1, M), size=sample_points,
+                                    replace=False))
+    w_vals = W.prefix(n_max)
+    phase = np.ones(M, dtype=complex)
+    S = np.zeros(M, dtype=complex)
+    series = np.zeros(M, dtype=complex)
+    running = np.zeros(M)
+    rows, snapshots = [], []
+    for n in range(1, n_max + 1):
+        phase = phase * base
+        f = phase * amplitude(n)
+        S += f
+        if n >= k_start:
+            series += f / w_vals[n - W.n0]
+            np.maximum(running, np.abs(series), out=running)
+            rows.append({"n": n,
+                         "norm_Sn_over_Wn": np.sqrt(np.mean(np.abs(S)**2))
+                         / w_vals[n - W.n0],
+                         "series_partial_norm": np.sqrt(np.mean(np.abs(series)**2)),
+                         "running_max_Lp": np.sqrt(np.mean(running**2))})
+        if n in ladder:
+            snapshots.append(series[sample_idx].copy())
+    return rows, snapshots
+
+
+@pytest.mark.parametrize("case", ["EwA", "G/W"])
+def test_slln_chain_matches_phase_recurrence(case):
+    if case == "EwA":
+        inst = example_instance("EwA", eps=0.5)
+        G, W, amp, ladder = inst.G, inst.W, np.sqrt, (64, 128, 256)
+    else:
+        # G = n^0.5/ln(n) starts at 7, below which the ladder's 4 is zero
+        G = WeightSeq.from_text("n^0.5*ln(n)^-1")
+        W = WeightSeq.from_text("n")
+        amp, ladder = (lambda k: 1.0), (4, 32, 128, 300)
+        assert max(G.n0, W.n0) == 7
+    n_max, M = 300, 2048
+    trace, snaps = slln_chain(G, W, amp, n_max, M, 3, ladder, 16)
+    rows, ref_snaps = _slln_recurrence(G, W, amp, n_max, M, 3, ladder, 16)
+    assert [r["n"] for r in trace.rows] == [r["n"] for r in rows]
+    for col in ("norm_Sn_over_Wn", "series_partial_norm", "running_max_Lp"):
+        np.testing.assert_allclose([r[col] for r in trace.rows],
+                                   [r[col] for r in rows], rtol=1e-12, atol=0)
+    assert len(snaps) == len(ladder)
+    for got, want in zip(snaps, ref_snaps):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    if case == "G/W":
+        assert not np.any(snaps[0])
+
+
+def test_slln_chain_needs_grid_above_n_max():
+    G = W = WeightSeq.from_text("n")
+    for M in (300, 299):
+        with pytest.raises(ValueError, match="must exceed n_max=300"):
+            slln_chain(G, W, lambda k: 1.0, 300, M, 0, (64, 128), 8)
