@@ -253,7 +253,6 @@ class LinearOperator:
         self.transformation = transformation
         self.cocycle = cocycle
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
-        self._pow_cache = None
         self.dunford_schwartz = False
         self.power_bound = None
 
@@ -265,6 +264,7 @@ class LinearOperator:
             if self.matrix is None or self.matrix.ndim != 2 or \
                     self.matrix.shape[0] != self.matrix.shape[1]:
                 raise ValueError("square matrix required")
+            self._pow_cache = [self.matrix]   # T^{2^b} for b = 0, 1, ...
             nrm = operator_norm(self.matrix)
             self.contraction = nrm <= 1.0 + _CONTRACTION_SLACK
             if kind == "markov":
@@ -274,11 +274,8 @@ class LinearOperator:
                 nonneg = np.all(P.real >= -1e-15) and np.abs(P.imag).max(initial=0.0) < 1e-15
                 self.dunford_schwartz = bool(nonneg and rows < 1e-12 and cols < 1e-12)
             if power_bound is not None:
-                A = np.eye(self.matrix.shape[0], dtype=complex)
-                worst = 0.0
-                for _ in range(audit_horizon):
-                    A = A @ self.matrix
-                    worst = max(worst, operator_norm(A))
+                worst = max((operator_norm(A) for A in
+                             self.powers(range(1, audit_horizon + 1))), default=0.0)
                 if worst <= power_bound:
                     self.power_bound = float(power_bound)
                 else:
@@ -289,6 +286,7 @@ class LinearOperator:
         elif kind == "skew":
             if cocycle is None:
                 raise ValueError("skew operator needs a cocycle")
+            self._pow_cache = [(cocycle.fibers, cocycle.base.index_map(1))]
             self.contraction = True  # re-verified numerically by skew_operator
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
@@ -307,70 +305,79 @@ class LinearOperator:
     def markov(cls, P) -> "LinearOperator":
         return cls("markov", matrix=P)
 
-    # -- action --------------------------------------------------------------
+    # -- powers and action ---------------------------------------------------
 
-    def apply(self, f: VectorField) -> VectorField:
+    def power(self, n: int):
+        """T^n: for koopman the exact index map of the n-th iterate; for matrix
+        kinds the matrix; for skew (A, idx) with A[w] = T_w T_{alpha w} ...
+        T_{alpha^{n-1} w} and idx the index map of alpha^n.  All but koopman
+        come from one square-and-multiply over the cached squares T^{2^b}, in
+        ascending b, started at the lowest set bit of n."""
+        n = int(n)
+        if n < 0:
+            raise ValueError("power must be nonnegative")
+        if self.kind == "koopman":
+            return self.transformation.index_map(n)
+        if n == 0:
+            if self.kind == "skew":
+                c = self.cocycle
+                return (np.broadcast_to(np.eye(c.dim, dtype=complex), c.fibers.shape),
+                        c.base.index_map(0))
+            return np.eye(self.matrix.shape[0], dtype=complex)
+        while (1 << len(self._pow_cache)) <= n:
+            last = self._pow_cache[-1]
+            self._pow_cache.append(self._compose(last, last))
+        out = None
+        for bit, square in enumerate(self._pow_cache):
+            if n >> bit & 1:
+                out = square if out is None else self._compose(out, square)
+        return out
+
+    def _compose(self, P, Q):
+        """T^{a+b} from P = T^a and Q = T^b."""
+        if self.kind == "koopman":
+            return P[Q]
+        if self.kind == "skew":
+            (A, i), (B, j) = P, Q
+            return np.einsum("wij,wjk->wik", A, B.take(i, axis=0)), j[i]
+        return P @ Q
+
+    def powers(self, n_ints):
+        """T^{n_k} for the nondecreasing ``n_ints``, each the previous one
+        composed with the power of the gap.  Apply them to the original field
+        with ``act``: stepping the field (v <- T v) instead leaves many
+        cocycle entries denormal, which slows every later product."""
+        P, prev = None, 0
+        for n in n_ints:
+            n = int(n)
+            P = self.power(n) if P is None else self._compose(P, self.power(n - prev))
+            prev = n
+            yield P
+
+    def act(self, P, f: VectorField) -> VectorField:
+        """T^n f for a power P = power(n).  Rows are gathered with ``take``,
+        which is several times faster than fancy indexing on small arrays."""
         if self.kind == "koopman":
             if f.space != self.transformation.space:
                 raise ValueError("field lives on a different space")
-            return VectorField(f.space, f.values[self.transformation.index_map(1)])
+            return VectorField(f.space, f.values.take(P, axis=0))
         if self.kind == "matrix":
             if f.dim != self.matrix.shape[0]:
                 raise ValueError(f"field dimension {f.dim} != operator dimension "
                                  f"{self.matrix.shape[0]}")
-            return VectorField(f.space, f.values @ self.matrix.T)
+            return VectorField(f.space, f.values @ P.T)
         if self.kind == "markov":
             if f.space.kind != "finite" or f.space.size != self.matrix.shape[0]:
                 raise ValueError("markov operator needs a matching finite space")
-            return VectorField(f.space, self.matrix @ f.values)
-        # skew: (Tf)(w) = T_w f(alpha(w))
-        c = self.cocycle
-        if f.space != c.space:
-            raise ValueError("field lives on a different space")
-        pulled = f.values[c.base.index_map(1)]
-        return VectorField(f.space, np.einsum("mij,mj->mi", c.fibers, pulled))
-
-    def _matrix_power(self, n: int) -> np.ndarray:
-        """Cached square-and-multiply; ladder products in fixed ascending order."""
-        d = self.matrix.shape[0]
-        if self._pow_cache is None:
-            self._pow_cache = [self.matrix]
-        while (1 << len(self._pow_cache)) <= n:
-            last = self._pow_cache[-1]
-            self._pow_cache.append(last @ last)
-        out = np.eye(d, dtype=complex)
-        bit = 0
-        while (1 << bit) <= n:
-            if n & (1 << bit):
-                out = out @ self._pow_cache[bit]
-            bit += 1
-        return out
-
-    def matrix_power(self, n: int) -> np.ndarray:
-        if self.kind not in ("matrix", "markov"):
-            raise ValueError("matrix powers only for matrix kinds")
-        if n < 0:
-            raise ValueError("power must be nonnegative")
-        if n == 0:
-            return np.eye(self.matrix.shape[0], dtype=complex)
-        return self._matrix_power(n)
-
-    def apply_power(self, n: int, f: VectorField) -> VectorField:
-        if n < 0:
-            raise ValueError("power must be nonnegative")
-        if n == 0:
-            return f.copy()
-        if self.kind == "koopman":
-            return VectorField(f.space, f.values[self.transformation.index_map(n)])
-        if self.kind in ("matrix", "markov"):
-            P = self.matrix_power(n)
-            if self.kind == "matrix":
-                return VectorField(f.space, f.values @ P.T)
             return VectorField(f.space, P @ f.values)
-        out = f
-        for _ in range(n):
-            out = self.apply(out)
-        return out
+        # skew: (T^n f)(w) = A[w] f(alpha^n w)
+        if f.space != self.cocycle.space:
+            raise ValueError("field lives on a different space")
+        A, idx = P
+        return VectorField(f.space, np.einsum("mij,mj->mi", A, f.values.take(idx, axis=0)))
+
+    def apply(self, f: VectorField) -> VectorField:
+        return self.act(self.power(1), f)
 
 
 # ---------------------------------------------------------------------------
@@ -420,44 +427,59 @@ def skew_operator(C: Cocycle, audit_fields: int = 10, audit_seed: int = 7) -> Li
 # JSON loading
 
 
+MAX_SPACE_ATOMS = 1 << 20  # atoms or grid points of a sample space read from JSON
+
+
 def operator_from_json(desc: dict) -> LinearOperator:
-    """Load {kind, theta|matrix|pi|fibers, space:{kind,m|M}, seed}."""
-    kind = desc["kind"]
+    """Load {kind, theta|matrix|pi|fibers, space:{kind,m|M}, seed}.
+
+    A malformed description raises ValueError.  Koopman and skew operators
+    need a space of at most MAX_SPACE_ATOMS atoms or grid points."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind in ("matrix", "markov"):
+        A = _complex_matrix(desc.get("matrix"))
+        return LinearOperator.from_matrix(A) if kind == "matrix" else LinearOperator.markov(A)
+    if kind not in ("koopman", "skew"):
+        raise ValueError("an operator description must be a JSON object whose kind "
+                         f"is matrix, markov, koopman or skew, got {desc!r:.80}")
     sp = desc.get("space")
-    space = None
-    if sp is not None:
-        if sp["kind"] == "circle":
-            space = SampleSpace.circle(sp["M"])
-        else:
-            space = SampleSpace.finite(sp["m"])
-    if kind == "matrix":
-        return LinearOperator.from_matrix(_complex_matrix(desc["matrix"]))
-    if kind == "markov":
-        return LinearOperator.markov(_complex_matrix(desc["matrix"]))
+    if not isinstance(sp, dict) or sp.get("kind") not in ("circle", "finite"):
+        raise ValueError(f'{kind} operators need a space {{"kind": "circle", "M": ...}} '
+                         'or {"kind": "finite", "m": ...}')
+    size = sp.get("M" if sp["kind"] == "circle" else "m")
+    if type(size) is not int or not 1 <= size <= MAX_SPACE_ATOMS:
+        raise ValueError(f"space size must be an integer in [1, {MAX_SPACE_ATOMS}], "
+                         f"got {size!r}")
+    space = SampleSpace(sp["kind"], size)
+    if "pi" in desc:
+        if not isinstance(desc["pi"], list) or not all(type(v) is int for v in desc["pi"]):
+            raise ValueError("pi must be a list of atom indices")
+        tr = Transformation.permutation(space, desc["pi"])
+    elif kind == "skew":
+        if type(desc.get("shift")) is not int:
+            raise ValueError("a skew rotation base needs an integer shift")
+        tr = Transformation.rotation(space, desc["shift"])
+    elif desc.get("map") == "doubling":
+        tr = Transformation.doubling(space)
+    else:
+        theta = desc.get("theta")
+        if not isinstance(theta, (int, float)) or not math.isfinite(theta):
+            raise ValueError(f"theta must be a finite number, got {theta!r}")
+        shift = round(theta * space.size)
+        if not math.isclose(shift / space.size, theta, rel_tol=0, abs_tol=1e-12):
+            raise ValueError("grid koopman rotations need theta = j/M")
+        tr = Transformation.rotation(space, shift)
     if kind == "koopman":
-        if "pi" in desc:
-            tr = Transformation.permutation(space, desc["pi"])
-        elif desc.get("map") == "doubling":
-            tr = Transformation.doubling(space)
-        else:
-            theta = desc["theta"]
-            shift = round(theta * space.size)
-            if not math.isclose(shift / space.size, theta, rel_tol=0, abs_tol=1e-12):
-                raise ValueError("grid koopman rotations need theta = j/M")
-            tr = Transformation.rotation(space, shift)
         return LinearOperator.koopman(tr)
-    if kind == "skew":
-        if "pi" in desc:
-            base = Transformation.permutation(space, desc["pi"])
-        else:
-            base = Transformation.rotation(space, desc["shift"])
-        fibers = np.asarray([_complex_matrix(f) for f in desc["fibers"]])
-        return skew_operator(Cocycle(base, fibers))
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if not isinstance(desc.get("fibers"), list):
+        raise ValueError("fibers must be a list of matrices")
+    return skew_operator(Cocycle(tr, np.asarray([_complex_matrix(f) for f in desc["fibers"]])))
 
 
 def _complex_matrix(entries) -> np.ndarray:
     arr = np.asarray(entries)
+    if arr.dtype.kind not in "iufc":
+        raise ValueError("matrix entries must be numbers")
     if arr.ndim == 3 and arr.shape[-1] == 2:  # [[ [re, im], ... ]]
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .accum import block_sums
 from .admissibility import AdmissibilityReport, check_rrr
-from .operators import Cocycle, SampleSpace, VectorField
+from .operators import Cocycle, SampleSpace, VectorField, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
                          circle_prefix_rows)
 from .weights import Schedule, WeightSeq
@@ -200,30 +200,6 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
 # random one-sided ergodic Hilbert transforms over a cocycle
 
 
-def _cocycle_coefficients(C: Cocycle, h_values, g, n_vals) -> np.ndarray:
-    """V[k, w] = h(alpha^{n_k} w) * (T_w ... T_{alpha^{n_k - 1} w}) g, for all
-    base points w at once (shared across Monte Carlo samples)."""
-    M = C.space.size
-    d = C.dim
-    g = np.asarray(g, dtype=complex)
-    step = C.base.index_map(1)
-    V = np.empty((len(n_vals), M, d), dtype=complex)
-    # prods[w] = product of the first m fibers along the orbit of w
-    prods = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
-    idx = np.arange(M)         # alpha^m applied to each w
-    m = 0
-    for ki, target in enumerate(n_vals.tolist()):
-        while m < target:
-            prods = np.einsum("wij,wjk->wik", prods, C.fibers[idx])
-            idx = step[idx]
-            m += 1
-        vec = prods @ g
-        if h_values is not None:
-            vec = vec * h_values[idx][:, None]
-        V[ki] = vec
-    return V
-
-
 def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
                    W: WeightSeq, n_ladder, samples: int,
                    regime_reports=None, no_regime_check: bool = False,
@@ -244,14 +220,20 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     if ladder[0] < k_start:
         raise ValueError(f"ladder starts below the weight start index {k_start}")
 
-    h_values = None
+    h_values = 1.0
     if h is not None:
         if h.space != C.space or h.dim != 1:
             raise ValueError("h must be a scalar field on the cocycle's space")
-        h_values = h.values[:, 0]
+        h_values = h.values
+    f = VectorField(C.space, np.broadcast_to(h_values * np.asarray(g, dtype=complex),
+                                             (C.space.size, C.dim)))
     n_vals = sched.values(kmax)
-    V = _cocycle_coefficients(C, h_values, g, n_vals)
-    terms = V[k_start - 1:]
+    # V[k - k_start, w] = (T^{n_k} f)(w) = T_w ... T_{alpha^{n_k - 1} w} g h(alpha^{n_k} w)
+    # for the skew operator T of C, shared across Monte Carlo samples
+    T = skew_operator(C)
+    V = np.empty((kmax - k_start + 1, C.space.size, C.dim), dtype=complex)
+    for i, P in enumerate(T.powers(n_vals[k_start - 1:])):
+        V[i] = T.act(P, f).values
     w = W.prefix(kmax)[k_start - W.n0:]
     mu = C.space.weights
     rows = np.unique(ladder) - k_start
@@ -274,7 +256,7 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
         snaps = []
         for lo in range(0, coeff.size, B):
             # row i: S_k = sum_{k_start <= j <= k} coeff_j V_j at k = k_start + lo + i
-            blk = coeff[lo:lo + B, None, None] * terms[lo:lo + B]
+            blk = coeff[lo:lo + B, None, None] * V[lo:lo + B]
             blk[0] += S
             np.cumsum(blk, axis=0, out=blk)
             S = blk[-1]

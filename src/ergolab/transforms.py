@@ -433,15 +433,8 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
     n_ints, coeffs = _terms(a, sched, n, k_start)
     coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
 
-    prev_nk = 0
-    g = f
-    for i, (k, n_k) in enumerate(zip(range(k_start, n + 1), n_ints.tolist())):
-        if T.kind in ("koopman", "matrix", "markov"):
-            g = T.apply_power(n_k, f)
-        else:
-            g = T.apply_power(n_k - prev_nk, g)
-        prev_nk = n_k
-        out = out + g * coeffs[i]
+    for i, (k, P) in enumerate(zip(range(k_start, n + 1), T.powers(n_ints))):
+        out = out + T.act(P, f) * coeffs[i]
         if trace is not None:
             norms = out.pointwise_norms()
             trace.record(k, pointwise=norms, series_partial_norm=out.norm(trace.p))
@@ -552,8 +545,8 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
         fnorm = f.norm(p)
         partial = VectorField.zero(f.space, f.dim)
         li = 0
-        for i, (k, n_k) in enumerate(zip(range(k_start, n_max + 1), n_ints.tolist())):
-            partial = partial + T.apply_power(n_k, f) * coefs[i]
+        for i, (k, P) in enumerate(zip(range(k_start, n_max + 1), T.powers(n_ints))):
+            partial = partial + T.act(P, f) * coefs[i]
             if li < len(ladder) and k == ladder[li]:
                 bound = interpolation_bound(k, a.sup_bound, K,
                                             float(g_vals[i]), p) * fnorm
@@ -626,8 +619,7 @@ def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
     Sw = np.zeros((d, d), dtype=complex)         # weighted sum a_k A^{n_k}/W_k
     snapshots = {}
     li = 0
-    for i, (k, n_k) in enumerate(zip(range(k_start, ladder[-1] + 1), n_ints.tolist())):
-        P = A.matrix_power(n_k)
+    for i, (k, P) in enumerate(zip(range(k_start, ladder[-1] + 1), A.powers(n_ints))):
         S = S + coefs[i] * P
         Sw = Sw + (coefs[i] / w[i]) * P
         if li < len(ladder) and k == ladder[li]:

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
@@ -267,6 +267,36 @@ def test_hilbert_trace_with_skew_operator(tmp_path):
     assert all(v > 0.0 for v in norms)
 
 
+@pytest.mark.parametrize("argv", [("--n-max", "12", "--schedule", "superexp"),
+                                  ("--n-max", "256", "--schedule", "power:3")])
+def test_hilbert_skew_operator_on_fast_schedules(tmp_path, argv):
+    # n_k reaches 12^12 and 256^3 + 1: T^{n_k} must not be an n_k-step loop
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    op = tmp_path / "skew.json"
+    op.write_text(json.dumps({"kind": "skew", "space": {"kind": "finite", "m": 2},
+                              "pi": [1, 0], "fibers": [eye, eye]}))
+    assert main(["hilbert", *argv, "--operator", str(op),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "koopman", "theta": 0.25},
+    {"kind": "skew", "pi": [1, 0], "fibers": [[[1.0]], [[1.0]]]},
+    [{"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 8}}],
+    {"kind": "koopman", "theta": "0.25", "space": {"kind": "circle", "M": 8}},
+    {"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 10**12}},
+], ids=["koopman-no-space", "skew-no-space", "top-level-list", "string-theta",
+        "huge-space"])
+def test_hilbert_malformed_operator_json_exits_2(tmp_path, capsys, desc):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(desc))
+    assert main(["hilbert", "--n-max", "4", "--operator", str(op),
+                 "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_hilbert_trace_with_matrix_operator(tmp_path):
     op = tmp_path / "matrix.json"
     op.write_text(json.dumps({"kind": "matrix", "matrix": [[0.5, 0], [0, 0.5]]}))
@@ -396,6 +426,51 @@ def test_slln_fuzzed_argv_exits_0_1_or_2(n_max, grid, ladder, sample_points,
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv + ["--out", tmp])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+_OPERATORS = {
+    "koopman": {"kind": "koopman", "theta": 0.1875, "space": {"kind": "circle", "M": 64}},
+    "doubling": {"kind": "koopman", "map": "doubling", "space": {"kind": "circle", "M": 64}},
+    "matrix": {"kind": "matrix", "matrix": [[0.5, 0.3], [-0.2, 0.6]]},
+    "markov": {"kind": "markov", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                                            [0.5, 0.0, 0.5]]},
+    "skew": {"kind": "skew", "space": {"kind": "finite", "m": 3}, "pi": [1, 2, 0],
+             "fibers": [[[0.6, 0.1], [0.0, 0.7]], [[0.0, 0.9], [0.4, 0.0]],
+                        [[0.5, 0.0], [0.2, 0.5]]]},
+}
+_SCHEDULE_TEXT = st.one_of(
+    st.sampled_from(["identity", "superexp", "power:3", "bogus"]),
+    st.floats(0.5, 4.0).map(lambda r: f"power:{r}"),
+    st.integers(-1, 4).map(lambda r: f"monomial:{r}"),
+    st.floats(0.5, 3.0).map(lambda q: f"geometric:{q}"),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=70, unique=True).map(sorted)
+    .map(lambda xs: "explicit:" + ",".join(map(str, xs))),
+    st.lists(st.integers(-2, 10**6), min_size=1, max_size=8).map(
+        lambda xs: "explicit:" + ",".join(map(str, xs))))
+
+
+@settings(max_examples=40, deadline=5000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_max=st.integers(-2, 64), schedule=st.none() | _SCHEDULE_TEXT,
+       lam=st.none() | st.floats(-2.0, 2.0),
+       operator=st.none() | st.sampled_from(sorted(_OPERATORS)))
+def test_hilbert_fuzzed_argv_exits_0_1_or_2(tmp_path, n_max, schedule, lam, operator):
+    argv = ["hilbert", "--n-max", str(n_max)]
+    if schedule is not None:
+        argv += ["--schedule", schedule]
+    if lam is not None:
+        argv.append(f"--lam={lam!r}")
+    if operator is not None:
+        path = tmp_path / f"{operator}.json"
+        path.write_text(json.dumps(_OPERATORS[operator]))
+        argv += ["--operator", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", str(tmp_path / "out")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if rc == 2:

@@ -71,7 +71,7 @@ def test_rotation_koopman_shifts_characters_exactly():
     space = SampleSpace.circle(64)
     T = LinearOperator.koopman(Transformation.rotation(space, 5))
     f = character_field(space, 2)
-    g = T.apply_power(7, f)
+    g = T.act(T.power(7), f)
     # f(x + 35/64) = e^{2 pi i 2 (x + 35/64)}
     phase = np.exp(2j * np.pi * 2 * 35 / 64)
     assert np.allclose(g.values, f.values * phase, atol=1e-13)
@@ -81,7 +81,7 @@ def test_koopman_power_uses_exact_index_arithmetic():
     space = SampleSpace.circle(64)
     T = LinearOperator.koopman(Transformation.rotation(space, 3))
     f = random_field(space, 1, seed=0)
-    big = T.apply_power(10**18 + 7, f)
+    big = T.act(T.power(10**18 + 7), f)
     shift = (3 * (10**18 + 7)) % 64
     assert np.array_equal(big.values, np.roll(f.values, -shift, axis=0))
 
@@ -116,7 +116,7 @@ def test_matrix_power_matches_numpy():
     A = rng.standard_normal((4, 4)) * 0.4
     op = LinearOperator.from_matrix(A)
     for n in (0, 1, 2, 7, 33):
-        assert np.allclose(op.matrix_power(n), np.linalg.matrix_power(A, n),
+        assert np.allclose(op.power(n), np.linalg.matrix_power(A, n),
                            atol=1e-10)
 
 
@@ -168,6 +168,73 @@ def test_skew_operator_contraction_audit():
     op = skew_operator(C)
     f = random_field(C.space, 2, seed=1)
     assert op.apply(f).norm(2) <= f.norm(2) * (1 + 1e-12)
+
+
+def _orthogonal_cycle_cocycle(m=3, d=3, seed=4):
+    # norm-1 fibers that do not commute, over an m-cycle: powers stay O(1)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fibers = [np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(m)]
+    base = Transformation.permutation(SampleSpace.finite(m), np.roll(np.arange(m), -1))
+    return Cocycle(base, np.stack(fibers))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 33])
+def test_skew_power_matches_repeated_apply(n):
+    op = skew_operator(_orthogonal_cycle_cocycle())
+    f = random_field(op.cocycle.space, 3, seed=2)
+    stepped = f
+    for _ in range(n):
+        stepped = op.apply(stepped)
+    got = op.act(op.power(n), f)
+    assert np.abs(got.values - stepped.values).max() <= 1e-12 * np.abs(stepped.values).max()
+
+
+def test_skew_power_of_huge_n_has_closed_form():
+    # constant permutation-matrix fiber R of order 3 over a 5-cycle: T^n has
+    # fiber product R^n = R^(n mod 3) and base map alpha^(n mod 5), exactly
+    m, n = 5, 10**18 + 7
+    R = np.roll(np.eye(3), 1, axis=0)
+    base = Transformation.permutation(SampleSpace.finite(m), np.roll(np.arange(m), -1))
+    op = skew_operator(Cocycle.constant(base, R))
+    A, idx = op.power(n)
+    assert np.array_equal(A, np.broadcast_to(np.linalg.matrix_power(R, n % 3), (m, 3, 3)))
+    assert idx.tolist() == [(w + n) % m for w in range(m)]
+
+
+def _operators_of_every_kind():
+    rng = np.random.Generator(np.random.Philox(key=8))
+    A0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    P = sum(np.eye(5)[rng.permutation(5)] for _ in range(5)) / 5
+    # fibers with entries 0 and +-1 that do not commute: products are exact
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = np.diag([1.0, -1.0])
+    base = Transformation.permutation(SampleSpace.finite(3), [2, 0, 1])
+    return {
+        "koopman": LinearOperator.koopman(
+            Transformation.permutation(SampleSpace.finite(7), [3, 6, 0, 5, 1, 2, 4])),
+        "matrix": LinearOperator.from_matrix(A0 / operator_norm(A0)),
+        "markov": LinearOperator.markov(P),
+        "skew": skew_operator(Cocycle(base, np.stack([rot, swap, flip]))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["koopman", "matrix", "markov", "skew"])
+def test_stepped_powers_match_direct_powers(kind):
+    op = _operators_of_every_kind()[kind]
+    # repeats (gap 0), unit gaps and gaps of many bits
+    n_ints = [0, 0, 1, 5, 5, 6, 40, 41, 300, 2000, 2000, 10**4 + 3]
+    stepped = list(op.powers(np.asarray(n_ints, dtype=np.int64)))
+    assert len(stepped) == len(n_ints)
+    for n, P in zip(n_ints, stepped):
+        Q = op.power(n)
+        if kind == "koopman":
+            assert np.array_equal(P, Q)
+        elif kind == "skew":
+            assert np.array_equal(P[1], Q[1])
+            assert np.abs(P[0] - Q[0]).max() <= 1e-12
+        else:
+            assert np.abs(P - Q).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

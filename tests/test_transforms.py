@@ -362,6 +362,48 @@ def test_opnorm_tail_is_the_fsum_of_the_terms_from_j(monkeypatch):
         assert tail(j) == pytest.approx(exact, rel=1e-15)
 
 
+def test_opnorm_snapshots_match_direct_matrix_powers(monkeypatch):
+    # the drift bound for stepped powers A^{n_k} = A^{n_{k-1}} A^{n_k - n_{k-1}}:
+    # the snapshots S_n = sum a_k A^{n_k} and S_n/W differences whose norms the
+    # report takes match sums of np.linalg.matrix_power within 1e-12
+    from ergolab import transforms
+    from ergolab.operators import operator_norm
+    seen = []
+
+    def recording_norm(M):
+        seen.append(np.array(M))
+        return operator_norm(M)
+
+    monkeypatch.setattr(transforms, "operator_norm", recording_norm)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    # a unitary A: its powers do not decay, so the drift is not hidden
+    A0 = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    inst = example_instance("E5")
+    ladder = (32, 64, 128, 256)
+    sched = Schedule.power(1.5)           # gaps of one and of several bits
+    a = ModulationSeq.constant(1.0).compose(ModulationSeq.rotation(np.exp(0.7j)))
+    opnorm_series(a, [LinearOperator.from_matrix(A0)], sched, inst.W, ladder,
+                  K=1.0, G=inst.G, tail_N=10**4)
+    k_start = max(inst.W.n0, inst.G.n0)
+    n_ints = sched.values(ladder[-1])
+    ks = np.arange(1, ladder[-1] + 1)
+    coefs = a.values(ks, n_ints.astype(float))
+    w = inst.W.prefix(ladder[-1])
+    S, Sw, direct, direct_w = 0, 0, [], {}
+    for k in range(k_start, ladder[-1] + 1):
+        P = np.linalg.matrix_power(A0, int(n_ints[k - 1]))
+        S = S + coefs[k - 1] * P
+        Sw = Sw + coefs[k - 1] / w[k - inst.W.n0] * P
+        if k in ladder:
+            direct.append(S)
+            direct_w[k] = Sw
+    direct += [direct_w[n] - direct_w[j] for i, j in enumerate(ladder)
+               for n in ladder[i + 1:]]
+    assert len(seen) == len(direct)
+    for got, want in zip(seen, direct):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # sigma machinery
 
