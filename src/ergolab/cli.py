@@ -260,13 +260,10 @@ def cmd_hilbert(args) -> int:
     config = {"command": "hilbert", "check": args.check, "p": args.p,
               "seed": args.seed, "n_max": args.n_max, "G": args.G,
               "W": args.W, "schedule": args.schedule, "lam": args.lam,
-              "ladder": args.ladder, "operator": args.operator,
-              "allow_coarse": args.allow_coarse}
+              "ladder": args.ladder, "operator": args.operator}
 
     if args.check:
-        kwargs = {"allow_coarse": args.allow_coarse}
-        if args.ladder:
-            kwargs["ladder"] = parse_ladder(args.ladder)
+        kwargs = {"ladder": parse_ladder(args.ladder)} if args.ladder else {}
         if args.check == "t41":
             doc, passed = check_t41(**kwargs)
             for name, rep in doc["instances"].items():
@@ -348,19 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for admissible weights, weighted "
                     "ergodic averages and one-sided ergodic Hilbert transforms")
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def add_common(sp, seed: bool = True, expect: bool = False):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="ergolab-out")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--ladder", default=None)
-        sp.add_argument("--expect", default=None)
-        sp.add_argument("--no-regime-check", action="store_true")
-        sp.add_argument("--allow-coarse", action="store_true")
+        if expect:
+            sp.add_argument("--expect", default=None)
 
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="admissibility and series checks")
-    add_common(sp)
+    add_common(sp, seed=False, expect=True)
     sp.add_argument("--example", choices=EXAMPLE_IDS)
     sp.add_argument("--G")
     sp.add_argument("--W")
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("slln", help="weighted strong-law pipelines")
-    add_common(sp)
+    add_common(sp, expect=True)
     sp.add_argument("--example", choices=("EwA",))
     sp.add_argument("--G")
     sp.add_argument("--W")
@@ -401,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("random", help="Monte Carlo experiments")
     add_common(sp)
+    sp.add_argument("--no-regime-check", action="store_true")
     sp.add_argument("--stat", choices=("sup", "hilbert"), default="sup")
     sp.add_argument("--law", choices=("rademacher", "gaussian",
                                       "complex-gaussian", "zero"),

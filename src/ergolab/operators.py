@@ -207,31 +207,14 @@ def random_field(space: SampleSpace, d: int, seed: int) -> VectorField:
 # spectral norm
 
 
-def operator_norm(A, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Spectral norm via power iteration on A^H A, deterministic start."""
+def operator_norm(A):
+    """Spectral norm, the largest singular value: a float for one matrix, an
+    array of norms for a stack (..., d, d)."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
+    if A.ndim < 2:
         raise ValueError("matrix expected")
-    B = A.conj().T @ A
-    d = B.shape[0]
-    if not np.any(B):
-        return 0.0
-    # deterministic, generically non-orthogonal start vector
-    v = 1.0 + np.arange(d) / (2.0 * d) + 0.1j * np.cos(np.arange(d))
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(np.real(np.vdot(v, B @ v)))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    nrm = np.linalg.norm(A, 2, axis=(-2, -1))
+    return float(nrm) if A.ndim == 2 else nrm
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +224,18 @@ def operator_norm(A, tol: float = 1e-10, max_iter: int = 5000) -> float:
 class LinearOperator:
     """koopman / matrix / markov / skew operator with audited flags.
 
-    Flags are finite audits, not proofs: ``contraction`` means spectral norm
-    <= 1 + 1e-12 for matrix kinds and is analytic for koopman operators of
-    measure-preserving maps; ``power_bound`` is checked over a finite horizon.
+    ``contraction`` means spectral norm <= 1 + 1e-12 for matrix kinds, is
+    analytic for koopman operators of measure-preserving maps and follows
+    from the fiber norms for skew operators.
     """
 
     def __init__(self, kind: str, *, matrix=None, transformation: Transformation | None = None,
-                 cocycle: "Cocycle | None" = None, power_bound: float | None = None,
-                 audit_horizon: int = 64):
+                 cocycle: "Cocycle | None" = None):
         self.kind = kind
         self.transformation = transformation
         self.cocycle = cocycle
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
         self.dunford_schwartz = False
-        self.power_bound = None
 
         if kind == "koopman":
             if transformation is None:
@@ -265,24 +246,13 @@ class LinearOperator:
                     self.matrix.shape[0] != self.matrix.shape[1]:
                 raise ValueError("square matrix required")
             self._pow_cache = [self.matrix]   # T^{2^b} for b = 0, 1, ...
-            nrm = operator_norm(self.matrix)
-            self.contraction = nrm <= 1.0 + _CONTRACTION_SLACK
+            self.contraction = operator_norm(self.matrix) <= 1.0 + _CONTRACTION_SLACK
             if kind == "markov":
                 P = self.matrix
                 rows = np.abs(P.sum(axis=1) - 1.0).max()
                 cols = np.abs(P.sum(axis=0) - 1.0).max()
                 nonneg = np.all(P.real >= -1e-15) and np.abs(P.imag).max(initial=0.0) < 1e-15
                 self.dunford_schwartz = bool(nonneg and rows < 1e-12 and cols < 1e-12)
-            if power_bound is not None:
-                worst = max((operator_norm(A) for A in
-                             self.powers(range(1, audit_horizon + 1))), default=0.0)
-                if worst <= power_bound:
-                    self.power_bound = float(power_bound)
-                else:
-                    raise ValueError(
-                        f"power-bound audit failed: max norm {worst} > {power_bound}")
-            elif self.contraction:
-                self.power_bound = 1.0
         elif kind == "skew":
             if cocycle is None:
                 raise ValueError("skew operator needs a cocycle")
@@ -298,8 +268,8 @@ class LinearOperator:
         return cls("koopman", transformation=transformation)
 
     @classmethod
-    def from_matrix(cls, A, power_bound: float | None = None) -> "LinearOperator":
-        return cls("matrix", matrix=A, power_bound=power_bound)
+    def from_matrix(cls, A) -> "LinearOperator":
+        return cls("matrix", matrix=A)
 
     @classmethod
     def markov(cls, P) -> "LinearOperator":
@@ -397,9 +367,10 @@ class Cocycle:
         if fibers.ndim != 3 or fibers.shape[0] != self.space.size or \
                 fibers.shape[1] != fibers.shape[2]:
             raise ValueError("fibers must be (space.size, d, d)")
-        for i in range(fibers.shape[0]):
-            if operator_norm(fibers[i]) > 1.0 + _CONTRACTION_SLACK:
-                raise ValueError(f"fiber {i} is not a contraction")
+        # a NaN norm fails the comparison, so it is refused too
+        bad = np.flatnonzero(~(operator_norm(fibers) <= 1.0 + _CONTRACTION_SLACK))
+        if len(bad):
+            raise ValueError(f"fiber {bad[0]} is not a contraction")
         self.fibers = fibers
 
     @property
@@ -412,12 +383,16 @@ class Cocycle:
         return cls(base, np.broadcast_to(T, (base.space.size,) + T.shape).copy())
 
 
-def skew_operator(C: Cocycle, audit_fields: int = 10, audit_seed: int = 7) -> LinearOperator:
+_AUDIT_FIELDS = 10  # seeded random fields of the skew contraction audit
+_AUDIT_SEED = 7
+
+
+def skew_operator(C: Cocycle) -> LinearOperator:
     """The operator (Tf)(w) = T_w f(alpha(w)); contraction re-verified on
     random fields before the flag is trusted."""
     op = LinearOperator("skew", cocycle=C)
-    for i in range(audit_fields):
-        f = random_field(C.space, C.dim, seed=audit_seed + i)
+    for i in range(_AUDIT_FIELDS):
+        f = random_field(C.space, C.dim, seed=_AUDIT_SEED + i)
         if op.apply(f).norm(2) > f.norm(2) * (1.0 + 1e-10):
             raise ArithmeticError("skew operator failed its contraction audit")
     return op
@@ -437,7 +412,7 @@ def operator_from_json(desc: dict) -> LinearOperator:
     need a space of at most MAX_SPACE_ATOMS atoms or grid points."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
     if kind in ("matrix", "markov"):
-        A = _complex_matrix(desc.get("matrix"))
+        A = _complex_array(desc.get("matrix"), 2)
         return LinearOperator.from_matrix(A) if kind == "matrix" else LinearOperator.markov(A)
     if kind not in ("koopman", "skew"):
         raise ValueError("an operator description must be a JSON object whose kind "
@@ -473,13 +448,17 @@ def operator_from_json(desc: dict) -> LinearOperator:
         return LinearOperator.koopman(tr)
     if not isinstance(desc.get("fibers"), list):
         raise ValueError("fibers must be a list of matrices")
-    return skew_operator(Cocycle(tr, np.asarray([_complex_matrix(f) for f in desc["fibers"]])))
+    return skew_operator(Cocycle(tr, _complex_array(desc["fibers"], 3)))
 
 
-def _complex_matrix(entries) -> np.ndarray:
+def _complex_array(entries, ndim: int) -> np.ndarray:
+    """Finite numbers as a complex array of ``ndim`` axes; one more last axis
+    of length 2 holds [re, im] pairs."""
     arr = np.asarray(entries)
     if arr.dtype.kind not in "iufc":
         raise ValueError("matrix entries must be numbers")
-    if arr.ndim == 3 and arr.shape[-1] == 2:  # [[ [re, im], ... ]]
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)

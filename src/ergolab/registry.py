@@ -263,7 +263,7 @@ def _random_contraction(d: int, seed: int) -> np.ndarray:
     return R / operator_norm(R)
 
 
-def check_t41(ladder=(32, 64, 128, 256, 512), allow_coarse: bool = False):
+def check_t41(ladder=(32, 64, 128, 256, 512)):
     """Twisted bound (T41) on three fixed instances at r = 0.5, 1, 2.
 
     Returns the t41 document and whether every ratio is <= 1 + 1e-6."""
@@ -277,7 +277,7 @@ def check_t41(ladder=(32, 64, 128, 256, 512), allow_coarse: bool = False):
     results = {}
     worst = 0.0
     for name, a, sched in instances:
-        K = measure_K(a, sched, G, max(ladder), allow_coarse=allow_coarse).K
+        K = measure_K(a, sched, G, max(ladder)).K
         rep = twisted_bound_check(a, sched, G, K, rs=(0.5, 1.0, 2.0),
                                   n_ladder=ladder, n_lambda=256)
         results[name] = rep.to_json()
@@ -286,8 +286,7 @@ def check_t41(ladder=(32, 64, 128, 256, 512), allow_coarse: bool = False):
     return {"instances": results, "max_ratio": worst}, worst <= 1.0 + 1e-6
 
 
-def check_t44(p: float, seed: int, ladder=(16, 32, 64, 128, 256),
-              allow_coarse: bool = False):
+def check_t44(p: float, seed: int, ladder=(16, 32, 64, 128, 256)):
     """Interpolation bound (T44) for a seeded doubly stochastic 8 x 8 Markov
     operator on 20 seeded random fields.
 
@@ -300,14 +299,13 @@ def check_t44(p: float, seed: int, ladder=(16, 32, 64, 128, 256),
     a = ModulationSeq.constant(1.0)
     sched = Schedule.identity()
     G = WeightSeq.from_text("n", n0=1)
-    K = measure_K(a, sched, G, max(ladder), allow_coarse=allow_coarse).K
+    K = measure_K(a, sched, G, max(ladder)).K
     fields = [random_field(space, 1, seed=seed + 1 + i) for i in range(20)]
     rep = interpolation_bound_check(a, T, sched, G, K, p, fields, ladder)
     return {"report": rep.to_json(), "K": K, "p": p}, rep.max_ratio <= 1.0 + 1e-8
 
 
-def check_t8(seed: int, ladder=tuple(2**j for j in range(5, 13)),
-             allow_coarse: bool = False):
+def check_t8(seed: int, ladder=tuple(2**j for j in range(5, 13))):
     """Operator-norm Cauchy gaps (T8) of the E5 transform for five seeded
     random 6 x 6 contractions.
 
@@ -316,7 +314,7 @@ def check_t8(seed: int, ladder=tuple(2**j for j in range(5, 13)),
     inst = example_instance("E5")
     sched = Schedule.identity()
     a = ModulationSeq.constant(1.0)
-    K = measure_K(a, sched, inst.G, max(ladder), allow_coarse=allow_coarse).K
+    K = measure_K(a, sched, inst.G, max(ladder)).K
     ops = [LinearOperator.from_matrix(_random_contraction(6, seed + i))
            for i in range(5)]
     results = [{"gaps": rep.gaps, "all_pairs_ok": rep.all_pairs_ok,

@@ -412,9 +412,9 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
 # one-sided ergodic Hilbert transforms
 
 
-def _require_bounded(T: LinearOperator):
-    if not (T.contraction or T.power_bound is not None):
-        raise ValueError("operator must carry a contraction or power-bounded flag")
+def _require_contraction(T: LinearOperator):
+    if not T.contraction:
+        raise ValueError("operator must be a contraction")
 
 
 def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
@@ -422,7 +422,7 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
                     trace: TransformTrace | None = None,
                     k_start: int | None = None) -> VectorField:
     """sum_{k<=n} a_k T^{n_k} f / W_k."""
-    _require_bounded(T)
+    _require_contraction(T)
     if k_start is None:
         k_start = W.n0
     if n < k_start:
@@ -450,6 +450,8 @@ def hilbert_trace(W: WeightSeq, sched: Schedule, n: int, seed: int,
     ``operator`` is a JSON operator description (see operator_from_json); by
     default T is the Koopman operator of x -> x + 1/1024 on a 1024-point grid.
     """
+    if lam is not None and not math.isfinite(lam):
+        raise ValueError(f"lam must be a finite number, got {lam!r}")
     if operator is not None:
         T = operator_from_json(operator)
         if T.kind == "koopman":
@@ -584,7 +586,7 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     for A in ops:
         if A.kind not in ("matrix", "markov"):
             raise ValueError("operator-norm series needs a matrix operator")
-        _require_bounded(A)
+        _require_contraction(A)
     if k_start is None:
         k_start = max(W.n0, G.n0)
     ladder = sorted(n_ladder)

@@ -228,6 +228,19 @@ def test_slln_zero_field(tmp_path):
     assert ae["gaps"] and set(ae["gaps"]) == {0.0}
 
 
+def _near_tie_matrix_json():
+    # Q diag(1 + 1e-6, 1 - 1e-5, 0.5, 0.2) U^H: norm 1 + 1e-6, not a contraction
+    rng = np.random.Generator(np.random.Philox(key=3))
+    Q, U = (np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            for _ in range(2))
+    A = Q @ np.diag([1 + 1e-6, 1 - 1e-5, 0.5, 0.2]) @ U.conj().T
+    return {"kind": "matrix", "matrix": np.stack([A.real, A.imag], axis=-1).tolist()}
+
+
+_NAN_FIBER_SKEW = {"kind": "skew", "space": {"kind": "finite", "m": 2}, "pi": [1, 0],
+                   "fibers": [[[0.5, 0.0], [0.0, float("nan")]], [[0.5, 0.0], [0.0, 0.5]]]}
+
+
 def _markov_json(path, scale=1.0):
     rng = np.random.Generator(np.random.Philox(key=5))
     m = 8
@@ -252,6 +265,15 @@ def test_hilbert_rejects_operator_without_power_bound(tmp_path, capsys):
     assert main(["hilbert", "--lam", "0.3", "--n-max", "16", "--operator", op,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hilbert_rejects_near_tied_non_contraction(tmp_path, capsys):
+    op = tmp_path / "near-tie.json"
+    op.write_text(json.dumps(_near_tie_matrix_json()))
+    assert main(["hilbert", "--n-max", "16", "--operator", str(op),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: operator must be a contraction\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_hilbert_trace_with_skew_operator(tmp_path):
@@ -285,8 +307,12 @@ def test_hilbert_skew_operator_on_fast_schedules(tmp_path, argv):
     [{"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 8}}],
     {"kind": "koopman", "theta": "0.25", "space": {"kind": "circle", "M": 8}},
     {"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 10**12}},
+    {"kind": "matrix", "matrix": [[0.5, 0.0], [0.0, float("nan")]]},
+    {"kind": "skew", "space": {"kind": "finite", "m": 2}, "pi": [1, 0],
+     "fibers": [[[0.5]], [[float("inf")]]]},
+    _NAN_FIBER_SKEW,
 ], ids=["koopman-no-space", "skew-no-space", "top-level-list", "string-theta",
-        "huge-space"])
+        "huge-space", "nan-matrix", "inf-skew-fiber", "nan-skew-fiber"])
 def test_hilbert_malformed_operator_json_exits_2(tmp_path, capsys, desc):
     op = tmp_path / "op.json"
     op.write_text(json.dumps(desc))
@@ -294,6 +320,15 @@ def test_hilbert_malformed_operator_json_exits_2(tmp_path, capsys, desc):
                  "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_hilbert_non_finite_lam_exits_2(tmp_path, capsys, lam):
+    assert main(["hilbert", "--n-max", "8", f"--lam={lam}",
+                 "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: lam must be a finite number") and out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -441,6 +476,8 @@ _OPERATORS = {
     "skew": {"kind": "skew", "space": {"kind": "finite", "m": 3}, "pi": [1, 2, 0],
              "fibers": [[[0.6, 0.1], [0.0, 0.7]], [[0.0, 0.9], [0.4, 0.0]],
                         [[0.5, 0.0], [0.2, 0.5]]]},
+    "nan-skew": _NAN_FIBER_SKEW,
+    "near-tie": _near_tie_matrix_json(),
 }
 _SCHEDULE_TEXT = st.one_of(
     st.sampled_from(["identity", "superexp", "power:3", "bogus"]),

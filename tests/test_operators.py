@@ -63,6 +63,29 @@ def test_operator_norm_edge_cases():
     assert operator_norm(np.eye(4)) == pytest.approx(1.0)
 
 
+def _near_tie_matrix():
+    # Q diag(1 + 1e-6, 1 - 1e-5, 0.5, 0.2) U^H: closed-form norm 1 + 1e-6, with
+    # a second singular value close enough to stall a power iteration
+    rng = np.random.Generator(np.random.Philox(key=3))
+    Q, U = (np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            for _ in range(2))
+    return Q @ np.diag([1 + 1e-6, 1 - 1e-5, 0.5, 0.2]) @ U.conj().T
+
+
+def test_operator_norm_is_exact_on_near_tied_singular_values():
+    A = _near_tie_matrix()
+    assert operator_norm(A) == pytest.approx(1 + 1e-6, rel=1e-14, abs=0)
+    assert not LinearOperator.from_matrix(A).contraction
+
+
+def test_operator_norm_of_a_stack_matches_each_matrix():
+    rng = np.random.Generator(np.random.Philox(key=9))
+    stack = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+    norms = operator_norm(stack)
+    assert norms.shape == (2, 5)
+    assert norms.tolist() == [[operator_norm(A) for A in row] for row in stack]
+
+
 # ---------------------------------------------------------------------------
 # transformations and koopman operators
 
@@ -125,17 +148,6 @@ def test_contraction_flag_from_norm():
     assert not LinearOperator.from_matrix(np.eye(3) * 1.5).contraction
 
 
-def test_power_bound_audit_raises_on_violation():
-    # norm 2 rotation-free matrix: powers blow up past any declared bound
-    A = np.array([[2.0, 0.0], [0.0, 0.1]])
-    with pytest.raises(ValueError):
-        LinearOperator.from_matrix(A, power_bound=1.5)
-    # nilpotent matrix has norm > 1 but bounded powers
-    N = np.array([[0.0, 3.0], [0.0, 0.0]])
-    op = LinearOperator.from_matrix(N, power_bound=3.0)
-    assert op.power_bound == 3.0
-
-
 def test_markov_dunford_schwartz_flag():
     P = np.full((4, 4), 0.25)
     assert LinearOperator.markov(P).dunford_schwartz
@@ -161,6 +173,20 @@ def test_cocycle_rejects_expanding_fiber():
     bad = np.stack([np.eye(2), np.eye(2) * 1.01])
     with pytest.raises(ValueError):
         Cocycle(base, bad)
+
+
+def test_cocycle_names_the_first_bad_fiber():
+    m = 6
+    base = Transformation.permutation(SampleSpace.finite(m), np.roll(np.arange(m), -1))
+    fibers = np.stack([0.5 * np.eye(2)] * m)
+    fibers[2, 0, 0] = fibers[4, 1, 1] = 1.01
+    with pytest.raises(ValueError, match="fiber 2 is not a contraction"):
+        Cocycle(base, fibers)
+    # a non-finite fiber has no norm to pass the check with
+    for bad in (np.nan, np.inf):
+        fibers[2, 0, 0] = fibers[4, 1, 1] = bad
+        with pytest.raises(ValueError):
+            Cocycle(base, fibers)
 
 
 def test_skew_operator_contraction_audit():
@@ -249,6 +275,19 @@ def test_operator_from_json_matrix_and_markov():
     mk = operator_from_json({"kind": "markov",
                              "matrix": [[0.5, 0.5], [0.5, 0.5]]})
     assert mk.dunford_schwartz
+
+
+def test_operator_from_json_skew_fibers_real_and_complex():
+    # a stack of real 2 x 2 fibers has a last axis of length 2 too; only one
+    # more axis of length 2 holds [re, im] pairs
+    space = {"kind": "finite", "m": 2}
+    real = operator_from_json({"kind": "skew", "space": space, "pi": [1, 0],
+                               "fibers": [[[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.0], [0.2, 0.5]]]})
+    assert real.cocycle.fibers[0].tolist() == [[0.5, 0.1], [0.0, 0.5]]
+    pairs = operator_from_json({"kind": "skew", "space": space, "pi": [1, 0],
+                                "fibers": [[[[0.5, 0.1], [0.0, 0.0]],
+                                            [[0.0, 0.0], [0.5, 0.0]]]] * 2})
+    assert pairs.cocycle.fibers[1].tolist() == [[0.5 + 0.1j, 0.0], [0.0, 0.5]]
 
 
 def test_operator_from_json_koopman_rotation():
