@@ -24,6 +24,7 @@ from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
     "LADDER",
+    "MAX_TERMS",
     "AdmissibilityReport",
     "bertrand_converges",
     "series_report",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 LADDER = (10**2, 10**3, 10**4, 10**5, 10**6)
+MAX_TERMS = 10**6   # no series is summed past this index or over more terms
 
 _CONV_REL_TOL = 1e-3    # S_hi - S_mid < tol * S_mid  => converged heuristically
 _DIVERGE_RATIO_FLOOR = 0.8  # block ratios below this never read as divergence
@@ -98,43 +100,32 @@ class AdmissibilityReport:
 def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
     """Partial sums of sum_{k=k_start}^{K} term(k) at the requested rungs.
 
-    Terms are evaluated in ascending sub-blocks of at most 2^20; each
-    partial sum is the fsum of the sub-block fsums before its rung.  Also
-    returns dyadic block sums (blocks (2^j, 2^{j+1}]) for the decay
-    heuristic.
+    Terms are evaluated and fsum'd one piece at a time, a piece running
+    between consecutive rungs and dyadic points (evaluating all 10^6 terms
+    at once would double the transient memory); each partial sum is the
+    fsum of the pieces before its rung.  Also returns dyadic block sums
+    (blocks (2^j, 2^{j+1}]) for the decay heuristic.
     """
     rungs = sorted({min(r, kmax) for r in rungs if r >= k_start} | {kmax})
-    edges = {k_start - 1, kmax} | set(rungs)
-    j = 0
-    while 2**j < kmax:
-        if 2**j >= k_start:
-            edges.add(2**j)
-        j += 1
-    bounds = sorted(e for e in edges if k_start - 1 <= e <= kmax)
+    dyadic = {2**j for j in range(int(kmax).bit_length()) if k_start <= 2**j < kmax}
+    bounds = sorted({k_start - 1, *rungs} | dyadic)
 
-    sums = []
-    partials = {}
-    blocks = {}
+    pieces = []
     for lo, hi in zip(bounds, bounds[1:]):
-        jlo = int(math.log2(lo)) if lo > 0 else -1
-        for pos in range(lo, hi, 1 << 20):
-            ks = np.arange(pos + 1, min(hi, pos + (1 << 20)) + 1, dtype=np.int64)
-            vals = np.asarray(term_fn(ks), dtype=float)
-            if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-                raise ArithmeticError("series terms must be finite and nonnegative")
-            sums.append(math.fsum(vals))
-            blocks.setdefault(jlo, []).append(sums[-1])
-        if hi in rungs:
-            partials[hi] = math.fsum(sums)
-
-    partial_sums = [(K, partials[K]) for K in rungs]
+        vals = np.asarray(term_fn(np.arange(lo + 1, hi + 1, dtype=np.int64)), dtype=float)
+        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+            raise ArithmeticError("series terms must be finite and nonnegative")
+        pieces.append(math.fsum(vals))
+    partial_sums = [(K, math.fsum(pieces[:bounds.index(K)])) for K in rungs]
+    blocks = {}
+    for lo, s in zip(bounds, pieces):
+        blocks.setdefault(int(math.log2(lo)) if lo > 0 else -1, []).append(s)
     top = max(blocks)
     if len(blocks) > 1 and kmax < 2 ** (top + 1):
         # the top block (2^j, 2^{j+1}] was cut off at kmax; a truncated
         # block would fake decay in the ratio heuristic
         del blocks[top]
-    block_sums = [math.fsum(blocks[j]) for j in sorted(blocks)]
-    return partial_sums, block_sums
+    return partial_sums, [math.fsum(blocks[j]) for j in sorted(blocks)]
 
 
 def _heuristic_claim(partial_sums, block_sums) -> str:
@@ -188,9 +179,12 @@ def _tail_estimate(cls: WeightExpr, kmax: int) -> float | None:
 def series_report(kind: str, params: dict, term_fn, k_start: int, kmax: int,
                   symbolic_class: WeightExpr | None = None,
                   ladder=LADDER) -> AdmissibilityReport:
-    """Build a report for sum_{k>=k_start} term(k)."""
+    """Build a report for sum_{k>=k_start} term(k), summed to kmax."""
     if kmax < k_start:
         raise ValueError(f"empty summation range [{k_start}, {kmax}]")
+    if kmax - k_start >= MAX_TERMS:
+        raise ValueError(f"summation range [{k_start}, {kmax}] has more than "
+                         f"{MAX_TERMS} terms")
     partial_sums, block_sums = _accumulate(term_fn, k_start, kmax, ladder)
     claim = _heuristic_claim(partial_sums, block_sums)
 
@@ -258,8 +252,14 @@ def _schedule_start(sched: Schedule, *seqs: WeightSeq) -> int:
     return hi
 
 
-def _sched_kmax(sched: Schedule, ladder) -> int:
-    return min(max(ladder), sched.max_k())
+def _summation_end(ladder, start: int, sched: Schedule | None = None) -> int:
+    """The one summation range rule: every check sums from its start index
+    to the ladder top, capped at MAX_TERMS and, along a schedule, at its
+    last index.  An empty range is refused."""
+    end = min(max(ladder), MAX_TERMS, MAX_TERMS if sched is None else sched.max_k())
+    if end < start:
+        raise ValueError(f"empty summation range [{start}, {end}]")
+    return end
 
 
 def log_derivative_shift(W: WeightExpr) -> WeightExpr | None:
@@ -271,6 +271,13 @@ def log_derivative_shift(W: WeightExpr) -> WeightExpr | None:
     if W.n_exp == 0.0 and W.log_exp == 0.0 and W.loglog_exp > 0.0:
         return WeightExpr(scale=W.loglog_exp, n_exp=-1.0, log_exp=-1.0, loglog_exp=-1.0)
     return None
+
+
+def _t21_terms(G: WeightSeq, W: WeightSeq, n_start: int, n_end: int) -> np.ndarray:
+    """The (T21) terms (G_n/W_n)(1 - W_n/W_{n+1}) for n = n_start..n_end."""
+    g = G.prefix(n_end + 1)[n_start - G.n0:]
+    w = W.prefix(n_end + 1)[n_start - W.n0:]
+    return (g[:-1] / w[:-1]) * (1.0 - w[:-1] / w[1:])
 
 
 def _t21_class(G: WeightSeq, W: WeightSeq) -> WeightExpr | None:
@@ -291,7 +298,7 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
     if not p > 1.0:
         raise ValueError("weak admissibility requires p > 1")
     k_start = _schedule_start(sched, W, G)
-    kmax = _sched_kmax(sched, ladder)
+    kmax = _summation_end(ladder, k_start, sched)
     if xi.mode == "explicit":
         kmax = min(kmax, len(xi._values))
     if xi.mode == "derived" and sched.kind == "explicit":
@@ -340,36 +347,32 @@ def check_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule, p: float,
     return rep1, rep2
 
 
-def check_T21(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
-              ladder=LADDER) -> AdmissibilityReport:
+def check_T21(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
     """Series sum (G_n/W_n)(1 - W_n/W_{n+1})."""
     n_start = max(G.n0, W.n0)
-    g = G.prefix(N_max + 1)[n_start - G.n0:]
-    w = W.prefix(N_max + 1)[n_start - W.n0:]
-
-    def term(ks):
-        i = ks - n_start
-        return (g[i] / w[i]) * (1.0 - w[i] / w[i + 1])
-
+    n_end = _summation_end(ladder, n_start)
+    terms = _t21_terms(G, W, n_start, n_end)
     params = {"G": G.label, "W": W.label}
-    return series_report("T21", params, term, n_start, N_max, _t21_class(G, W),
-                         ladder)
+    return series_report("T21", params, lambda ks: terms[ks - n_start], n_start,
+                         n_end, _t21_class(G, W), ladder)
 
 
-def check_rrr(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
-              ladder=LADDER) -> AdmissibilityReport:
-    """Divergence of sum G_k/W_k; divergence marks the meaningful regime."""
+def _ratio_power_report(kind: str, params: dict, G: WeightSeq, W: WeightSeq,
+                        p: float, ladder) -> AdmissibilityReport:
+    """Report for sum (G_n/W_n)^p over every index n from both start indices."""
     n_start = max(G.n0, W.n0)
-    g = G.prefix(N_max)[n_start - G.n0:]
-    w = W.prefix(N_max)[n_start - W.n0:]
-
-    def term(ks):
-        i = ks - n_start
-        return g[i] / w[i]
-
+    n_end = _summation_end(ladder, n_start)
+    g = G.prefix(n_end)[n_start - G.n0:]
+    w = W.prefix(n_end)[n_start - W.n0:]
     cls = _ratio_class(G, W)
-    rep = series_report("RRR-divergence", {"G": G.label, "W": W.label}, term,
-                        n_start, N_max, cls, ladder)
+    return series_report(kind, params, lambda ks: (g[ks - n_start] / w[ks - n_start]) ** p,
+                         n_start, n_end, None if cls is None else cls**p, ladder)
+
+
+def check_rrr(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
+    """Divergence of sum G_k/W_k; divergence marks the meaningful regime."""
+    rep = _ratio_power_report("RRR-divergence", {"G": G.label, "W": W.label}, G, W,
+                              1.0, ladder)
     rep.meaningful = rep.verdict == "diverges"
     return rep
 
@@ -377,20 +380,8 @@ def check_rrr(G: WeightSeq, W: WeightSeq, N_max: int = 10**6,
 def check_full_W1(G: WeightSeq, W: WeightSeq, p: float,
                   ladder=LADDER) -> AdmissibilityReport:
     """Series sum (G_n/W_n)^p over every index n, not only along a schedule."""
-    n_start = max(G.n0, W.n0)
-    n_max = min(max(ladder), 10**6)
-    g = G.prefix(n_max)[n_start - G.n0:]
-    w = W.prefix(n_max)[n_start - W.n0:]
-
-    def term(ks):
-        i = ks - n_start
-        return (g[i] / w[i]) ** p
-
-    cls = _ratio_class(G, W)
-    if cls is not None:
-        cls = cls**p
-    return series_report("full-W1", {"G": G.label, "W": W.label, "p": p},
-                         term, n_start, n_max, cls, ladder)
+    return _ratio_power_report("full-W1", {"G": G.label, "W": W.label, "p": p}, G, W,
+                               p, ladder)
 
 
 def _gamma_class(G: WeightSeq, sched: Schedule, alpha: float) -> WeightExpr | None:
@@ -410,7 +401,7 @@ def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     k_start = G.n0
-    kmax = _sched_kmax(sched, ladder)
+    kmax = _summation_end(ladder, k_start, sched)
     g = G.prefix(kmax)
     n_vals = sched.values(kmax).astype(float)
 

@@ -54,9 +54,8 @@ class ExampleInstance:
         else:
             r3, r4 = check_admissible(self.W, self.G, self.sched, self.p, ladder)
             reports["W3"], reports["W4"] = r3, r4
-        n_max = min(max(ladder), 10**6)
-        reports["T21"] = check_T21(self.G, self.W, n_max, ladder)
-        reports["rrr"] = check_rrr(self.G, self.W, n_max, ladder)
+        reports["T21"] = check_T21(self.G, self.W, ladder)
+        reports["rrr"] = check_rrr(self.G, self.W, ladder)
         return reports
 
     def verdicts_ok(self, reports: dict) -> bool:

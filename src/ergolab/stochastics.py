@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accum import block_sums
-from .admissibility import AdmissibilityReport, check_rrr
+from .admissibility import LADDER, AdmissibilityReport, check_rrr
 from .operators import Cocycle, SampleSpace, VectorField, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
                          circle_prefix_rows)
@@ -168,6 +168,8 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     ladder = sorted(int(n) for n in n_ladder)
     n_max = ladder[-1]
     k_start = G.n0
+    if n_max < k_start:
+        raise ValueError(f"ladder top {n_max} is below the start index {k_start}")
     g = G.prefix(n_max)[k_start - G.n0:]
     cols = np.asarray([n for n in ladder if n >= k_start], dtype=np.int64)
     g_at = g[cols - k_start]
@@ -415,5 +417,6 @@ def slln_diagnosis(G: WeightSeq, W: WeightSeq, snapshots, ladder,
     """a.e. diagnosis of the sampled series from ``slln_chain`` and the
     divergence check of sum G_k/W_k that marks the meaningful regime."""
     diag = ae_convergence_diag(np.stack(snapshots, axis=1), ladder)
-    rrr = check_rrr(G, W, min(10**6, max(10**5, n_max)))
+    top = max(10**5, n_max)
+    rrr = check_rrr(G, W, tuple(r for r in LADDER if r < top) + (top,))
     return diag, rrr

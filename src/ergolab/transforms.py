@@ -17,7 +17,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from .accum import block_sums
-from .admissibility import _gamma_class, _t21_class, _tail_estimate
+from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
+                            _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
                         operator_from_json, operator_norm, random_field)
 from .weights import Schedule, WeightSeq, twisted_weight
@@ -574,7 +575,7 @@ class OpNormReport:
 
 def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
                   W: WeightSeq, n_ladder, K: float, G: WeightSeq,
-                  tail_N: int = 10**6, k_start: int | None = None) -> list:
+                  tail_N: int = MAX_TERMS) -> list:
     """Operator-norm partial sums of sum a_k A^{n_k}/W_k with the tail bound
 
         gap(j, n) <= tail(j) + ||S_j(A)/W_j|| + ||S_n(A)/W_n||,
@@ -587,20 +588,17 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
         if A.kind not in ("matrix", "markov"):
             raise ValueError("operator-norm series needs a matrix operator")
         _require_contraction(A)
-    if k_start is None:
-        k_start = max(W.n0, G.n0)
     ladder = sorted(n_ladder)
     n_max = ladder[-1]
+    # tail(j): numeric suffix to tail_N plus the symbolic class remainder
+    tail_top = max(tail_N, n_max)
+    k_start = max(W.n0, G.n0)
+    terms = _t21_terms(G, W, k_start, tail_top)
 
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]
     g = G.prefix(n_max)[k_start - G.n0:]
 
-    # tail(j): numeric suffix to tail_N plus the symbolic class remainder
-    tail_top = max(tail_N, n_max)
-    gt = G.prefix(tail_top + 1)[k_start - G.n0:]
-    wt = W.prefix(tail_top + 1)[k_start - W.n0:]
-    terms = (gt[:-1] / wt[:-1]) * (1.0 - wt[:-1] / wt[1:])
     cls = _t21_class(G, W)
     est = None if cls is None else _tail_estimate(cls, tail_top)
     cuts = [max(j - k_start, 0) for j in ladder] + [len(terms)]

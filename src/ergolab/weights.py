@@ -476,7 +476,8 @@ class WeightSeq:
             n0 = int(n0)
             if n0 < 1:
                 raise ValueError("n0 must be >= 1")
-            v0 = self.value(n0)
+            with np.errstate(all="ignore"):   # ln 1 = 0 and the like
+                v0 = self.value(n0)
             if not (v0 >= 1.0):
                 raise ValueError(f"weight value at n0={n0} is {v0}, must be >= 1")
         self.n0 = n0
@@ -524,13 +525,19 @@ class WeightSeq:
     # -- memoized prefix ----------------------------------------------------
 
     def prefix(self, N: int) -> np.ndarray:
-        """Values at n0..N (inclusive), memoized and monotonicity-audited."""
+        """Values at n0..N (inclusive), memoized and audited: finite and
+        nondecreasing."""
         if N < self.n0:
             raise IndexError(f"index {N} below start index n0={self.n0}")
         need = N - self.n0 + 1
         if need > len(self._memo):
             ns = np.arange(self.n0 + len(self._memo), N + 1, dtype=float)
-            new = self.values(ns)
+            with np.errstate(all="ignore"):   # overflow is refused below
+                new = self.values(ns)
+            if not np.all(np.isfinite(new)):
+                bad = int(ns[np.argmax(~np.isfinite(new))])
+                raise ArithmeticError(f"weight {self.label!r} is not finite at "
+                                      f"index {bad}: not a weight")
             prev = self._memo[-1] if len(self._memo) else None
             block = new if prev is None else np.concatenate(([prev], new))
             if np.any(np.diff(block) < 0.0):

@@ -136,7 +136,7 @@ def test_symbolic_and_numeric_never_contradict(a, b):
 def test_check_T21_symbolic_class():
     G = WeightSeq.from_text("n^0.5", n0=1)
     W = WeightSeq.from_text("n^0.8", n0=1)
-    rep = check_T21(G, W, 10**4, SHORT_LADDER)
+    rep = check_T21(G, W, SHORT_LADDER)
     assert rep.verdict == "converges"
     # class (G/W) * (0.8/n) = 0.8 n^{-1.3}
     assert rep.comparison_class == (-1.3, 0.0, 0.0)
@@ -151,9 +151,9 @@ def test_check_T21_symbolic_class():
 
 def test_check_rrr_meaningful_flag():
     G = WeightSeq.from_text("n^0.5", n0=1)
-    div = check_rrr(G, WeightSeq.from_text("n^0.8", n0=1), 10**4, SHORT_LADDER)
+    div = check_rrr(G, WeightSeq.from_text("n^0.8", n0=1), SHORT_LADDER)
     assert div.meaningful is True
-    conv = check_rrr(G, WeightSeq.from_text("n^3", n0=1), 10**4, SHORT_LADDER)
+    conv = check_rrr(G, WeightSeq.from_text("n^3", n0=1), SHORT_LADDER)
     assert conv.meaningful is False
 
 
@@ -170,7 +170,7 @@ def test_truncated_top_block_does_not_fake_decay():
     G = WeightSeq.from_callable(
         lambda n: np.asarray(n, dtype=float) ** 0.375 * 2.0, n0=1, label="g")
     W = WeightSeq.from_text("n^0.75", n0=1)
-    rep = check_rrr(W, G, 10**5, (10**4, 10**5))
+    rep = check_rrr(W, G, (10**4, 10**5))
     assert rep.verdict == "diverges"
 
 

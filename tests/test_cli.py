@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
-from ergolab.registry import example_instance
+from ergolab.registry import EXAMPLE_IDS, example_instance
 from ergolab.weights import WeightSeq
 
 
@@ -95,6 +96,8 @@ def test_check_parse_error_returns_2(tmp_path):
     ("check", "--G", "n^0.25*ln(n)^-1", "--W", "n^0.75",
      "--schedule", "explicit:1,3,7,15,31,63,127"),
     ("slln", "--G", "n", "--W", "n", "--n-max", "0"),
+    # the (T21) range [6, 3] is empty: E0's weights start past the ladder top
+    ("check", "--example", "E0", "--ladder", "3"),
 ])
 def test_schedule_reach_errors_return_2(tmp_path, capsys, argv):
     assert _run(tmp_path, *argv) == 2
@@ -434,6 +437,16 @@ def test_slln_bad_input_exits_2_without_running(tmp_path, capsys, argv):
     assert list(tmp_path.glob("run-*")) == []
 
 
+def _exits_0_1_or_2(argv, out_dir):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", str(out_dir)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))
+
+
 _SLLN_EXPECT = st.sampled_from(["", "consistent-with-convergence", "inconsistent",
                                 "indeterminate", "bogus"])
 _LADDER_TEXT = st.one_of(
@@ -457,14 +470,8 @@ def test_slln_fuzzed_argv_exits_0_1_or_2(n_max, grid, ladder, sample_points,
         argv += ["--ladder", ladder]
     if expect:
         argv += ["--expect", expect]
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv + ["--out", tmp])
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if rc == 2:
-        assert err.getvalue().startswith(("error: ", "usage: "))
+    with tempfile.TemporaryDirectory() as tmp:
+        _exits_0_1_or_2(argv, tmp)
 
 
 _OPERATORS = {
@@ -505,10 +512,111 @@ def test_hilbert_fuzzed_argv_exits_0_1_or_2(tmp_path, n_max, schedule, lam, oper
         path = tmp_path / f"{operator}.json"
         path.write_text(json.dumps(_OPERATORS[operator]))
         argv += ["--operator", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv + ["--out", str(tmp_path / "out")])
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if rc == 2:
-        assert err.getvalue().startswith(("error: ", "usage: "))
+    _exits_0_1_or_2(argv, tmp_path / "out")
+
+
+def test_hilbert_rejects_doubling_koopman(tmp_path, capsys):
+    # doubling maps two grid points onto each even one: not a contraction
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps(_OPERATORS["doubling"]))
+    assert _run(tmp_path, "hilbert", "--n-max", "16", "--operator", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "contraction" in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("random", "--ladder", "256,1099511627776"),
+    ("hilbert", "--n-max", "1099511627776"),
+    ("slln", "--n-max", "1099511627776"),
+    ("hilbert", "--check", "t8", "--ladder", "32,1099511627776"),
+])
+def test_sizes_past_the_summation_cap_exit_2_at_once(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert _run(tmp_path, *argv) == 2
+    assert time.perf_counter() - t0 < 0.5
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "at most 1000000" in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--ladder", "0"), "below the start index"),
+    (("--G", "n^400"), "is not finite at index"),
+    (("--G", "n^0.5*ln(n)^-3"), "is not finite at index 1"),
+    (("--G", "lnln(n)"), "weight value at n0=1"),
+])
+def test_random_non_weights_exit_2_without_warnings(tmp_path, capsys, argv, message):
+    # random starts G at n0 = 1, where ln and lnln are 0 or undefined
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "random", "--ladder", "64,128", "--samples", "2",
+                    *argv) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+def test_check_ladder_past_the_summation_cap_sums_to_it(tmp_path):
+    t0 = time.perf_counter()
+    assert _run(tmp_path, "check", "--G", "n", "--W", "n^2",
+                "--ladder", "100,1099511627776") == 0
+    assert time.perf_counter() - t0 < 2.0
+    doc = json.loads((_only_run_dir(tmp_path) / "W3.json").read_text())
+    assert doc["partial_sums"][-1][0] == 10**6
+
+
+_WEIGHT_TEXT = st.sampled_from([
+    "n", "n^0.5", "n^1.5", "n^2", "2*n", "ln(n)", "n*ln(n)^2", "lnln(n)",
+    "n^0.5*ln(n)^-3", "ln(n)^-1", "n^-1", "0.5", "n^400", "n^", "n**2", "bogus", ""])
+_CHECK_EXPECT = st.lists(st.sampled_from([
+    "admissible", "not-admissible", "weak-admissible", "t21", "meaningful",
+    "W3=converges", "rrr=diverges", "full-W1=unknown", "W9=converges", "bogus"]),
+    max_size=3).map(",".join)
+
+
+@settings(max_examples=40, deadline=3000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weights=st.none() | st.tuples(_WEIGHT_TEXT, _WEIGHT_TEXT),
+       example=st.sampled_from(EXAMPLE_IDS), schedule=st.none() | _SCHEDULE_TEXT,
+       ladder=_LADDER_TEXT, p=st.sampled_from(["0.5", "1", "1.5", "2", "3"]),
+       expect=_CHECK_EXPECT, full_sequence=st.booleans())
+def test_check_fuzzed_argv_exits_0_1_or_2(tmp_path, weights, example, schedule,
+                                          ladder, p, expect, full_sequence):
+    argv = ["check", "--ladder", ladder, "--p", p]
+    if weights is None:
+        argv += ["--example", example]
+    else:
+        argv += ["--G", weights[0], "--W", weights[1]]
+    if schedule is not None:
+        argv += ["--schedule", schedule]
+    if expect:
+        argv += ["--expect", expect]
+    if full_sequence:
+        argv.append("--full-sequence")
+    _exits_0_1_or_2(argv, tmp_path / "out")
+
+
+@settings(max_examples=40, deadline=3000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stat=st.sampled_from(["sup", "hilbert"]),
+       law=st.sampled_from(["rademacher", "gaussian", "complex-gaussian", "zero",
+                            "bogus"]),
+       G=st.none() | _WEIGHT_TEXT, schedule=st.none() | _SCHEDULE_TEXT,
+       ladder=_LADDER_TEXT, samples=st.integers(-1, 4), n_lambda=st.integers(-2, 64),
+       seed=st.integers(-2, 3), threads=st.integers(-1, 2),
+       no_regime_check=st.booleans())
+def test_random_fuzzed_argv_exits_0_1_or_2(tmp_path, stat, law, G, schedule, ladder,
+                                           samples, n_lambda, seed, threads,
+                                           no_regime_check):
+    argv = ["random", "--stat", stat, "--law", law, "--ladder", ladder,
+            "--samples", str(samples), "--n-lambda", str(n_lambda),
+            "--seed", str(seed), "--threads", str(threads)]
+    if G is not None:
+        argv += ["--G", G]
+    if schedule is not None:
+        argv += ["--schedule", schedule]
+    if no_regime_check:
+        argv.append("--no-regime-check")
+    _exits_0_1_or_2(argv, tmp_path / "out")

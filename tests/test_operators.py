@@ -127,7 +127,18 @@ def test_doubling_isometry_on_bandlimited_fields():
     for mode in range(128):
         f = f + character_field(space, mode) * coef[mode]
     # modes sit in [0, M/2), so one application keeps them alias-free
-    assert T.apply(f).norm(2) == pytest.approx(f.norm(2), rel=1e-10)
+    assert T.act(T.power(1), f).norm(2) == pytest.approx(f.norm(2), rel=1e-10)
+
+
+def test_doubling_koopman_is_not_a_contraction_on_the_grid():
+    # the grid map hits each even point twice, so the indicator of the even
+    # points has ||Uf||_2 / ||f||_2 = sqrt(2)
+    space = SampleSpace.circle(64)
+    T = LinearOperator.koopman(Transformation.doubling(space))
+    f = VectorField(space, (np.arange(64) % 2 == 0).astype(float))
+    assert T.act(T.power(1), f).norm(2) / f.norm(2) == pytest.approx(np.sqrt(2.0),
+                                                                     rel=1e-15)
+    assert not T.contraction
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +157,14 @@ def test_matrix_power_matches_numpy():
 def test_contraction_flag_from_norm():
     assert LinearOperator.from_matrix(np.eye(3) * 0.5).contraction
     assert not LinearOperator.from_matrix(np.eye(3) * 1.5).contraction
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_named(bad):
+    A = np.eye(3) * 0.5
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        LinearOperator.from_matrix(A)
 
 
 def test_markov_dunford_schwartz_flag():
@@ -182,18 +201,24 @@ def test_cocycle_names_the_first_bad_fiber():
     fibers[2, 0, 0] = fibers[4, 1, 1] = 1.01
     with pytest.raises(ValueError, match="fiber 2 is not a contraction"):
         Cocycle(base, fibers)
-    # a non-finite fiber has no norm to pass the check with
+    # a non-finite fiber is named before any norm is taken
     for bad in (np.nan, np.inf):
         fibers[2, 0, 0] = fibers[4, 1, 1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fiber 2"):
             Cocycle(base, fibers)
+
+
+def test_cocycle_refuses_a_doubling_base():
+    base = Transformation.doubling(SampleSpace.circle(8))
+    with pytest.raises(ValueError, match="invertible"):
+        Cocycle.constant(base, 0.5 * np.eye(2))
 
 
 def test_skew_operator_contraction_audit():
     C, _, _ = _two_point_swap_cocycle()
     op = skew_operator(C)
     f = random_field(C.space, 2, seed=1)
-    assert op.apply(f).norm(2) <= f.norm(2) * (1 + 1e-12)
+    assert op.act(op.power(1), f).norm(2) <= f.norm(2) * (1 + 1e-12)
 
 
 def _orthogonal_cycle_cocycle(m=3, d=3, seed=4):
@@ -210,7 +235,7 @@ def test_skew_power_matches_repeated_apply(n):
     f = random_field(op.cocycle.space, 3, seed=2)
     stepped = f
     for _ in range(n):
-        stepped = op.apply(stepped)
+        stepped = op.act(op.power(1), stepped)
     got = op.act(op.power(n), f)
     assert np.abs(got.values - stepped.values).max() <= 1e-12 * np.abs(stepped.values).max()
 
