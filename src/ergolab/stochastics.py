@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import block_sums
+from .accum import block_sums, running_sums
 from .admissibility import LADDER, AdmissibilityReport, check_rrr
 from .operators import Cocycle, SampleSpace, VectorField, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
@@ -395,8 +395,8 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     coefs = amp[k_start - 1:] / w
     # ||S_n||_2^2 = sum_{k<=n} amp(k)^2 and ||sum_{k_start<=k<=n} c_k e_k||_2^2
     # = sum c_k^2, each partial sum the fsum of its block sums
-    amp_blocks = block_sums(amp**2, [0] + cols)
-    coef_blocks = block_sums(coefs**2, [0] + [n - k_start + 1 for n in cols])
+    amp_sums = running_sums(block_sums(amp**2, [0] + cols))
+    coef_sums = running_sums(block_sums(coefs**2, [0] + [n - k_start + 1 for n in cols]))
 
     snaps = {n: np.zeros(sample_points, dtype=complex) for n in ladder}
     for b0, X in circle_prefix_rows(coefs, np.arange(k_start, n_max + 1), M,
@@ -406,9 +406,8 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
             if n in snaps:
                 snaps[n] = row[sample_idx]
             trace.record(n, pointwise=np.abs(row),
-                         norm_Sn_over_Wn=math.sqrt(math.fsum(amp_blocks[:i + 1]))
-                         / w[n - k_start],
-                         series_partial_norm=math.sqrt(math.fsum(coef_blocks[:i + 1])))
+                         norm_Sn_over_Wn=math.sqrt(amp_sums[i]) / w[n - k_start],
+                         series_partial_norm=math.sqrt(coef_sums[i]))
     return trace, [snaps[n] for n in ladder]
 
 

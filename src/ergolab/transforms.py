@@ -3,7 +3,9 @@ Hilbert transforms built from them.
 
 Everything here works with explicit truncations.  Suprema over the unit
 circle are computed on oversampled grids with a local refinement and are
-reported as certified lower bounds / heuristic values, never exact suprema.
+reported as certified lower bounds / heuristic values, never exact suprema;
+the one exception is nonnegative coefficients, whose sup is the closed-form
+value at lam = 1.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from .accum import block_sums
+from .accum import block_sums, running_sums
 from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
                             _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
@@ -323,17 +325,35 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
 def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
                        k_start: int = 1):
     """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, and the
-    lowest j attaining it, for each m in the nondecreasing ``cols``; the rows
-    come from ``circle_prefix_rows`` at the residues n_k mod M.
+    lowest j attaining it, for each m in the nondecreasing ``cols``.
+
+    When every c_k is finite, real and >= 0, the triangle inequality gives
+    |psi_m(lam)| <= psi_m(1) on the whole circle, so the sup of column m is
+    the running sum sum_{k_start<=k<=m} c_k (``accum.running_sums``, exactly
+    rounded), attained first at j = 0, and no row is evaluated.  Any other
+    coefficients (signed, complex, nan or infinite) take the rows of
+    ``circle_prefix_rows`` at the residues n_k mod M.
     """
+    return _column_sups(a, sched, n, M, cols, k_start)[:2]
+
+
+def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
+                 k_start: int):
+    """circle_column_sups, plus whether the sups are the exact circle sups
+    of the closed form rather than grid values."""
     if M < 1:
         raise ValueError(f"grid size must be >= 1, got {M}")
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
+        return np.zeros(0), np.zeros(0, dtype=np.int64), False
     if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
     n_ints, coefs = _terms(a, sched, n, k_start)
+    c = coefs.real
+    # real, finite and >= 0; nan fails both comparisons
+    if (coefs.imag == 0).all() and ((c >= 0) & (c < np.inf)).all():
+        sums = np.asarray(running_sums(c))
+        return sums[cols - k_start], np.zeros(cols.size, dtype=np.int64), True
     sups = np.empty(cols.size)
     argj = np.empty(cols.size, dtype=np.int64)
     mags_buf = np.empty((_block_rows(M, cols.size), M))
@@ -342,7 +362,7 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         np.abs(X, out=mags)
         argj[b0:b0 + len(X)] = mags.argmax(axis=1)
         sups[b0:b0 + len(X)] = mags.max(axis=1)
-    return sups, argj
+    return sups, argj, False
 
 
 def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:
@@ -388,7 +408,9 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
 
     The sup runs over every n (not just a ladder) so downstream Abel-type
     bounds can rely on |psi_k| <= K G_k for all k.  Exact grid ties go to
-    the lowest grid index, then to the lowest n.
+    the lowest grid index, then to the lowest n.  Nonnegative coefficients
+    take the closed form of ``circle_column_sups``: K is the circle sup
+    itself, at lam = 1, with no refinement.
     """
     if k_start is None:
         k_start = G.n0
@@ -397,12 +419,14 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
     if a.is_zero():
         return KMeasurement(0.0, k_start, 1 + 0j, M_grid, n_max)
     cols = np.arange(k_start, n_max + 1)
-    sups, argj = circle_column_sups(a, sched, n_max, M_grid, cols, k_start)
+    sups, argj, exact = _column_sups(a, sched, n_max, M_grid, cols, k_start)
     ratios = sups / g
     K_grid = float(ratios.max())
     tied = np.flatnonzero(ratios == K_grid)
     ni = int(tied[np.argmin(argj[tied])])
     n_star = int(cols[ni])
+    if exact:
+        return KMeasurement(K_grid, n_star, 1 + 0j, M_grid, n_max)
     value, theta_x, theta_j = _refine(a, sched, n_star, M_grid, int(argj[ni]), k_start)
     K = max(K_grid, value / g[ni])
     theta = theta_x if value / g[ni] >= K_grid else theta_j

@@ -11,7 +11,8 @@ from ergolab.operators import (LinearOperator, SampleSpace, Transformation,
                                VectorField, random_field)
 from ergolab.registry import example_instance
 from ergolab.transforms import (I_majorant, ModulationSeq, TransformTrace,
-                                circle_column_sups, gamma_tail, hilbert_partial,
+                                circle_column_sups, circle_prefix_rows,
+                                gamma_tail, hilbert_partial,
                                 interpolation_bound, measure_K, modulated_poly,
                                 opnorm_series, rearrangement_and_I, sigma_grid,
                                 twisted_bound_check, weighted_series)
@@ -239,6 +240,101 @@ def test_measure_K_covers_all_prefixes():
         mags = np.abs(np.exp(1j * np.outer(angles, np.arange(1, n + 1))) @
                       np.asarray(vals[:n]))
         assert m.K >= mags.max() - 1e-9
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the closed form must not reach this call")
+
+
+@pytest.mark.parametrize("sched, n, M, k_start", [
+    (Schedule.identity(), 40, 256, 1),
+    (Schedule.identity(), 40, 256, 5),
+    (Schedule.power(2.0), 12, 600, 3),
+    (Schedule.geometric(1.5), 14, 1024, 2),
+    (Schedule.explicit([2, 3, 5, 11, 12, 40, 41, 90]), 8, 384, 2),
+    (Schedule.identity(), 200, 16, 7),          # coarse grid: n_k > M
+    (Schedule.power(2.0), 20, 24, 1),           # coarse, residues collide
+])
+def test_nonnegative_sups_are_the_closed_form(monkeypatch, sched, n, M, k_start):
+    coefs = np.abs(_random_coefs(n, seed=n + M))
+    coefs[n // 3] = 0.0
+    a = ModulationSeq.explicit(coefs)
+    cols = sorted({k_start, k_start + 1, (k_start + n) // 2, n - 1, n})
+    monkeypatch.setattr("ergolab.transforms.circle_prefix_rows", _must_not_run)
+    sups, argj = circle_column_sups(a, sched, n, M, cols, k_start)
+    mags = _dense_column_mags(a, sched, M, cols, k_start)
+    assert np.allclose(sups, mags.max(axis=1), rtol=1e-13, atol=0.0)
+    assert argj.tolist() == [0] * len(cols)
+    assert np.allclose(mags[:, 0], sups, rtol=1e-13, atol=0.0)
+    # the sup is the exactly rounded running sum of the coefficients
+    assert sups.tolist() == [math.fsum(coefs[k_start - 1:m]) for m in cols]
+
+
+@pytest.mark.parametrize("k_start", [1, 3])
+def test_nonnegative_sups_span_many_blocks(monkeypatch, k_start):
+    # M = 2^16 puts the FFT path's rows in blocks of 4 columns
+    sched = Schedule.power(3.0)
+    coefs = np.abs(_random_coefs(11, seed=11))
+    M = 1 << 16
+    monkeypatch.setattr("ergolab.transforms.circle_prefix_rows", _must_not_run)
+    sups, argj = circle_column_sups(ModulationSeq.explicit(coefs), sched, 11, M,
+                                    range(k_start, 12), k_start)
+    assert not argj.any()
+    for m in range(k_start, 12):
+        phases = np.exp(2j * np.pi * np.outer(np.arange(M),
+                                              sched.values(m)[k_start - 1:] % M) / M)
+        dense = np.abs(phases @ coefs[k_start - 1:m]).max()
+        assert sups[m - k_start] == pytest.approx(dense, rel=1e-13)
+
+
+def test_nonnegative_exact_ties_take_index_zero():
+    # every n_k is a multiple of M, so psi_m(omega^j) = psi_m(1) for every j
+    coefs = [0.5, 2.0, 0.0, 1.25]
+    a = ModulationSeq.explicit(coefs)
+    sched = Schedule.explicit([8, 16, 40, 64])
+    sups, argj = circle_column_sups(a, sched, 4, 8, [1, 2, 3, 4])
+    mags = _dense_column_mags(a, sched, 8, [1, 2, 3, 4])
+    assert np.allclose(mags, mags[:, :1], rtol=1e-13, atol=0.0)
+    assert sups.tolist() == [0.5, 2.5, 2.5, 3.75]
+    assert argj.tolist() == [0, 0, 0, 0]
+
+
+def _fft_path_sups(coefs, sched, n, M, cols, k_start=1):
+    """Max and lowest argmax of |row| over the rows of circle_prefix_rows."""
+    residues = sched.values(n)[k_start - 1:] % M
+    sups, argj = [], []
+    for _, X in circle_prefix_rows(np.asarray(coefs, dtype=complex), residues,
+                                   M, cols, k_start):
+        mags = np.abs(X)
+        sups.extend(mags.max(axis=1))
+        argj.extend(mags.argmax(axis=1))
+    return np.asarray(sups), np.asarray(argj)
+
+
+@pytest.mark.parametrize("bad", [-0.25, 0.25j, math.nan, math.inf])
+def test_one_bad_coefficient_keeps_the_fft_path(bad):
+    coefs = np.abs(_random_coefs(24, seed=3)).astype(complex)
+    coefs[9] = bad
+    sched = Schedule.power(2.0)
+    cols = [1, 5, 10, 17, 24]
+    with np.errstate(invalid="ignore"):
+        sups, argj = circle_column_sups(ModulationSeq.explicit(coefs), sched, 24,
+                                        64, cols)
+        ref_sups, ref_argj = _fft_path_sups(coefs, sched, 24, 64, cols)
+    assert np.array_equal(sups, ref_sups, equal_nan=True)
+    assert argj.tolist() == ref_argj.tolist()
+
+
+def test_measure_K_nonnegative_is_exact_without_refinement(monkeypatch):
+    monkeypatch.setattr("ergolab.transforms._refine", _must_not_run)
+    G = WeightSeq.from_text("n", n0=1)
+    m = measure_K(ModulationSeq.constant(1.0), Schedule.identity(), G, 64)
+    assert m.K == 1.0
+    assert m.lam == 1
+    assert m.n_at_max == 1
+    m = measure_K(ModulationSeq.constant(1.0), Schedule.identity(), G, 64, k_start=5)
+    # sum_{5<=k<=n} 1 / n peaks at n = 64
+    assert (m.K, m.n_at_max, m.lam) == (60 / 64, 64, 1)
 
 
 # ---------------------------------------------------------------------------
