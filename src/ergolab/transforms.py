@@ -350,8 +350,9 @@ def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
     n_ints, coefs = _terms(a, sched, n, k_start)
     c = coefs.real
-    # real, finite and >= 0; nan fails both comparisons
-    if (coefs.imag == 0).all() and ((c >= 0) & (c < np.inf)).all():
+    # real, finite and >= 0: a nan imaginary part counts as nonzero and a
+    # nan real part makes min() nan; reductions, so the FFT path pays little
+    if not coefs.imag.any() and c.min() >= 0 and c.max() < np.inf:
         sums = np.asarray(running_sums(c))
         return sums[cols - k_start], np.zeros(cols.size, dtype=np.int64), True
     sups = np.empty(cols.size)
