@@ -56,8 +56,9 @@ def running_sums(xs) -> list:
 def _exact_prefixes(xs) -> list:
     """Correctly rounded prefix sums of finite floats: each term is the
     integer m 2^53 times 2^(e - 53) from frexp, all scaled to the lowest
-    power of two, accumulated exactly as ints and rounded once by int/int
-    (or int -> float) division."""
+    power of two, accumulated exactly as ints and rounded once, by a
+    correctly rounded int/int division (int -> float when that power is
+    >= 1)."""
     if xs.size == 0:
         return []
     m, e = np.frexp(xs)
