@@ -310,7 +310,9 @@ def cmd_random(args) -> int:
     mod = RandomModulation(args.law, args.seed)
 
     if args.stat == "sup":
-        G = WeightSeq.from_text(args.G or "n", n0=1)
+        # a weight from 1 starts there, as random always has; a later one
+        # starts at its own n0
+        G = WeightSeq.from_text(args.G or "n", search_from=1)
         sched = parse_schedule(args.schedule or "identity")
         gamma_rep = check_1RT1(G, sched, alpha=0.5)
         est = random_sup_stat(mod, G, sched, ladder, args.n_lambda,

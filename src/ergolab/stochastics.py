@@ -19,7 +19,7 @@ import numpy as np
 
 from .accum import block_sums, running_sums
 from .admissibility import LADDER, AdmissibilityReport, check_rrr
-from .operators import Cocycle, SampleSpace, VectorField, skew_operator
+from .operators import Cocycle, VectorField, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
                          circle_prefix_rows)
 from .weights import Schedule, WeightSeq
@@ -361,6 +361,11 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     reached by n_max.  The series rows come from the exact circle kernel
     ``circle_prefix_rows``; since M > n_max the characters are orthonormal on
     the grid, so both norm columns are exact sums of squares (Parseval).
+    The coefficients amplitude(k)/W_k are real, so the kernel yields half
+    rows j = 0..M//2 and the value at j > M//2 is conj(row[M - j]): the
+    maximal function is kept on the half row, and its L_2 norm weighs
+    j = 0 and, for even M, j = M/2 by 1/M and every other j by 2/M, once
+    for itself and once for its mirror.
     """
     k_start = max(G.n0, W.n0)
     if n_max < k_start:
@@ -381,11 +386,16 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     if not 1 <= sample_points <= M - 1:
         raise ValueError(f"the number of sample points must lie in "
                          f"[1, {M - 1}], got {sample_points}")
-    space = SampleSpace.circle(M)
-    trace = TransformTrace(space_weights=space.weights, p=2.0)
+    half_weights = np.full(M // 2 + 1, 2.0 / M)
+    half_weights[0] = 1.0 / M
+    if M % 2 == 0:
+        half_weights[-1] = 1.0 / M
+    trace = TransformTrace(space_weights=half_weights, p=2.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     sample_idx = np.sort(rng.choice(np.arange(1, M), size=sample_points,
                                     replace=False))
+    mirrored = sample_idx > M // 2
+    read_idx = np.where(mirrored, M - sample_idx, sample_idx)
     step = max(1, n_max // 2048)
     record = sorted(set(range(1, n_max + 1, step)) | set(ladder) | {n_max})
     cols = [n for n in record if n >= k_start]
@@ -404,7 +414,8 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
         for i, row in enumerate(X, start=b0):
             n = cols[i]
             if n in snaps:
-                snaps[n] = row[sample_idx]
+                vals = row[read_idx]
+                snaps[n] = np.where(mirrored, vals.conj(), vals)
             trace.record(n, pointwise=np.abs(row),
                          norm_Sn_over_Wn=math.sqrt(amp_sums[i]) / w[n - k_start],
                          series_partial_norm=math.sqrt(coef_sums[i]))

@@ -294,11 +294,22 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
     cols[b0 + i], in blocks of B = max(1, 2^18 // M) rows; the last prefix
     carries into the next block, so memory stays O(B M + n).  X is one
     reused buffer, valid until the next block is drawn.
+
+    The dtype of ``coefs`` is the one switch.  Complex coefficients give
+    full rows, X[:, 0..M-1].  Real coefficients (``np.isrealobj``) give
+    Hermitian rows, so only the half rows X[:, 0..M//2] are yielded, from
+    ``np.fft.rfft`` of a real prefix; the value at j > M//2 is
+    conj(X[M - j]).
     """
     cols = np.asarray(cols, dtype=np.int64)
     B = _block_rows(M, cols.size)
-    prefix = np.zeros(M, dtype=complex)
-    X_buf = np.empty((B, M), dtype=complex)
+    real = np.isrealobj(coefs)
+    if real:
+        # rfft sums against omega^{-j r}: scattered at -r, it gives omega^{+j r}
+        residues = -residues % M
+    prefix = np.zeros(M, dtype=float if real else complex)
+    X_buf = np.empty((B, M), dtype=prefix.dtype)
+    Y_buf = np.empty((B, M // 2 + 1), dtype=complex) if real else X_buf
     lo = k_start
     for b0 in range(0, cols.size, B):
         block = cols[b0:b0 + B]
@@ -310,15 +321,24 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         hit, where = np.unique(residues[sl], return_inverse=True)
         flat = rows * hit.size + where
         size = block.size * hit.size
-        D = (np.bincount(flat, coefs[sl].real, size)
-             + 1j * np.bincount(flat, coefs[sl].imag, size)).reshape(block.size, hit.size)
+        if real:
+            D = np.bincount(flat, coefs[sl], size)
+        else:
+            D = (np.bincount(flat, coefs[sl].real, size)
+                 + 1j * np.bincount(flat, coefs[sl].imag, size))
+        D = D.reshape(block.size, hit.size)
         D[0] += prefix[hit]
         np.cumsum(D, axis=0, out=D)
         X[:] = prefix
         X[:, hit] = D
         prefix = X[-1].copy()
-        np.fft.ifft(X, axis=1, norm="forward", out=X)
-        yield b0, X
+        if real:
+            Y = Y_buf[:block.size]
+            np.fft.rfft(X, axis=1, out=Y)
+        else:
+            Y = X
+            np.fft.ifft(X, axis=1, norm="forward", out=X)
+        yield b0, Y
         lo = hi + 1
 
 

@@ -450,11 +450,12 @@ class WeightSeq:
 
     Small-index singularities (ln 1 = 0, lnln undefined for n <= e) are cut
     off by the start index n0.  When not given, n0 defaults to the smallest
-    n >= 3 whose value is >= 1 and nondecreasing over a 64-index lookahead
-    (all 65 window values finite), searched below 2^20.  The search scans
-    blocks of candidates, doubling from 256 to 2^16: one evaluation per
-    block, and prefix sums of the decreasing-or-NaN steps and of the
-    non-finite values test every window of the block at once.
+    n >= ``search_from`` (3 unless given) whose value is >= 1 and
+    nondecreasing over a 64-index lookahead (all 65 window values finite),
+    searched below 2^20.  The search scans blocks of candidates, doubling
+    from 256 to 2^16: one evaluation per block, and prefix sums of the
+    decreasing-or-NaN steps and of the non-finite values test every window
+    of the block at once.
     """
 
     LOOKAHEAD = 64
@@ -463,13 +464,14 @@ class WeightSeq:
     _N0_BLOCK_MAX = 1 << 16
 
     def __init__(self, expr: WeightExpr | None = None, fn=None, n0: int | None = None,
-                 label: str = ""):
+                 label: str = "", search_from: int = 3):
         if (expr is None) == (fn is None):
             raise ValueError("exactly one of expr / fn must be given")
         self.expr = expr
         self.fn = fn
         self.label = label or (expr.canonical() if expr is not None else "callable")
         self._memo = np.empty(0)
+        self._search_from = int(search_from)
         if n0 is None:
             n0 = self._default_n0()
         else:
@@ -483,8 +485,9 @@ class WeightSeq:
         self.n0 = n0
 
     @classmethod
-    def from_text(cls, text: str, n0: int | None = None) -> "WeightSeq":
-        return cls(expr=parse_weight(text), n0=n0)
+    def from_text(cls, text: str, n0: int | None = None,
+                  search_from: int = 3) -> "WeightSeq":
+        return cls(expr=parse_weight(text), n0=n0, search_from=search_from)
 
     @classmethod
     def from_callable(cls, fn, n0: int, label: str = "") -> "WeightSeq":
@@ -505,13 +508,13 @@ class WeightSeq:
 
     def _default_n0(self) -> int:
         L = self.LOOKAHEAD
-        n, size = 3, self._N0_BLOCK_MIN
+        n, size = self._search_from, self._N0_BLOCK_MIN
         while n < self._N0_SEARCH_LIMIT:
             hi = min(n + size, self._N0_SEARCH_LIMIT)
             m = hi - n
-            # candidate n + c has the window v[c..c+L]; overflow to inf or
-            # NaN is expected here and counted below as a failed window
-            with np.errstate(over="ignore", invalid="ignore"):
+            # candidate n + c has the window v[c..c+L]; overflow to inf,
+            # ln 1 = 0 and NaN are expected here and count below as a failed window
+            with np.errstate(all="ignore"):
                 v = self.values(np.arange(n, hi + L, dtype=float))
                 bad = np.concatenate(([0], np.cumsum(~(np.diff(v) >= 0.0))))
                 nonfinite = np.concatenate(([0], np.cumsum(~np.isfinite(v))))

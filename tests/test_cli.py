@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import time
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
 from ergolab.registry import EXAMPLE_IDS, example_instance
+from ergolab.stochastics import RandomModulation
 from ergolab.weights import WeightSeq
 
 
@@ -542,12 +544,13 @@ def test_sizes_past_the_summation_cap_exit_2_at_once(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("--ladder", "0"), "below the start index"),
-    (("--G", "n^400"), "is not finite at index"),
-    (("--G", "n^0.5*ln(n)^-3"), "is not finite at index 1"),
-    (("--G", "lnln(n)"), "weight value at n0=1"),
+    (("--G", "n^400"), "no valid start index"),
+    (("--G", "n^0.5*ln(n)^-3"), "no valid start index"),
+    (("--G", "lnln(n)"), "precondition checks failed"),
 ])
 def test_random_non_weights_exit_2_without_warnings(tmp_path, capsys, argv, message):
-    # random starts G at n0 = 1, where ln and lnln are 0 or undefined
+    # random starts G at its own n0: the start-index scan refuses n^400 and
+    # n^0.5*ln(n)^-3, and lnln(n), a weight from its n0, fails the regime check
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _run(tmp_path, "random", "--ladder", "64,128", "--samples", "2",
@@ -556,6 +559,27 @@ def test_random_non_weights_exit_2_without_warnings(tmp_path, capsys, argv, mess
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and out == ""
     assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("text, g, k0", [
+    ("ln(n)", math.log, 3),      # a weight from n0 = 3
+    ("n", float, 1),             # a weight from 1 starts there
+])
+def test_random_weight_starts_at_its_own_n0(tmp_path, text, g, k0):
+    assert _run(tmp_path, "random", "--stat", "sup", "--G", text,
+                "--ladder", "64,128", "--no-regime-check") == 0
+    doc = json.loads((_only_run_dir(tmp_path) / "estimate.json").read_text())
+    draws = RandomModulation("rademacher", 0).draws(0, 128).real
+    lam = np.exp(2j * np.pi * np.arange(64) / 64)
+
+    def sup_from(start):
+        # max over the ladder and the 64 angles of |sum_{start<=k<=n} f_k lam^k| / G_n
+        return max(np.abs(np.polyval(draws[start - 1:n][::-1], lam) * lam**start).max()
+                   / g(n) for n in (64, 128))
+
+    assert doc["per_sample"][0] == pytest.approx(sup_from(k0), rel=1e-12)
+    other = 1 if k0 == 3 else 3
+    assert doc["per_sample"][0] != pytest.approx(sup_from(other), rel=1e-6)
 
 
 def test_check_ladder_past_the_summation_cap_sums_to_it(tmp_path):

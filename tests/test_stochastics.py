@@ -310,18 +310,20 @@ def test_slln_chain_matches_phase_recurrence(case):
         W = WeightSeq.from_text("n")
         amp, ladder = (lambda k: 1.0), (4, 32, 128, 300)
         assert max(G.n0, W.n0) == 7
-    n_max, M = 300, 2048
-    trace, snaps = slln_chain(G, W, amp, n_max, M, 3, ladder, 16)
-    rows, ref_snaps = _slln_recurrence(G, W, amp, n_max, M, 3, ladder, 16)
-    assert [r["n"] for r in trace.rows] == [r["n"] for r in rows]
-    for col in ("norm_Sn_over_Wn", "series_partial_norm", "running_max_Lp"):
-        np.testing.assert_allclose([r[col] for r in trace.rows],
-                                   [r[col] for r in rows], rtol=1e-12, atol=0)
-    assert len(snaps) == len(ladder)
-    for got, want in zip(snaps, ref_snaps):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    if case == "G/W":
-        assert not np.any(snaps[0])
+    n_max = 300
+    # half rows with a Nyquist point (M even) and without one (M odd)
+    for M in (2048, 1025):
+        trace, snaps = slln_chain(G, W, amp, n_max, M, 3, ladder, 16)
+        rows, ref_snaps = _slln_recurrence(G, W, amp, n_max, M, 3, ladder, 16)
+        assert [r["n"] for r in trace.rows] == [r["n"] for r in rows]
+        for col in ("norm_Sn_over_Wn", "series_partial_norm", "running_max_Lp"):
+            np.testing.assert_allclose([r[col] for r in trace.rows],
+                                       [r[col] for r in rows], rtol=1e-12, atol=0)
+        assert len(snaps) == len(ladder)
+        for got, want in zip(snaps, ref_snaps):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if case == "G/W":
+            assert not np.any(snaps[0])
 
 
 def test_slln_chain_needs_grid_above_n_max():

@@ -337,6 +337,56 @@ def test_measure_K_nonnegative_is_exact_without_refinement(monkeypatch):
     assert (m.K, m.n_at_max, m.lam) == (60 / 64, 64, 1)
 
 
+def _kernel_rows(coefs, residues, M, cols, k_start=1):
+    """Every row of circle_prefix_rows, stacked: full rows for complex
+    coefficients, half rows for real ones."""
+    return np.concatenate([X.copy() for _, X in circle_prefix_rows(
+        coefs, np.asarray(residues, dtype=np.int64), M, cols, k_start)])
+
+
+@pytest.mark.parametrize("sched, n, M, k_start", [
+    (Schedule.identity(), 40, 256, 1),
+    (Schedule.identity(), 40, 257, 5),           # odd M: no Nyquist point
+    (Schedule.geometric(1.5), 14, 1023, 2),
+    (Schedule.power(2.0), 20, 24, 1),            # coarse, residues collide
+    (Schedule.power(2.0), 30, 25, 3),            # odd and coarse
+    (Schedule.power(3.0), 11, 1 << 16, 1),       # blocks of 4 columns
+    (Schedule.power(3.0), 11, 1 << 16, 3),
+])
+def test_real_coefficients_give_the_half_rows(sched, n, M, k_start):
+    rng = np.random.Generator(np.random.Philox(key=n + M))
+    coefs = rng.standard_normal(n - k_start + 1)
+    residues = sched.values(n)[k_start - 1:] % M
+    cols = list(range(k_start, n + 1))
+    full = _kernel_rows(coefs.astype(complex), residues, M, cols, k_start)
+    half = _kernel_rows(coefs, residues, M, cols, k_start)
+    h = M // 2 + 1
+    assert full.shape == (len(cols), M) and half.shape == (len(cols), h)
+    scale = np.abs(full).max(axis=1, keepdims=True)
+    assert np.all(np.abs(half - full[:, :h]) <= 1e-13 * scale)
+    # the value at j > M//2 is the conjugate of the value at M - j
+    j = np.arange(h, M)
+    assert np.all(np.abs(full[:, j] - half[:, M - j].conj()) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("coefs, residues, M", [
+    ([1.0, -1.0], [1, 3], 4),                     # 0, 2, 0, 2
+    ([1.0, -3.0], [4, 0], 8),                     # 2, 4, 2, 4, ...
+    ([1.0, -3.0], [3, 0], 6),
+    ([0.5, -2.0, 0.0, 1.25], [0, 0, 0, 0], 8),    # constant modulus
+    ([0.5, -2.0, 0.0, 1.25], [0, 0, 0, 0], 7),
+])
+def test_half_row_max_ties_the_full_row_max(coefs, residues, M):
+    cols = list(range(1, len(coefs) + 1))
+    full = np.abs(_kernel_rows(np.asarray(coefs, dtype=complex), residues, M, cols))
+    half = np.abs(_kernel_rows(np.asarray(coefs), residues, M, cols))
+    # every column ties exactly at more than one j
+    assert all(np.sum(row == row.max()) > 1 for row in full)
+    assert half.max(axis=1).tolist() == full.max(axis=1).tolist()
+    # the lowest maximizing j lies in the half row
+    assert half.argmax(axis=1).tolist() == full.argmax(axis=1).tolist()
+
+
 # ---------------------------------------------------------------------------
 # hilbert transforms
 

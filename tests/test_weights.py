@@ -226,6 +226,14 @@ def _reference_n0(seq):
     return None
 
 
+@pytest.mark.parametrize("text, n0", [
+    ("n", 1), ("n^0.1", 1), ("ln(n)", 3), ("lnln(n)", 16), ("n^2", 1)])
+def test_n0_search_can_start_below_3(text, n0):
+    G = WeightSeq.from_text(text, search_from=1)
+    assert G.n0 == n0
+    assert WeightSeq.from_text(text).n0 == max(n0, 3)
+
+
 @pytest.fixture
 def checked_n0(monkeypatch):
     """Below a limit of 2^12, every default start-index search runs both the
