@@ -309,7 +309,7 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         residues = -residues % M
     prefix = np.zeros(M, dtype=float if real else complex)
     X_buf = np.empty((B, M), dtype=prefix.dtype)
-    Y_buf = np.empty((B, M // 2 + 1), dtype=complex) if real else X_buf
+    Y_buf = np.empty((B, M // 2 + 1), dtype=complex) if real else None
     lo = k_start
     for b0 in range(0, cols.size, B):
         block = cols[b0:b0 + B]
@@ -321,11 +321,9 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         hit, where = np.unique(residues[sl], return_inverse=True)
         flat = rows * hit.size + where
         size = block.size * hit.size
-        if real:
-            D = np.bincount(flat, coefs[sl], size)
-        else:
-            D = (np.bincount(flat, coefs[sl].real, size)
-                 + 1j * np.bincount(flat, coefs[sl].imag, size))
+        D = np.bincount(flat, coefs[sl].real, size)
+        if not real:
+            D = D + 1j * np.bincount(flat, coefs[sl].imag, size)
         D = D.reshape(block.size, hit.size)
         D[0] += prefix[hit]
         np.cumsum(D, axis=0, out=D)
@@ -333,11 +331,9 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         X[:, hit] = D
         prefix = X[-1].copy()
         if real:
-            Y = Y_buf[:block.size]
-            np.fft.rfft(X, axis=1, out=Y)
+            Y = np.fft.rfft(X, axis=1, out=Y_buf[:block.size])
         else:
-            Y = X
-            np.fft.ifft(X, axis=1, norm="forward", out=X)
+            Y = np.fft.ifft(X, axis=1, norm="forward", out=X)
         yield b0, Y
         lo = hi + 1
 
