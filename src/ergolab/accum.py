@@ -1,12 +1,17 @@
 """The package's one summation rule.
 
-Every series sum in this package is a ``math.fsum`` (Shewchuk's exact
-summation): the float nearest the exact sum of its inputs, whatever their
-count or order, so every sum is bit-reproducible across runs and thread
-counts.  A long series is cut into blocks, each block is fsum'd, and a
-partial or tail sum is the fsum of its block sums; for nonnegative terms
-that lies within 2^-52 relative of the exact value (one rounding in the
-blocks, one in the total).
+Every exact sum in this package is ``fsum``, a ``math.fsum`` (Shewchuk's
+exact summation): the float nearest the exact sum of its inputs, whatever
+their count or order, so every sum is bit-reproducible across runs and
+thread counts.  ``fsum`` hands ``math.fsum`` a memoryview of a contiguous
+float64 buffer, which it reads as plain floats; iterating an ndarray would
+box every element as a ``numpy.float64``, which takes longer than the
+summation itself.  ``math.fsum`` is called nowhere else in the package.
+
+A long series is cut into blocks, each block is fsum'd, and a partial or
+tail sum is the fsum of its block sums; for nonnegative terms that lies
+within 2^-52 relative of the exact value (one rounding in the blocks, one
+in the total).
 
 ``running_sums`` gives every prefix sum of a sequence under the same rule
 in linear time: out[i] is ``math.fsum(xs[:i + 1])`` bit for bit, including
@@ -20,13 +25,19 @@ import math
 
 import numpy as np
 
-__all__ = ["block_sums", "running_sums"]
+__all__ = ["block_sums", "fsum", "running_sums"]
+
+
+def fsum(xs) -> float:
+    """math.fsum(xs) bit for bit, its nan/inf results and its
+    OverflowError/ValueError included, read from a float64 buffer."""
+    return math.fsum(memoryview(np.ascontiguousarray(xs, dtype=float).ravel()))
 
 
 def block_sums(xs, cuts) -> list:
     """fsum of xs[cuts[i]:cuts[i+1]] for each pair of consecutive cut points."""
     xs = np.asarray(xs, dtype=float)
-    return [math.fsum(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return [fsum(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def running_sums(xs) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from .accum import block_sums, running_sums
+from .accum import block_sums, fsum, running_sums
 from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
                             _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
@@ -272,7 +272,7 @@ def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
     n_ints, coefs = _terms(a, sched, n, k_start)
     ang = math.atan2(complex(lam).imag, complex(lam).real)
     terms = coefs * np.exp(1j * ang * n_ints.astype(float))
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex(fsum(terms.real), fsum(terms.imag))
 
 
 _BLOCK_ENTRIES = 1 << 18  # complex grid values per block of prefix rows
@@ -647,7 +647,7 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     first_block = {j: i for i, j in enumerate(ladder)}
 
     def tail(j: int) -> float:
-        return K * math.fsum(blocks[first_block[j]:])
+        return K * fsum(blocks[first_block[j]:])
 
     return [_opnorm_report(A, n_ints, coefs, w, g, ladder, k_start, K, tail)
             for A in ops]

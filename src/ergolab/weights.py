@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accum import fsum
+
 __all__ = [
     "WeightExpr",
     "WeightSeq",
@@ -565,7 +567,7 @@ def twisted_weight(G: WeightSeq, r: float, n: int) -> float:
     if r == 0:
         raise ValueError("twist parameter r must be nonzero")
     g = G.prefix(n)
-    return float(g[-1]) / abs(r) + math.fsum(g[:-1] / np.arange(G.n0, n, dtype=float))
+    return float(g[-1]) / abs(r) + fsum(g[:-1] / np.arange(G.n0, n, dtype=float))
 
 
 # ---------------------------------------------------------------------------

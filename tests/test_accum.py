@@ -1,11 +1,12 @@
-"""The one summation rule: running sums are the fsum of every prefix."""
+"""The one summation rule: ``fsum`` is ``math.fsum`` bit for bit, and
+running sums are the fsum of every prefix."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ergolab.accum import running_sums
+from ergolab.accum import fsum, running_sums
 
 
 def _prefix_fsums(xs):
@@ -21,7 +22,7 @@ def _spread(n, seed):
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
 
 
-@pytest.mark.parametrize("xs", [
+CORPUS = [
     [],
     [-0.0],
     [1.0, 1e100, 1.0, -1e100],                       # cancellation
@@ -31,7 +32,49 @@ def _spread(n, seed):
     [5e-324, -5e-324, 1e-310, 0.0, -0.0, 2.2e-308, -1e-320],   # subnormals
     [1e308, -1e308, 1.7e308, 1e292],
     [2.0**-1074] * 3 + [1.0, 2.0**-53, 2.0**-53],   # half-even ties
+]
+
+
+@pytest.mark.parametrize("xs", CORPUS)
+def test_fsum_is_math_fsum(xs):
+    assert fsum(xs).hex() == math.fsum(xs).hex()
+    assert fsum(np.array(xs, dtype=float)).hex() == math.fsum(xs).hex()
+
+
+def test_fsum_of_long_arrays_views_and_lists():
+    xs = _spread(10**5, seed=4)
+    assert fsum(xs).hex() == math.fsum(xs).hex()
+    z = xs * np.exp(1j * np.arange(xs.size))        # .real/.imag are strided
+    assert not z.real.flags.c_contiguous
+    assert fsum(z.real).hex() == math.fsum(z.real).hex()
+    assert fsum(z.imag).hex() == math.fsum(z.imag).hex()
+    assert fsum(xs[::-3]).hex() == math.fsum(xs[::-3]).hex()
+    ys = xs[:1000].tolist()
+    assert fsum(ys).hex() == math.fsum(ys).hex()
+
+
+@pytest.mark.parametrize("xs", [
+    [1.0, math.inf, 2.0],
+    [3.0, -math.inf, 1e308],
+    [math.nan, 1.0],
+    [1.0, math.inf, math.nan, 4.0],
 ])
+def test_fsum_non_finite_terms(xs):
+    assert fsum(xs).hex() == math.fsum(xs).hex()
+
+
+@pytest.mark.parametrize("xs, error", [
+    ([1e308, 1e308], OverflowError),
+    ([math.inf, -math.inf], ValueError),
+])
+def test_fsum_raises_as_math_fsum(xs, error):
+    with pytest.raises(error):
+        math.fsum(xs)
+    with pytest.raises(error):
+        fsum(xs)
+
+
+@pytest.mark.parametrize("xs", CORPUS)
 def test_running_sums_are_fsums_of_every_prefix(xs):
     assert _bits(running_sums(xs)) == _bits(_prefix_fsums(xs))
 

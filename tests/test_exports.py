@@ -79,6 +79,14 @@ def test_module_exports_are_reached(name):
     assert unreached == []
 
 
+def test_math_fsum_is_called_only_in_accum():
+    """Every exact sum goes through ``accum.fsum``, which reads a float64
+    buffer; ``math.fsum`` on an ndarray boxes every element."""
+    callers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "accum.py" and "math.fsum(" in path.read_text()]
+    assert callers == []
+
+
 def test_public_methods_are_reached():
     trees = _package_trees()
     loads = sum(map(_loads, trees), collections.Counter())
