@@ -5,8 +5,8 @@ exact summation): the float nearest the exact sum of its inputs, whatever
 their count or order, so every sum is bit-reproducible across runs and
 thread counts.  ``fsum`` hands ``math.fsum`` a memoryview of a contiguous
 float64 buffer, which it reads as plain floats; iterating an ndarray would
-box every element as a ``numpy.float64``, which takes longer than the
-summation itself.  ``math.fsum`` is called nowhere else in the package.
+box every element as a ``numpy.float64``, which on a smooth series takes
+longer than the summation itself.  ``math.fsum`` is called nowhere else in the package.
 
 A long series is cut into blocks, each block is fsum'd, and a partial or
 tail sum is the fsum of its block sums; for nonnegative terms that lies

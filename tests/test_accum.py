@@ -35,7 +35,25 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("xs", CORPUS)
+NON_FINITE = [
+    [1.0, math.inf, 2.0],
+    [3.0, -math.inf, 1e308, 1e300],
+    [math.nan, 1.0],
+    [1.0, math.inf, math.nan, 4.0],
+    [1e308, math.inf, 1e308],                        # the finite run resets
+]
+
+RAISING = [
+    ([1.0, math.inf, -math.inf], ValueError),
+    ([1e308, 1e308], OverflowError),
+    ([1e308, 1e308, -1e308], OverflowError),         # a prefix overflows
+    ([math.inf, 1e308, 1e308], OverflowError),
+    ([-1.7e308, -1.7e308, math.nan], OverflowError),
+    ([math.inf, -math.inf], ValueError),
+]
+
+
+@pytest.mark.parametrize("xs", CORPUS + NON_FINITE)
 def test_fsum_is_math_fsum(xs):
     assert fsum(xs).hex() == math.fsum(xs).hex()
     assert fsum(np.array(xs, dtype=float)).hex() == math.fsum(xs).hex()
@@ -53,20 +71,7 @@ def test_fsum_of_long_arrays_views_and_lists():
     assert fsum(ys).hex() == math.fsum(ys).hex()
 
 
-@pytest.mark.parametrize("xs", [
-    [1.0, math.inf, 2.0],
-    [3.0, -math.inf, 1e308],
-    [math.nan, 1.0],
-    [1.0, math.inf, math.nan, 4.0],
-])
-def test_fsum_non_finite_terms(xs):
-    assert fsum(xs).hex() == math.fsum(xs).hex()
-
-
-@pytest.mark.parametrize("xs, error", [
-    ([1e308, 1e308], OverflowError),
-    ([math.inf, -math.inf], ValueError),
-])
+@pytest.mark.parametrize("xs, error", RAISING)
 def test_fsum_raises_as_math_fsum(xs, error):
     with pytest.raises(error):
         math.fsum(xs)
@@ -86,26 +91,14 @@ def test_running_sums_accept_arrays():
     assert _bits(out) == _bits(_prefix_fsums(xs.tolist()))
 
 
-@pytest.mark.parametrize("xs", [
-    [1.0, math.inf, 2.0],
-    [3.0, -math.inf, 1e308, 1e300],
-    [math.nan, 1.0],
-    [1.0, math.inf, math.nan, 4.0],
-    [1e308, math.inf, 1e308],                        # the finite run resets
-])
+@pytest.mark.parametrize("xs", NON_FINITE)
 def test_running_sums_non_finite_terms(xs):
     out, ref = running_sums(xs), _prefix_fsums(xs)
     assert [math.isnan(x) for x in out] == [math.isnan(x) for x in ref]
     assert [x for x in out if not math.isnan(x)] == [x for x in ref if not math.isnan(x)]
 
 
-@pytest.mark.parametrize("xs, error", [
-    ([1.0, math.inf, -math.inf], ValueError),
-    ([1e308, 1e308], OverflowError),
-    ([1e308, 1e308, -1e308], OverflowError),         # a prefix overflows
-    ([math.inf, 1e308, 1e308], OverflowError),
-    ([-1.7e308, -1.7e308, math.nan], OverflowError),
-])
+@pytest.mark.parametrize("xs, error", RAISING)
 def test_running_sums_raise_as_fsum(xs, error):
     with pytest.raises(error):
         _prefix_fsums(xs)
