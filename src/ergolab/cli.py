@@ -59,10 +59,13 @@ def parse_ladder(text: str) -> tuple:
     return tuple(parse_int_token(t) for t in text.split(","))
 
 
-def require_size(what: str, n: int) -> None:
-    """Refuse a size past the summation cap before anything runs."""
-    if n > MAX_TERMS:
-        raise ValueError(f"{what} must be at most {MAX_TERMS}, got {n}")
+MAX_GRID = 1 << 22  # circle points; above 4 * MAX_TERMS, which slln's grid needs
+
+
+def require_size(what: str, n: int, cap: int = MAX_TERMS) -> None:
+    """Refuse a size past its cap before anything runs."""
+    if n > cap:
+        raise ValueError(f"{what} must be at most {cap}, got {n}")
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -217,6 +220,7 @@ def cmd_slln(args) -> int:
     M = args.grid
     if M < 2:
         raise ValueError(f"--grid must be >= 2, got {M}")
+    require_size("--grid", M, MAX_GRID)
     while M < 4 * n_max:
         M *= 2
     ladder = parse_ladder(args.ladder) if args.ladder else \
@@ -302,10 +306,13 @@ def cmd_random(args) -> int:
     ladder = parse_ladder(args.ladder) if args.ladder else \
         tuple(2**j for j in range(8, 13))
     require_size("the ladder top", max(ladder))
+    require_size("--n-lambda", args.n_lambda, MAX_GRID)
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
               "ladder": list(ladder), "n_lambda": args.n_lambda,
-              "threads": None,  # thread count must not affect outputs
+              # --threads changes nothing; the key stays so that run-dir
+              # hashes do not move
+              "threads": None,
               "no_regime_check": args.no_regime_check}
     mod = RandomModulation(args.law, args.seed)
 
@@ -317,12 +324,10 @@ def cmd_random(args) -> int:
         gamma_rep = check_1RT1(G, sched, alpha=0.5)
         est = random_sup_stat(mod, G, sched, ladder, args.n_lambda,
                               args.samples, regime_reports=[gamma_rep],
-                              no_regime_check=args.no_regime_check,
-                              threads=args.threads)
+                              no_regime_check=args.no_regime_check)
     else:
         est = random_hilbert_e5(mod, ladder, args.samples,
-                                no_regime_check=args.no_regime_check,
-                                threads=args.threads)
+                                no_regime_check=args.no_regime_check)
     est.config = config
     run_dir = run_dir_for(args.out, config)
     write_json(run_dir / "estimate.json", est.to_json(), config)
@@ -357,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="ergolab-out")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; changes nothing")
         sp.add_argument("--ladder", default=None)
         if expect:
             sp.add_argument("--expect", default=None)

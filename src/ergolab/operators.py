@@ -187,13 +187,12 @@ class VectorField:
         return cls(space, np.zeros((space.size, d), dtype=complex))
 
 
-def character_field(space: SampleSpace, mode: int, vector=None) -> VectorField:
-    """f(x) = e^{2 pi i * mode * x} v on a circle space."""
+def character_field(space: SampleSpace, mode: int) -> VectorField:
+    """The scalar field f(x) = e^{2 pi i * mode * x} on a circle space."""
     if space.kind != "circle":
         raise ValueError("characters live on the circle")
-    v = np.asarray([1.0] if vector is None else vector, dtype=complex)
     phase = np.exp(2j * np.pi * mode * space.points)
-    return VectorField(space, phase[:, None] * v[None, :])
+    return VectorField(space, phase[:, None])
 
 
 def random_field(space: SampleSpace, d: int, seed: int) -> VectorField:

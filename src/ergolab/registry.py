@@ -323,8 +323,8 @@ def check_t8(seed: int, ladder=tuple(2**j for j in range(5, 13))):
     return {"K": K, "contractions": results}, passed
 
 
-def random_hilbert_e5(mod, ladder, samples: int, no_regime_check: bool = False,
-                      threads: int = 1) -> MCEstimate:
+def random_hilbert_e5(mod, ladder, samples: int,
+                      no_regime_check: bool = False) -> MCEstimate:
     """random_hilbert for the E5 weights over a constant cocycle: one random
     2 x 2 contraction, seeded from the modulation's seed, on every atom of
     the 16-cycle, applied to g = (1, 0).  (W3), (W4) and (T21) of E5 are its
@@ -338,4 +338,4 @@ def random_hilbert_e5(mod, ladder, samples: int, no_regime_check: bool = False,
     return random_hilbert(mod, C, None, np.array([1.0, 0.0]), Schedule.identity(),
                           inst.W, ladder, samples,
                           regime_reports=[r3, r4, check_T21(inst.G, inst.W)],
-                          no_regime_check=no_regime_check, threads=threads)
+                          no_regime_check=no_regime_check)

@@ -2,9 +2,8 @@
 
 Random streams are counter-based (Philox keyed by (seed, sample id)), so the
 draw for index k never depends on how many indices were materialized:
-extending a ladder never perturbs earlier draws, and reruns are bit-identical
-at any thread count (samples are independent tasks; reductions happen in a
-fixed order after the parallel map).
+extending a ladder never perturbs earlier draws.  Samples run in one ordered
+loop, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +43,6 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _parallel_map(fn, items, threads: int):
-    """Ordered map; results are reduced in input order regardless of timing."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # random modulation streams
 
@@ -70,7 +60,7 @@ class RandomModulation:
         self.law = law
         self.seed = int(seed)
 
-    def draws(self, y: int, kmax: int, sign: int = 1) -> np.ndarray:
+    def draws(self, y: int, kmax: int) -> np.ndarray:
         """f_1(y)..f_kmax(y); prefixes are stable under growing kmax."""
         if kmax < 1:
             raise ValueError("kmax must be >= 1")
@@ -78,13 +68,11 @@ class RandomModulation:
             return np.zeros(kmax, dtype=complex)
         rng = np.random.Generator(np.random.Philox(key=[self.seed, int(y)]))
         if self.law == "rademacher":
-            out = (2.0 * rng.integers(0, 2, kmax) - 1.0).astype(complex)
-        elif self.law == "gaussian":
-            out = rng.standard_normal(kmax).astype(complex)
-        else:
-            out = (rng.standard_normal(kmax)
-                   + 1j * rng.standard_normal(kmax)) / math.sqrt(2.0)
-        return sign * out
+            return (2.0 * rng.integers(0, 2, kmax) - 1.0).astype(complex)
+        if self.law == "gaussian":
+            return rng.standard_normal(kmax).astype(complex)
+        return (rng.standard_normal(kmax)
+                + 1j * rng.standard_normal(kmax)) / math.sqrt(2.0)
 
     def describe(self) -> dict:
         return {"law": self.law, "seed": self.seed}
@@ -157,8 +145,8 @@ def _gate_regime(reports, no_regime_check: bool):
 
 def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
                     n_ladder, n_lambda: int, samples: int,
-                    regime_reports=None, no_regime_check: bool = False,
-                    threads: int = 1) -> MCEstimate:
+                    regime_reports=None,
+                    no_regime_check: bool = False) -> MCEstimate:
     """Per-sample sup over the ladder and lambda grid of
     |(1/G_n) sum_{k<=n} f_k(y) lam^{n_k}|, with the normalized series
     sum f_k lam^{n_k}/G_k traced alongside."""
@@ -187,7 +175,7 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
                                             cols, k_start)
         return sup_stat, series_sups
 
-    results = _parallel_map(one_sample, range(samples), threads)
+    results = [one_sample(y) for y in range(samples)]
     per_sample = [r[0] for r in results]
     series_trace = [list(map(float, r[1])) for r in results]
     config = {"statistic": "sup-circle-ladder", "law": mod.describe(),
@@ -204,8 +192,8 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
 
 def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
                    W: WeightSeq, n_ladder, samples: int,
-                   regime_reports=None, no_regime_check: bool = False,
-                   threads: int = 1) -> MCEstimate:
+                   regime_reports=None,
+                   no_regime_check: bool = False) -> MCEstimate:
     """Monte Carlo study of sum_k f_k(y) h(alpha^{n_k} w) T_w...T g / W_k.
 
     ``mod`` may be a RandomModulation or a deterministic ModulationSeq (then
@@ -269,7 +257,7 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
         maxfn_l2 = float(np.sqrt(np.sum(mu * running**2)))
         return maxfn_l2, gaps.tolist(), snaps[-1]
 
-    results = _parallel_map(one_sample, range(samples), threads)
+    results = [one_sample(y) for y in range(samples)]
     per_sample = [r[0] for r in results]
     gaps = [r[1] for r in results]
     config = {"statistic": "hilbert-maximal-L2",

@@ -748,26 +748,26 @@ class RearrangementResult:
         return 2.0 * np.pi * count / len(self.sigma_bar)
 
 
-def rearrangement_and_I(sigma_samples, min_samples: int = 1 << 14,
-                        du: float = 1e-3, u_cap: float = 8.0) -> RearrangementResult:
+def rearrangement_and_I(sigma_samples) -> RearrangementResult:
     """Nondecreasing rearrangement of sigma on [0, 2pi] and the integral
 
-        I = int_0^{2pi} sigma_bar(s) ds / (s (log 8pi/s)^{1/2}).
+        I = int_0^{2pi} sigma_bar(s) ds / (s (log 8pi/s)^{1/2}),
 
-    Quadrature uses s = 8 pi exp(-u^2), under which the measure
-    ds/(s sqrt(log 8pi/s)) becomes exactly 2 du, and trapezoid on u; the cap
-    u_cap drops only a region where the integrand has decayed (checked).
+    from at least 2^14 samples of sigma.  Quadrature uses s = 8 pi exp(-u^2),
+    under which the measure ds/(s sqrt(log 8pi/s)) becomes exactly 2 du, and
+    trapezoid on u with step du = 1e-3; the cap u <= 8 drops only a region
+    where the integrand has decayed (checked).
     """
     samples = np.asarray(sigma_samples, dtype=float)
-    if samples.ndim != 1 or len(samples) < min_samples:
-        raise ValueError(f"need at least {min_samples} sigma samples on [0, 2pi]")
+    if samples.ndim != 1 or len(samples) < 1 << 14:
+        raise ValueError(f"need at least {1 << 14} sigma samples on [0, 2pi]")
     if np.any(samples < 0.0):
         raise ValueError("sigma samples must be nonnegative")
     sbar = np.sort(samples)
     quantiles = (np.arange(len(sbar)) + 0.5) / len(sbar) * 2.0 * np.pi
 
     u_min = math.sqrt(math.log(4.0))
-    us = np.arange(u_min, u_cap + du, du)
+    us = np.arange(u_min, 8.0 + 1e-3, 1e-3)
     ss = 8.0 * np.pi * np.exp(-(us**2))
     vals = np.interp(ss, quantiles, sbar, left=sbar[0], right=sbar[-1])
     integrand = 2.0 * vals

@@ -337,13 +337,13 @@ class Schedule:
             raise IndexError(f"explicit schedule has only {len(vals)} entries")
         return vals[k - 1]
 
-    def max_k(self, index_cap: int = INDEX_CAP) -> int:
-        """Largest k with n_k <= index_cap (0 when already n_1 exceeds it)."""
+    def max_k(self) -> int:
+        """Largest k with n_k <= INDEX_CAP (0 when already n_1 exceeds it)."""
         if self.kind == "explicit":
             vals = self._explicit
-            ks = [i + 1 for i, v in enumerate(vals) if v <= index_cap]
+            ks = [i + 1 for i, v in enumerate(vals) if v <= INDEX_CAP]
             return ks[-1] if ks else 0
-        cap = index_cap
+        cap = INDEX_CAP
         if self.kind == "power" and not float(self.param).is_integer():
             cap = min(cap, FLOAT_EXACT_CAP)
 

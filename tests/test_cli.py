@@ -542,6 +542,19 @@ def test_sizes_past_the_summation_cap_exit_2_at_once(tmp_path, capsys, argv):
     assert list(tmp_path.glob("run-*")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("random", "--n-lambda", str((1 << 22) + 1)),
+    ("slln", "--grid", str((1 << 22) + 1)),
+])
+def test_grids_past_the_grid_cap_exit_2_at_once(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert _run(tmp_path, *argv) == 2
+    assert time.perf_counter() - t0 < 0.5
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and f"at most {1 << 22}" in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--ladder", "0"), "below the start index"),
     (("--G", "n^400"), "no valid start index"),

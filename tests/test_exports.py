@@ -87,6 +87,24 @@ def test_math_fsum_is_called_only_in_accum():
     assert callers == []
 
 
+def test_no_module_imports_a_thread_or_process_pool():
+    """Monte Carlo samples run in one ordered loop; a pool of per-sample
+    numpy calls that hold the GIL gained nothing."""
+    banned = {"concurrent", "threading", "multiprocessing"}
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            if roots & banned:
+                importers.append(path.name)
+    assert importers == []
+
+
 def test_public_methods_are_reached():
     trees = _package_trees()
     loads = sum(map(_loads, trees), collections.Counter())

@@ -63,8 +63,6 @@ def test_rademacher_values():
     d = mod.draws(0, 500)
     assert set(d.real.tolist()) == {-1.0, 1.0}
     assert np.all(d.imag == 0.0)
-    flipped = mod.draws(0, 500, sign=-1)
-    assert np.array_equal(flipped, -d)
 
 
 def test_zero_law_and_bad_law():
@@ -109,17 +107,6 @@ def test_sup_stat_zero_law_is_zero():
                           (16, 32), 16, 3)
     assert est.per_sample == [0.0, 0.0, 0.0]
     assert est.regime == "unchecked"
-
-
-def test_sup_stat_thread_invariance():
-    mod = RandomModulation("complex-gaussian", seed=11)
-    G = WeightSeq.from_text("n^0.5", n0=1)
-    kwargs = dict(n_lambda=64, samples=6, no_regime_check=True)
-    base = random_sup_stat(mod, G, Schedule.identity(), (64, 128), **kwargs)
-    for threads in (4, 8):
-        again = random_sup_stat(mod, G, Schedule.identity(), (64, 128),
-                                threads=threads, **kwargs)
-        assert again.digest() == base.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +192,6 @@ def test_hilbert_scalar_h_weights_orbit():
     manual = sum(vals[(0 + k) % 3, 0] * (np.linalg.matrix_power(T, k) @ g) / k
                  for k in range(1, 4))
     assert np.allclose(est.final_fields[0][0], manual, atol=1e-14)
-
-
-def test_hilbert_thread_invariance():
-    C, _ = _constant_setup()
-    mod = RandomModulation("rademacher", seed=5)
-    W = WeightSeq.from_text("n", n0=1)
-    base = random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
-                          (4, 8, 16), samples=6, no_regime_check=True)
-    again = random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
-                           (4, 8, 16), samples=6, no_regime_check=True,
-                           threads=4)
-    assert again.digest() == base.digest()
 
 
 def test_hilbert_ladder_below_start_rejected():

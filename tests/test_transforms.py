@@ -595,6 +595,11 @@ def test_rearrangement_equimeasurable():
                                                     abs=1e-3)
 
 
+def test_rearrangement_refuses_fewer_than_2_14_samples():
+    with pytest.raises(ValueError, match="at least 16384"):
+        rearrangement_and_I(np.ones((1 << 14) - 1))
+
+
 def test_rearrangement_constant_sigma():
     c = 0.75
     res = rearrangement_and_I(np.full(1 << 14, c))
