@@ -24,7 +24,7 @@ from .registry import (EXAMPLE_IDS, ExampleInstance, check_t8, check_t41,
 from .stochastics import (AEDiagnosis, RandomModulation, canonical_hash,
                           random_sup_stat, slln_chain, slln_diagnosis)
 from .transforms import hilbert_trace
-from .weights import GapSeq, Schedule, WeightSeq, WeightSyntaxError
+from .weights import INDEX_CAP, GapSeq, Schedule, WeightSeq, WeightSyntaxError
 
 __all__ = ["main", "build_parser", "run_dir_for"]
 
@@ -34,11 +34,23 @@ __all__ = ["main", "build_parser", "run_dir_for"]
 
 
 def parse_int_token(tok: str) -> int:
+    """An integer or a power b^e, refused unless it lies in [0, INDEX_CAP].
+    A power is judged before it is computed: |b|^e >= 2^((L - 1) e) for b of
+    bit length L, so (L - 1) e > 62 is past the cap."""
     tok = tok.strip()
-    if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return int(base) ** int(exp)
-    return int(tok)
+    try:
+        if "^" in tok:
+            base, exp = (int(part) for part in tok.split("^", 1))
+            fits = exp >= 0 and (abs(base).bit_length() - 1) * exp <= 62
+            value = base**exp if fits else None
+        else:
+            value = int(tok)
+    except ValueError:      # not an integer, or past int()'s 4300 digits
+        value = None
+    if value is None or not 0 <= value <= INDEX_CAP:
+        raise ValueError(f"ladder entry {tok!r} must be an integer in "
+                         f"[0, {INDEX_CAP}] (2^62)")
+    return value
 
 
 def parse_ladder(text: str) -> tuple:

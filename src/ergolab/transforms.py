@@ -45,9 +45,6 @@ __all__ = [
     "I_majorant",
 ]
 
-_CHUNK = 1 << 21  # complex entries per evaluation chunk
-
-
 # ---------------------------------------------------------------------------
 # modulation sequences
 
@@ -249,9 +246,8 @@ def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
 
 def _schedule_ints(sched: Schedule, n: int) -> np.ndarray:
     """n_1..n_n as exact int64, rejecting n past the schedule's reach."""
-    reach = sched.max_k()
-    if n > reach:
-        raise ValueError(f"schedule {sched.describe()} has only {reach} terms "
+    if n > sched.max_k():
+        raise ValueError(f"schedule {sched.describe()} has only {sched.max_k()} terms "
                          f"with n_k <= 2^62; n={n} is out of reach")
     return sched.values(n)
 
@@ -713,25 +709,28 @@ def sigma_grid(G: WeightSeq, sched: Schedule, ts, N: int, alpha: float,
     Returns (lower, upper): the bare truncation and the truncation plus the
     tail majorized through sin^2 x <= |x|^alpha, which keeps the upper
     estimate 0 at t = 0 and below the |t|^{alpha/2} envelope everywhere.
+    Each t must round 2 pi j/M for the least power of two M <= 2^22 holding
+    all t.  The sum is (C_0 - C_j)/2, C_j = Re sum_k G_k^-2 omega^{j r_k} at
+    the exact r_k = n_k mod M, from one real half row of ``circle_prefix_rows``:
+    0 at j = 0 mod M, within 2^-53 (6 log2 M + m) C_0, m the most k per residue.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     ts = np.asarray(ts, dtype=float)
+    j = np.rint(ts * (2**22 / (2.0 * np.pi)))
+    if not (np.isfinite(ts).all() and np.array_equal(2.0 * np.pi * j / 2**22, ts)):
+        raise ValueError("sigma angles must be 2 pi j/M, M a power of two <= 2^22")
+    j = (j % 2**22).astype(np.int64)
+    step = int(np.gcd.reduce(j, initial=2**22))    # the coarsest grid holding all t
+    M, j = 2**22 // step, j // step
     if tail is None:
         tail = gamma_tail(G, sched, alpha, N)
-    k_start = G.n0
-    g2 = G.prefix(N)[0:] ** 2
-    n_half = _schedule_ints(sched, N)[k_start - 1:].astype(float) / 2.0
-    inv_g2 = 1.0 / g2
-    rows = max(1, _CHUNK // max(len(n_half), 1))
-    partial = np.empty(ts.shape)
-    for lo_i in range(0, len(ts), rows):
-        chunk = ts[lo_i:lo_i + rows]
-        s2 = np.sin(np.outer(chunk, n_half)) ** 2
-        partial[lo_i:lo_i + rows] = s2 @ inv_g2
-    lower = 2.0 * np.sqrt(partial)
-    upper = 2.0 * np.sqrt(partial + (np.abs(ts) / 2.0) ** alpha * tail)
-    return lower, upper
+    inv_g2 = 1.0 / G.prefix(N) ** 2
+    residues = _schedule_ints(sched, N)[G.n0 - 1:] % M
+    C = next(circle_prefix_rows(inv_g2, residues, M, [N], G.n0))[1][0].real
+    partial = np.maximum(0.5 * (C[0] - C[np.minimum(j, M - j)]), 0.0)  # >= 0 exactly
+    return (2.0 * np.sqrt(partial),
+            2.0 * np.sqrt(partial + (np.abs(ts) / 2.0) ** alpha * tail))
 
 
 @dataclass

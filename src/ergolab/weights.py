@@ -271,6 +271,7 @@ class Schedule:
         self.kind = kind
         self.param = param
         self._explicit = None
+        self._max_k = None
         if kind == "explicit":
             vals = [int(v) for v in values]
             if not vals:
@@ -338,7 +339,13 @@ class Schedule:
         return vals[k - 1]
 
     def max_k(self) -> int:
-        """Largest k with n_k <= INDEX_CAP (0 when already n_1 exceeds it)."""
+        """Largest k with n_k <= INDEX_CAP (0 when already n_1 exceeds it).
+        A schedule never changes after construction, so it is found once."""
+        if self._max_k is None:
+            self._max_k = self._find_max_k()
+        return self._max_k
+
+    def _find_max_k(self) -> int:
         if self.kind == "explicit":
             vals = self._explicit
             ks = [i + 1 for i, v in enumerate(vals) if v <= INDEX_CAP]

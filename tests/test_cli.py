@@ -17,7 +17,7 @@ from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
 from ergolab.registry import EXAMPLE_IDS, example_instance
 from ergolab.stochastics import RandomModulation
-from ergolab.weights import WeightSeq
+from ergolab.weights import INDEX_CAP, WeightSeq
 
 
 def _run(tmp_path, *argv):
@@ -451,11 +451,18 @@ def _exits_0_1_or_2(argv, out_dir):
 
 _SLLN_EXPECT = st.sampled_from(["", "consistent-with-convergence", "inconsistent",
                                 "indeterminate", "bogus"])
+# power tokens b^e, e from -3 to 10^7: fractions, negatives, 0^-1 and values
+# far past 2^62 among them.  Exponents 10..39 are left out, because such
+# powers below the caps run full-size series (a 2^19-term `random --stat
+# hilbert` takes seconds).
+_POWER_TOKEN = st.tuples(st.sampled_from((2, 3, 1, 0, -1, -2)),
+                         st.integers(-3, 9) | st.integers(40, 10**7)).map(
+    lambda t: f"{t[0]}^{t[1]}")
 _LADDER_TEXT = st.one_of(
-    st.lists(st.integers(-4, 600), min_size=1, max_size=5).map(
-        lambda xs: ",".join(map(str, xs))),
-    st.tuples(st.integers(-4, 64), st.integers(-4, 600)).map(
-        lambda t: f"{t[0]}..{t[1]}"))
+    st.lists(st.integers(-4, 600).map(str) | _POWER_TOKEN, min_size=1,
+             max_size=5).map(",".join),
+    st.tuples(st.integers(-4, 64).map(str) | _POWER_TOKEN,
+              _POWER_TOKEN | st.integers(-4, 600).map(str)).map("..".join))
 
 
 @settings(max_examples=40, deadline=5000, database=None)
@@ -552,6 +559,22 @@ def test_grids_past_the_grid_cap_exit_2_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 0.5
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and f"at most {1 << 22}" in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("random", "--ladder", "1..2^3000000"),
+    ("random", "--ladder", "9^3000000"),
+    ("random", "--ladder", "2^-1"),
+    ("check", "--example", "E1", "--ladder", "100,2^63"),
+])
+def test_ladder_tokens_past_the_index_cap_exit_2_at_once(tmp_path, capsys, argv):
+    # the power is refused from its exponent, never computed or doubled up to
+    t0 = time.perf_counter()
+    assert _run(tmp_path, *argv) == 2
+    assert time.perf_counter() - t0 < 0.5
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(INDEX_CAP) in err and out == ""
     assert list(tmp_path.glob("run-*")) == []
 
 

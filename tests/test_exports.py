@@ -87,6 +87,15 @@ def test_math_fsum_is_called_only_in_accum():
     assert callers == []
 
 
+def test_every_phase_goes_through_the_circle_kernel():
+    """One phase kernel: circle values come from ``circle_prefix_rows`` on
+    exact residues, never from sines or cosines of rounded products t n_k."""
+    callers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if any(call in path.read_text()
+                      for call in ("np.sin(", "np.cos(", "np.outer("))]
+    assert callers == []
+
+
 def test_no_module_imports_a_thread_or_process_pool():
     """Monte Carlo samples run in one ordered loop; a pool of per-sample
     numpy calls that hold the GIL gained nothing."""

@@ -178,6 +178,22 @@ def test_circle_column_sups_rejects_bad_input():
     assert sups.size == 0 and argj.size == 0
 
 
+def test_circle_column_sups_find_the_schedule_reach_once(monkeypatch):
+    # the reach bisection calls Schedule.value; the identity's values() does not
+    value = Schedule.value
+    calls = []
+    monkeypatch.setattr(Schedule, "value",
+                        lambda self, k: calls.append(k) or value(self, k))
+    sched = Schedule.identity()
+    a = ModulationSeq.explicit(np.exp(2j * np.pi * 0.3 * np.arange(1, 65) ** 2))
+    first = circle_column_sups(a, sched, 64, 16, [32, 64])
+    searched = len(calls)
+    for _ in range(3):
+        again = circle_column_sups(a, sched, 64, 16, [32, 64])
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+    assert searched > 0 and len(calls) == searched
+
+
 def test_measure_K_streams_in_small_memory():
     import tracemalloc
     G = WeightSeq.from_text("n", n0=1)
@@ -557,9 +573,55 @@ def test_opnorm_snapshots_match_direct_matrix_powers(monkeypatch):
 def test_sigma_single_term():
     G = WeightSeq.from_text("n", n0=1)
     sched = Schedule.identity()
-    lo, hi = sigma_grid(G, sched, [1.3], N=1, alpha=0.5, tail=0.0)
-    assert lo[0] == pytest.approx(2.0 * abs(math.sin(0.65)))
+    t = 2.0 * np.pi * 3 / 8
+    lo, hi = sigma_grid(G, sched, [t], N=1, alpha=0.5, tail=0.0)
+    assert lo[0] == pytest.approx(2.0 * abs(math.sin(t / 2.0)))
     assert hi[0] == lo[0]
+
+
+def _sigma_sum_reference(G, sched, M, N):
+    """sum_k sin^2(pi q_jk/M)/G_k^2 at every j < M, from the exact integer
+    phases q_jk = j (n_k mod M) mod M."""
+    c = 1.0 / G.prefix(N) ** 2
+    r = (sched.values(N)[G.n0 - 1:] % M).astype(np.int32)    # j r < M^2 = 2^28
+    s2 = np.sin(np.pi * np.arange(M) / M) ** 2
+    out = np.empty(M)
+    for lo in range(0, M, 64):
+        q = np.multiply.outer(np.arange(lo, lo + 64, dtype=np.int32), r) % M
+        out[lo:lo + 64] = (s2[q] * c).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("sched", [Schedule.identity(), Schedule.power(2)],
+                         ids=["identity", "power:2"])
+def test_sigma_matches_the_exact_residue_reference_within_its_bound(sched):
+    # under power:2, n_N = 10^8 + 1 lies far past M
+    G = WeightSeq.from_text("n", n0=1)
+    M, N = 1 << 14, 10**4
+    lo, hi = sigma_grid(G, sched, 2.0 * np.pi * np.arange(M) / M, N, alpha=0.5,
+                        tail=0.0)
+    m = int(np.bincount(sched.values(N) % M).max())
+    bound = 2.0**-53 * (6 * math.log2(M) + m) * math.fsum(1.0 / G.prefix(N) ** 2)
+    assert np.abs((lo / 2.0) ** 2 - _sigma_sum_reference(G, sched, M, N)).max() <= bound
+    assert lo[0] == 0.0 and np.array_equal(hi, lo)
+
+
+def test_sigma_reads_grid_angles_in_any_rounding_order_and_refuses_others():
+    G = WeightSeq.from_text("n", n0=1)
+    sched = Schedule.identity()
+    M = 1 << 10
+    j = np.arange(-M, 2 * M + 1)
+    lo, hi = sigma_grid(G, sched, 2.0 * np.pi * j / M, 100, alpha=0.5)
+    for ts in (j / M * 2.0 * np.pi, j * (2.0 * np.pi / M)):
+        lo2, hi2 = sigma_grid(G, sched, ts, 100, alpha=0.5)
+        assert np.array_equal(lo2, lo) and np.array_equal(hi2, hi)
+    lo2, hi2 = sigma_grid(G, sched, np.linspace(0.0, 2.0 * np.pi, M + 1), 100,
+                          alpha=0.5)
+    assert np.array_equal(lo2, lo[M:2 * M + 1]) and np.array_equal(hi2, hi[M:2 * M + 1])
+    assert np.array_equal(lo[:M], lo[M:2 * M]) and lo[M] == 0.0
+    for t in (1.3, 2.0 * np.pi / 3.0, 2.0 * np.pi / 2**23, math.nan, math.inf):
+        with pytest.raises(ValueError, match="power of two"):
+            sigma_grid(G, sched, [0.0, t], 100, alpha=0.5)
 
 
 def test_sigma_zero_at_origin():
