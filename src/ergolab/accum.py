@@ -1,12 +1,32 @@
 """The package's one summation rule.
 
-Every exact sum in this package is ``fsum``, a ``math.fsum`` (Shewchuk's
-exact summation): the float nearest the exact sum of its inputs, whatever
-their count or order, so every sum is bit-reproducible across runs and
-thread counts.  ``fsum`` hands ``math.fsum`` a memoryview of a contiguous
-float64 buffer, which it reads as plain floats; iterating an ndarray would
-box every element as a ``numpy.float64``, which on a smooth series takes
-longer than the summation itself.  ``math.fsum`` is called nowhere else in the package.
+Every exact sum in this package is ``fsum``: the float nearest the exact sum
+of its inputs (``math.fsum``, Shewchuk's exact summation, bit for bit),
+whatever their count or order, so every sum is bit-reproducible across runs
+and thread counts.  ``math.fsum`` is called nowhere else in the package.
+
+``fsum`` reads its terms as a contiguous float64 buffer.  A buffer of at
+least 64 finite terms is summed by error-free extraction (Rump, Ogita and
+Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM
+J. Sci. Comput. 31(1), 2008, the ExtractVector step), 2^15 terms at a time
+so that its two work arrays stay in cache.  For a chunk r of m terms, let
+2^e > max|r|, 2^k > m + 2 and sigma = 2^(e+k).  Then q = (sigma + r) - sigma
+and r - q are exact, every q is a multiple of ulp(sigma)/2 and their total
+stays below sigma in magnitude, so ``q.sum()`` is exact in any order; the
+pass repeats on r - q until r is all zero.  The pass sums are thus exact,
+and ``math.fsum`` of them is the correctly rounded total.  ``math.fsum``
+takes a memoryview of the whole buffer instead (iterating an ndarray would
+box every element as a ``numpy.float64``) when the buffer has
+
+- fewer than 64 terms (extraction costs more than it saves there);
+- a nan or an infinity (fsum's nan/inf results and its ValueError are the
+  contract);
+- n terms of magnitude up to 2^e with 2^e times 2^bit_length(n + 2) past
+  2^1023, where a prefix sum could overflow (fsum's OverflowError is the
+  contract), or an ulp(sigma) below the normal range;
+- a chunk that needs more than 8 passes (terms spread over some 250
+  binades or more, where Shewchuk's partials are cheaper);
+- no nonzero term, so that a sum of signed zeros keeps fsum's sign rule.
 
 A long series is cut into blocks, each block is fsum'd, and a partial or
 tail sum is the fsum of its block sums; for nonnegative terms that lies
@@ -28,10 +48,49 @@ import numpy as np
 __all__ = ["block_sums", "fsum", "running_sums"]
 
 
+_MIN_TERMS = 64           # shorter buffers go to math.fsum
+_CHUNK = 2**15            # terms extracted at a time
+_MAX_PASSES = 8           # extraction passes per chunk before falling back
+
+
 def fsum(xs) -> float:
     """math.fsum(xs) bit for bit, its nan/inf results and its
     OverflowError/ValueError included, read from a float64 buffer."""
-    return math.fsum(memoryview(np.ascontiguousarray(xs, dtype=float).ravel()))
+    buf = np.ascontiguousarray(xs, dtype=float).ravel()
+    parts = _extracted_parts(buf)
+    return math.fsum(memoryview(buf) if parts is None else parts)
+
+
+def _extracted_parts(buf) -> list | None:
+    """Pass sums of ``buf`` by error-free extraction, whose exact total is
+    the exact sum of ``buf``; None when ``buf`` must go to math.fsum whole."""
+    n = buf.size
+    if n < _MIN_TERMS:
+        return None
+    n_bits = (n + 2).bit_length()
+    r = np.empty(min(n, _CHUNK))
+    q = np.empty_like(r)
+    parts = []
+    for lo in range(0, n, _CHUNK):
+        chunk = buf[lo:lo + _CHUNK]
+        rc, qc = r[:chunk.size], q[:chunk.size]
+        rc[...] = chunk
+        k = (chunk.size + 2).bit_length()
+        for passes in itertools.count():
+            top = float(np.abs(rc, out=qc).max())
+            if top == 0.0:
+                break
+            if not math.isfinite(top) or passes == _MAX_PASSES:
+                return None
+            e = math.frexp(top)[1]
+            if e + n_bits > 1023 or e + k - 52 < -1022:
+                return None
+            sigma = math.ldexp(1.0, e + k)
+            np.add(rc, sigma, out=qc)
+            qc -= sigma
+            parts.append(float(qc.sum()))
+            rc -= qc
+    return parts or None          # no nonzero term
 
 
 def block_sums(xs, cuts) -> list:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .accum import fsum
+from .accum import fsum, running_sums
 from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
@@ -103,22 +103,18 @@ def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
 
     Terms are evaluated and summed by ``accum.fsum`` one piece at a time, a
     piece running between consecutive rungs and dyadic points (evaluating
-    all 10^6 terms at once is no faster and raises the peak memory); each
-    partial sum is the ``accum.fsum`` of the pieces before its rung.  Also
-    returns dyadic block sums (blocks (2^j, 2^{j+1}]), each the
+    all 10^6 terms at once is no faster and raises the peak memory); the
+    partial sums are ``accum.running_sums`` of the pieces, read at the
+    rungs.  Also returns dyadic block sums (blocks (2^j, 2^{j+1}]), each the
     ``accum.fsum`` of its pieces, for the decay heuristic.
     """
     rungs = sorted({min(r, kmax) for r in rungs if r >= k_start} | {kmax})
     dyadic = {2**j for j in range(int(kmax).bit_length()) if k_start <= 2**j < kmax}
     bounds = sorted({k_start - 1, *rungs} | dyadic)
 
-    pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        vals = np.asarray(term_fn(np.arange(lo + 1, hi + 1, dtype=np.int64)), dtype=float)
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise ArithmeticError("series terms must be finite and nonnegative")
-        pieces.append(fsum(vals))
-    partial_sums = [(K, fsum(pieces[:bounds.index(K)])) for K in rungs]
+    pieces = [_piece_sum(term_fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    through = dict(zip(bounds[1:], running_sums(pieces)))
+    partial_sums = [(K, through[K]) for K in rungs]
     blocks = {}
     for lo, s in zip(bounds, pieces):
         blocks.setdefault(int(math.log2(lo)) if lo > 0 else -1, []).append(s)
@@ -128,6 +124,16 @@ def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
         # block would fake decay in the ratio heuristic
         del blocks[top]
     return partial_sums, [fsum(blocks[j]) for j in sorted(blocks)]
+
+
+def _piece_sum(term_fn, lo: int, hi: int) -> float:
+    """accum.fsum of term(k) for lo < k <= hi.  The terms are freed on
+    return: a piece's terms (up to 4 MB) still alive while the running sums
+    are taken fragment the heap and raise the peak memory."""
+    vals = np.asarray(term_fn(np.arange(lo + 1, hi + 1, dtype=np.int64)), dtype=float)
+    if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+        raise ArithmeticError("series terms must be finite and nonnegative")
+    return fsum(vals)
 
 
 def _heuristic_claim(partial_sums, block_sums) -> str:

@@ -399,14 +399,15 @@ def slln_chain(G: WeightSeq, W: WeightSeq, amplitude, n_max: int, M: int,
     snaps = {n: np.zeros(sample_points, dtype=complex) for n in ladder}
     for b0, X in circle_prefix_rows(coefs, np.arange(k_start, n_max + 1), M,
                                     cols, k_start):
-        for i, row in enumerate(X, start=b0):
-            n = cols[i]
+        ns = cols[b0:b0 + len(X)]
+        for n, row in zip(ns, X):
             if n in snaps:
                 vals = row[read_idx]
                 snaps[n] = np.where(mirrored, vals.conj(), vals)
-            trace.record(n, pointwise=np.abs(row),
-                         norm_Sn_over_Wn=math.sqrt(amp_sums[i]) / w[n - k_start],
-                         series_partial_norm=math.sqrt(coef_sums[i]))
+        trace.record_block(ns, np.abs(X),
+                           [math.sqrt(s) / w[n - k_start]
+                            for n, s in zip(ns, amp_sums[b0:b0 + len(ns)])],
+                           [math.sqrt(s) for s in coef_sums[b0:b0 + len(ns)]])
     return trace, [snaps[n] for n in ladder]
 
 

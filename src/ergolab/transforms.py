@@ -175,16 +175,36 @@ class TransformTrace:
                 self._max = pointwise.copy()
             else:
                 np.maximum(self._max, pointwise, out=self._max)
-            row["running_max_Lp"] = self._lp(self._max)
+            row["running_max_Lp"] = self._lps(self._max[None])[0]
         self.rows.append(row)
 
-    def _lp(self, arr: np.ndarray) -> float:
+    def record_block(self, ns, pointwise, norm_Sn_over_Wn, series_partial_norm) -> None:
+        """``record`` for the increasing indices ``ns`` at once: row i of the
+        2-D float array ``pointwise`` (overwritten by the running maximum)
+        and entry i of each column belong to ns[i]."""
+        if self._max is not None:
+            np.maximum(pointwise[0], self._max, out=pointwise[0])
+        # row by row: np.maximum.accumulate along axis 0 walks the block
+        # column by column, several times slower on wide rows
+        for prev, row in zip(pointwise, pointwise[1:]):
+            np.maximum(row, prev, out=row)
+        self._max = pointwise[-1].copy()
+        for n, lp, a, b in zip(ns, self._lps(pointwise), norm_Sn_over_Wn,
+                               series_partial_norm):
+            self.record(n, norm_Sn_over_Wn=a, series_partial_norm=b)
+            self.rows[-1]["running_max_Lp"] = lp
+
+    def _lps(self, rows: np.ndarray) -> list:
+        """The L_p norm of each row of the 2-D ``rows``, by one reduction
+        along axis 1."""
+        if math.isinf(self.p):
+            return rows.max(axis=1, initial=0.0).tolist()
         w = self.space_weights
         if w is None:
-            w = np.full(arr.shape, 1.0 / arr.size)
-        if math.isinf(self.p):
-            return float(arr.max(initial=0.0))
-        return float(np.sum(w * arr**self.p) ** (1.0 / self.p))
+            w = np.full(rows.shape[1], 1.0 / rows.shape[1])
+        terms = rows**self.p
+        terms *= w
+        return [float(s ** (1.0 / self.p)) for s in np.sum(terms, axis=1)]
 
     def to_csv(self, path) -> None:
         present = [c for c in self.COLUMNS

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ergolab import accum
 from ergolab.accum import fsum, running_sums
 
 
@@ -20,6 +23,14 @@ def _bits(xs):
 def _spread(n, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+def _outcome(f, xs):
+    """The sum's bits, or the type of the error it raised."""
+    try:
+        return f(xs).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
 
 
 CORPUS = [
@@ -69,6 +80,95 @@ def test_fsum_of_long_arrays_views_and_lists():
     assert fsum(xs[::-3]).hex() == math.fsum(xs[::-3]).hex()
     ys = xs[:1000].tolist()
     assert fsum(ys).hex() == math.fsum(ys).hex()
+
+
+# 64 is the shortest extracted buffer; 2^15 +- 1 straddle one chunk
+TILED = [64, 2**15 - 1, 2**15 + 1, 10**5]
+
+
+@pytest.mark.parametrize("size", TILED)
+@pytest.mark.parametrize("xs", [xs for xs in CORPUS if xs])
+def test_fsum_of_tiled_corpus_is_math_fsum(xs, size):
+    tiled = np.resize(np.array(xs, dtype=float), size)
+    assert _outcome(fsum, tiled) == _outcome(math.fsum, tiled.tolist())
+
+
+def _ties(n):
+    """1 + 2^-53 lies halfway between two floats, and a far smaller term in
+    a later chunk, or none, decides the rounding."""
+    cases = []
+    for head in (1.0, 1.0 + 2.0**-52):
+        for breaker in (0.0, 2.0**-200, -2.0**-200, 2.0**-1000):
+            xs = np.zeros(n)
+            xs[0], xs[n // 2], xs[-1] = head, 2.0**-53, breaker
+            cases.append(xs)
+    return cases
+
+
+def _subnormals(n):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    tiny = rng.integers(-2**40, 2**40, n) * 2.0**-1074
+    return [tiny, np.abs(tiny), tiny + np.where(np.arange(n) % 7, 0.0, 2.0**-1000)]
+
+
+def _modulated(n):
+    """Signed real and imaginary terms of sum_k k^-0.6 e^{i t n_k} with
+    n_k = k^2, as ``transforms.modulated_poly`` sums them."""
+    k = np.arange(1, n + 1, dtype=float)
+    terms = k**-0.6 * np.exp(1j * 2.399963229728653 * k * k)
+    return [terms.real, terms.imag]
+
+
+def _below_minus_one(sizes):
+    """Terms just above -1, whose extracted parts fill every bit down to
+    ulp(sigma) / 2, in chunks longer than half of 2^k."""
+    rng = np.random.Generator(np.random.Philox(key=6))
+    return [-1.0 + rng.random(n) * 2.0**-20 for n in sizes]
+
+
+@pytest.mark.parametrize("xs", _ties(10**5) + _subnormals(10**5) + _modulated(10**5)
+                         + _below_minus_one([100, 1000, 3000, 10**5]))
+def test_fsum_of_long_ties_subnormals_and_signed_terms(xs):
+    assert fsum(xs).hex() == math.fsum(xs.tolist()).hex()
+
+
+def test_fsum_extracts_smooth_series_and_falls_back_otherwise():
+    smooth = np.arange(1, 10**6 + 1, dtype=float) ** -1.3
+    parts = accum._extracted_parts(smooth)
+    assert parts is not None and len(parts) >= smooth.size // accum._CHUNK
+    assert math.fsum(parts).hex() == math.fsum(memoryview(smooth)).hex()
+    assert fsum(smooth).hex() == math.fsum(memoryview(smooth)).hex()
+    for bad in (math.inf, -math.inf, math.nan):
+        xs = smooth[:4096].copy()
+        xs[1234] = bad
+        assert accum._extracted_parts(xs) is None
+    wide = np.ldexp(1.0, np.arange(-300, 300))       # 600 binades
+    assert accum._extracted_parts(wide) is None
+    assert fsum(wide).hex() == math.fsum(wide.tolist()).hex()
+
+
+def _buffer(n, seed, lo, width, fill, share, specials):
+    """n terms of random sign and mantissa over the binades [lo, lo + width],
+    a ``share`` of them then set to ``fill`` and a few to ``specials``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xs = np.ldexp(rng.uniform(-1.0, 1.0, n),
+                  rng.integers(lo, min(lo + width, 1024), n, endpoint=True))
+    xs[rng.random(n) < share] = fill
+    xs[rng.integers(0, n, len(specials))] = specials
+    return xs
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | \
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1024))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(xs=st.builds(_buffer, st.integers(64, 5000), st.integers(0, 2**32 - 1),
+                    st.integers(-1074, 1023), st.integers(0, 60) | st.integers(0, 2100), _FLOATS,
+                    st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.lists(_FLOATS, max_size=3)))
+def test_fsum_is_math_fsum_on_any_buffer(xs):
+    assert _outcome(fsum, xs) == _outcome(math.fsum, xs.tolist())
 
 
 @pytest.mark.parametrize("xs, error", RAISING)

@@ -61,6 +61,20 @@ def test_trace_csv_roundtrip(tmp_path):
         tr.record(3)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_trace_block_is_row_by_row(p):
+    rng = np.random.Generator(np.random.Philox(key=9))
+    pts = np.abs(rng.standard_normal((12, 2049))) * 10.0 ** rng.uniform(-5, 5, (12, 2049))
+    w = rng.random(2049)
+    one, block = TransformTrace(w, p), TransformTrace(w, p)
+    for n, row in enumerate(pts, start=1):
+        one.record(n, pointwise=row, norm_Sn_over_Wn=n / 7, series_partial_norm=n / 3)
+    block.record_block([1, 2, 3], pts[:3].copy(), [1 / 7, 2 / 7, 3 / 7], [1 / 3, 2 / 3, 1.0])
+    block.record_block(range(4, 13), pts[3:].copy(), [n / 7 for n in range(4, 13)],
+                       [n / 3 for n in range(4, 13)])
+    assert block.rows == one.rows
+
+
 # ---------------------------------------------------------------------------
 # weighted series
 
