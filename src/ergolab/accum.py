@@ -24,8 +24,9 @@ box every element as a ``numpy.float64``) when the buffer has
 - n terms of magnitude up to 2^e with 2^e times 2^bit_length(n + 2) past
   2^1023, where a prefix sum could overflow (fsum's OverflowError is the
   contract), or an ulp(sigma) below the normal range;
-- a chunk that needs more than 8 passes (terms spread over some 250
-  binades or more, where Shewchuk's partials are cheaper);
+- a chunk that needs more than 8 passes (a full chunk's pass clears
+  52 - 16 binades, so terms spread over more than about 235 binades,
+  where Shewchuk's partials are cheaper);
 - no nonzero term, so that a sum of signed zeros keeps fsum's sign rule.
 
 A long series is cut into blocks, each block is fsum'd, and a partial or

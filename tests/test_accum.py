@@ -171,6 +171,18 @@ def test_fsum_is_math_fsum_on_any_buffer(xs):
     assert _outcome(fsum, xs) == _outcome(math.fsum, xs.tolist())
 
 
+def test_fsum_raises_when_a_long_prefix_overflows_and_cancels():
+    """Every chunk's sigma is in range and the total is finite, but a
+    prefix overflows, so math.fsum raises."""
+    v = math.ldexp(0.999, 1007)
+    xs = np.full(5 * 2**15, v)
+    xs[-2**14:] = -v
+    with pytest.raises(OverflowError):
+        math.fsum(xs.tolist())
+    with pytest.raises(OverflowError):
+        fsum(xs)
+
+
 @pytest.mark.parametrize("xs, error", RAISING)
 def test_fsum_raises_as_math_fsum(xs, error):
     with pytest.raises(error):
