@@ -6,7 +6,7 @@ whatever their count or order, so every sum is bit-reproducible across runs
 and thread counts.  ``math.fsum`` is called nowhere else in the package.
 
 ``fsum`` reads its terms as a contiguous float64 buffer.  A buffer of at
-least 64 finite terms is summed by error-free extraction (Rump, Ogita and
+least 1,024 finite terms is summed by error-free extraction (Rump, Ogita and
 Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM
 J. Sci. Comput. 31(1), 2008, the ExtractVector step), 2^15 terms at a time
 so that its two work arrays stay in cache.  For a chunk r of m terms, let
@@ -18,7 +18,8 @@ and ``math.fsum`` of them is the correctly rounded total.  ``math.fsum``
 takes a memoryview of the whole buffer instead (iterating an ndarray would
 box every element as a ``numpy.float64``) when the buffer has
 
-- fewer than 64 terms (extraction costs more than it saves there);
+- fewer than 1,024 terms (below about that many a pass of a few numpy
+  calls costs more than Shewchuk's partials on the whole buffer);
 - a nan or an infinity (fsum's nan/inf results and its ValueError are the
   contract);
 - n terms of magnitude up to 2^e with 2^e times 2^bit_length(n + 2) past
@@ -49,7 +50,7 @@ import numpy as np
 __all__ = ["block_sums", "fsum", "running_sums"]
 
 
-_MIN_TERMS = 64           # shorter buffers go to math.fsum
+_MIN_TERMS = 1024         # shorter buffers go to math.fsum
 _CHUNK = 2**15            # terms extracted at a time
 _MAX_PASSES = 8           # extraction passes per chunk before falling back
 

@@ -164,18 +164,15 @@ class TransformTrace:
                series_partial_norm=None) -> None:
         if self.rows and n <= self.rows[-1]["n"]:
             raise ValueError("trace indices must be strictly increasing")
+        if pointwise is not None:
+            self.record_block([n], np.array(pointwise, dtype=float).reshape(1, -1),
+                              [norm_Sn_over_Wn], [series_partial_norm])
+            return
         row = {"n": int(n)}
         if norm_Sn_over_Wn is not None:
             row["norm_Sn_over_Wn"] = float(norm_Sn_over_Wn)
         if series_partial_norm is not None:
             row["series_partial_norm"] = float(series_partial_norm)
-        if pointwise is not None:
-            pointwise = np.asarray(pointwise, dtype=float)
-            if self._max is None:
-                self._max = pointwise.copy()
-            else:
-                np.maximum(self._max, pointwise, out=self._max)
-            row["running_max_Lp"] = self._lps(self._max[None])[0]
         self.rows.append(row)
 
     def record_block(self, ns, pointwise, norm_Sn_over_Wn, series_partial_norm) -> None:

@@ -82,8 +82,8 @@ def test_fsum_of_long_arrays_views_and_lists():
     assert fsum(ys).hex() == math.fsum(ys).hex()
 
 
-# 64 is the shortest extracted buffer; 2^15 +- 1 straddle one chunk
-TILED = [64, 2**15 - 1, 2**15 + 1, 10**5]
+# 1,023 and 1,024 straddle the shortest extracted buffer, 2^15 +- 1 one chunk
+TILED = [64, 1023, 1024, 2**15 - 1, 2**15 + 1, 10**5]
 
 
 @pytest.mark.parametrize("size", TILED)
@@ -127,7 +127,7 @@ def _below_minus_one(sizes):
 
 
 @pytest.mark.parametrize("xs", _ties(10**5) + _subnormals(10**5) + _modulated(10**5)
-                         + _below_minus_one([100, 1000, 3000, 10**5]))
+                         + _below_minus_one([1100, 2000, 3000, 10**5]))
 def test_fsum_of_long_ties_subnormals_and_signed_terms(xs):
     assert fsum(xs).hex() == math.fsum(xs.tolist()).hex()
 
@@ -138,11 +138,15 @@ def test_fsum_extracts_smooth_series_and_falls_back_otherwise():
     assert parts is not None and len(parts) >= smooth.size // accum._CHUNK
     assert math.fsum(parts).hex() == math.fsum(memoryview(smooth)).hex()
     assert fsum(smooth).hex() == math.fsum(memoryview(smooth)).hex()
+    assert accum._extracted_parts(smooth[:accum._MIN_TERMS]) is not None
+    assert accum._extracted_parts(smooth[:accum._MIN_TERMS - 1]) is None
     for bad in (math.inf, -math.inf, math.nan):
         xs = smooth[:4096].copy()
         xs[1234] = bad
         assert accum._extracted_parts(xs) is None
-    wide = np.ldexp(1.0, np.arange(-300, 300))       # 600 binades
+    narrow = np.ldexp(1.0, np.resize(np.arange(-30, 30), 4096))
+    assert accum._extracted_parts(narrow) is not None
+    wide = np.ldexp(1.0, np.resize(np.arange(-300, 300), 4096))      # 600 binades
     assert accum._extracted_parts(wide) is None
     assert fsum(wide).hex() == math.fsum(wide.tolist()).hex()
 

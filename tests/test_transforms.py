@@ -73,6 +73,10 @@ def test_trace_block_is_row_by_row(p):
     block.record_block(range(4, 13), pts[3:].copy(), [n / 7 for n in range(4, 13)],
                        [n / 3 for n in range(4, 13)])
     assert block.rows == one.rows
+    # the running maximum's norm, one row at a time as a 1-D reduction
+    expect = [float(m.max(initial=0.0)) if math.isinf(p) else float(np.sum(w * m**p) ** (1 / p))
+              for m in np.maximum.accumulate(pts)]
+    assert [row["running_max_Lp"] for row in one.rows] == expect
 
 
 # ---------------------------------------------------------------------------
