@@ -13,16 +13,17 @@ from .admissibility import (LADDER, AdmissibilityReport, bertrand_converges,
                             check_rrr, check_T21, check_weak_admissible,
                             series_report)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
-                        VectorField, character_field, operator_from_json,
-                        operator_norm, random_field, skew_operator)
+                        VectorField, character_field, lp_norms,
+                        operator_from_json, operator_norm, random_field,
+                        skew_operator)
 from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          OpNormReport, RearrangementResult, TransformTrace,
                          I_majorant, circle_column_sups, circle_prefix_rows,
                          gamma_tail, hilbert_partial, hilbert_trace,
                          interpolation_bound, interpolation_bound_check,
-                         measure_K, modulated_poly, opnorm_series,
-                         rearrangement_and_I, sigma_grid, twisted_bound_check,
-                         weighted_series)
+                         ladder_rows, measure_K, modulated_poly, opnorm_series,
+                         rearrangement_and_I, series_rows, sigma_grid,
+                         twisted_bound_check, weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
                           random_sup_stat, slln_chain, slln_diagnosis)
@@ -37,14 +38,14 @@ __all__ = [
     "check_admissible", "check_full_W1", "check_rrr", "check_T21",
     "check_weak_admissible", "series_report",
     "Cocycle", "LinearOperator", "SampleSpace", "Transformation",
-    "VectorField", "character_field", "operator_from_json", "operator_norm",
-    "random_field", "skew_operator",
+    "VectorField", "character_field", "lp_norms", "operator_from_json",
+    "operator_norm", "random_field", "skew_operator",
     "BoundReport", "KMeasurement", "ModulationSeq", "OpNormReport",
     "RearrangementResult", "TransformTrace", "I_majorant",
     "circle_column_sups", "circle_prefix_rows", "gamma_tail",
     "hilbert_partial", "hilbert_trace", "interpolation_bound",
-    "interpolation_bound_check", "measure_K", "modulated_poly",
-    "opnorm_series", "rearrangement_and_I", "sigma_grid",
+    "interpolation_bound_check", "ladder_rows", "measure_K", "modulated_poly",
+    "opnorm_series", "rearrangement_and_I", "series_rows", "sigma_grid",
     "twisted_bound_check", "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
     "canonical_hash", "random_hilbert", "random_sup_stat", "slln_chain",

@@ -9,6 +9,7 @@ the atoms of a finite space, and skew operators realize operator cocycles.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "LinearOperator",
     "Cocycle",
     "operator_norm",
+    "lp_norms",
     "skew_operator",
     "random_field",
     "character_field",
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 _CONTRACTION_SLACK = 1e-12
+_BLOCK_ENTRIES = 1 << 13  # array entries per block of stacked series terms
 
 
 class SampleSpace:
@@ -152,39 +155,19 @@ class VectorField:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def pointwise_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
-
     def norm(self, p: float = 2.0) -> float:
         """(integral of |f(x)|_H^p dmu)^(1/p) on the discrete measure."""
-        h = self.pointwise_norms()
-        if math.isinf(p):
-            return float(h.max(initial=0.0))
-        return float(np.sum(self.space.weights * h**p) ** (1.0 / p))
+        return lp_norms(np.linalg.norm(self.values, axis=1)[None], self.space.weights, p)[0]
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.space, self.values.copy())
 
-    def __add__(self, other):
-        self._check(other)
-        return VectorField(self.space, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return VectorField(self.space, self.values - other.values)
-
-    def __mul__(self, c):
-        return VectorField(self.space, self.values * c)
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if other.space != self.space or other.values.shape != self.values.shape:
-            raise ValueError("field mismatch (space or dimension)")
-
-    @classmethod
-    def zero(cls, space: SampleSpace, d: int) -> "VectorField":
-        return cls(space, np.zeros((space.size, d), dtype=complex))
+def lp_norms(h, weights, p: float) -> list:
+    """(sum_x weights[x] h[x]^p)^(1/p) of each row of the 2-D ``h`` (its max
+    for p = inf), each row one contiguous pairwise sum at any number of rows."""
+    if math.isinf(p):
+        return h.max(axis=1, initial=0.0).tolist()
+    terms = h**p
+    terms *= weights
+    return [float(s ** (1.0 / p)) for s in np.sum(terms, axis=1)]
 
 
 def character_field(space: SampleSpace, mode: int) -> VectorField:
@@ -326,6 +309,16 @@ class LinearOperator:
             prev = n
             yield P
 
+    def blocks(self, n_ints, f: VectorField | None = None):
+        """Consecutive stacks of the terms T^{n_k} f (``act(T^{n_k}, f).values``)
+        for the nondecreasing ``n_ints``, or of the matrix powers T^{n_k}
+        themselves when ``f`` is None: the one block source of every operator
+        series.  A block holds as many terms as fit in _BLOCK_ENTRIES array
+        entries, at least one, so a series holds one block, not all n terms."""
+        powers = self.powers(n_ints)
+        return _stacks(powers if f is None else
+                       (self.act(P, f).values for P in powers))
+
     def act(self, P, f: VectorField) -> VectorField:
         """T^n f for a power P = power(n).  Rows are gathered with ``take``,
         which is several times faster than fancy indexing on small arrays."""
@@ -347,6 +340,15 @@ class LinearOperator:
             raise ValueError("field lives on a different space")
         A, idx = P
         return VectorField(f.space, np.einsum("mij,mj->mi", A, f.values.take(idx, axis=0)))
+
+
+def _stacks(terms):
+    """``np.stack`` of consecutive runs of the equal-shape arrays ``terms``,
+    each run as many as fit in _BLOCK_ENTRIES entries, at least one."""
+    terms = iter(terms)
+    for first in terms:
+        rows = max(1, _BLOCK_ENTRIES // first.size)
+        yield np.stack([first, *itertools.islice(terms, rows - 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .accum import block_sums, running_sums
 from .admissibility import LADDER, AdmissibilityReport, check_rrr
 from .operators import Cocycle, VectorField, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
-                         circle_prefix_rows)
+                         circle_prefix_rows, ladder_rows, series_rows)
 from .weights import Schedule, WeightSeq
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _LAWS = ("rademacher", "gaussian", "complex-gaussian", "zero")
-_BLOCK_ENTRIES = 1 << 13  # complex running-sum entries per block of one sample
 
 
 def canonical_hash(obj) -> str:
@@ -204,11 +203,9 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     regime, hashes = _gate_regime(regime_reports, no_regime_check)
-    ladder = sorted(int(n) for n in n_ladder)
     k_start = W.n0
+    ladder = ladder_rows(n_ladder, k_start)
     kmax = ladder[-1]
-    if ladder[0] < k_start:
-        raise ValueError(f"ladder starts below the weight start index {k_start}")
 
     h_values = 1.0
     if h is not None:
@@ -218,18 +215,12 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     f = VectorField(C.space, np.broadcast_to(h_values * np.asarray(g, dtype=complex),
                                              (C.space.size, C.dim)))
     n_vals = sched.values(kmax)
-    # V[k - k_start, w] = (T^{n_k} f)(w) = T_w ... T_{alpha^{n_k - 1} w} g h(alpha^{n_k} w)
+    # blocks of V_k(w) = (T^{n_k} f)(w) = T_w ... T_{alpha^{n_k - 1} w} g h(alpha^{n_k} w)
     # for the skew operator T of C, shared across Monte Carlo samples
-    T = skew_operator(C)
-    V = np.empty((kmax - k_start + 1, C.space.size, C.dim), dtype=complex)
-    for i, P in enumerate(T.powers(n_vals[k_start - 1:])):
-        V[i] = T.act(P, f).values
+    blocks = list(skew_operator(C).blocks(n_vals[k_start - 1:], f))
     w = W.prefix(kmax)[k_start - W.n0:]
     mu = C.space.weights
-    rows = np.unique(ladder) - k_start
-    # the running sums are taken in blocks of B rows with the last row carried,
-    # so that a sample's working set stays O(B M d) instead of O(kmax M d)
-    B = max(1, _BLOCK_ENTRIES // (V.shape[1] * V.shape[2]))
+    rows = np.asarray(ladder) - k_start
 
     deterministic = isinstance(mod, ModulationSeq)
     if deterministic:
@@ -240,18 +231,11 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
             draws = mod.values(np.arange(1, kmax + 1), n_vals.astype(float))
         else:
             draws = mod.draws(y, kmax)
-        coeff = draws[k_start - 1:] / w
-        running = np.zeros(V.shape[1])
-        S = np.zeros(V.shape[1:], dtype=complex)
+        running = np.zeros(C.space.size)
         snaps = []
-        for lo in range(0, coeff.size, B):
-            # row i: S_k = sum_{k_start <= j <= k} coeff_j V_j at k = k_start + lo + i
-            blk = coeff[lo:lo + B, None, None] * V[lo:lo + B]
-            blk[0] += S
-            np.cumsum(blk, axis=0, out=blk)
-            S = blk[-1]
-            np.maximum(running, np.linalg.norm(blk, axis=2).max(axis=0), out=running)
-            snaps.append(blk[rows[(rows >= lo) & (rows < lo + B)] - lo])
+        for i0, S in series_rows(blocks, draws[k_start - 1:] / w):
+            np.maximum(running, np.linalg.norm(S, axis=2).max(axis=0), out=running)
+            snaps.append(S[rows[(rows >= i0) & (rows < i0 + len(S))] - i0])
         snaps = np.concatenate(snaps)
         gaps = np.linalg.norm(np.diff(snaps, axis=0), axis=2).max(axis=1)
         maxfn_l2 = float(np.sqrt(np.sum(mu * running**2)))

@@ -11,6 +11,7 @@ value at lam = 1.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,12 +23,15 @@ from .accum import block_sums, fsum, running_sums
 from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
                             _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
-                        operator_from_json, operator_norm, random_field)
+                        _stacks, lp_norms, operator_from_json, operator_norm,
+                        random_field)
 from .weights import Schedule, WeightSeq, twisted_weight
 
 __all__ = [
     "ModulationSeq",
     "TransformTrace",
+    "series_rows",
+    "ladder_rows",
     "weighted_series",
     "modulated_poly",
     "circle_prefix_rows",
@@ -147,9 +151,9 @@ class ModulationSeq:
 class TransformTrace:
     """Per-index records for a transform run.
 
-    Rows are keyed by a strictly increasing index n.  When pointwise norms
-    are supplied, the trace maintains the running pointwise maximum (the
-    discrete maximal function) and records its L_p norm.
+    Rows are keyed by a strictly increasing index n.  Rows recorded with
+    pointwise norms (``record_block``) maintain the running pointwise maximum
+    (the discrete maximal function) and record its L_p norm.
     """
 
     COLUMNS = ("n", "norm_Sn_over_Wn", "series_partial_norm", "running_max_Lp")
@@ -160,14 +164,10 @@ class TransformTrace:
         self.rows: list[dict] = []
         self._max = None
 
-    def record(self, n: int, *, pointwise=None, norm_Sn_over_Wn=None,
+    def record(self, n: int, *, norm_Sn_over_Wn=None,
                series_partial_norm=None) -> None:
         if self.rows and n <= self.rows[-1]["n"]:
             raise ValueError("trace indices must be strictly increasing")
-        if pointwise is not None:
-            self.record_block([n], np.array(pointwise, dtype=float).reshape(1, -1),
-                              [norm_Sn_over_Wn], [series_partial_norm])
-            return
         row = {"n": int(n)}
         if norm_Sn_over_Wn is not None:
             row["norm_Sn_over_Wn"] = float(norm_Sn_over_Wn)
@@ -186,22 +186,11 @@ class TransformTrace:
         for prev, row in zip(pointwise, pointwise[1:]):
             np.maximum(row, prev, out=row)
         self._max = pointwise[-1].copy()
-        for n, lp, a, b in zip(ns, self._lps(pointwise), norm_Sn_over_Wn,
+        w = 1.0 / pointwise.shape[1] if self.space_weights is None else self.space_weights
+        for n, lp, a, b in zip(ns, lp_norms(pointwise, w, self.p), norm_Sn_over_Wn,
                                series_partial_norm):
             self.record(n, norm_Sn_over_Wn=a, series_partial_norm=b)
             self.rows[-1]["running_max_Lp"] = lp
-
-    def _lps(self, rows: np.ndarray) -> list:
-        """The L_p norm of each row of the 2-D ``rows``, by one reduction
-        along axis 1."""
-        if math.isinf(self.p):
-            return rows.max(axis=1, initial=0.0).tolist()
-        w = self.space_weights
-        if w is None:
-            w = np.full(rows.shape[1], 1.0 / rows.shape[1])
-        terms = rows**self.p
-        terms *= w
-        return [float(s ** (1.0 / self.p)) for s in np.sum(terms, axis=1)]
 
     def to_csv(self, path) -> None:
         present = [c for c in self.COLUMNS
@@ -222,7 +211,38 @@ def _csv_cell(v):
 
 
 # ---------------------------------------------------------------------------
-# weighted series
+# series of terms
+
+
+def series_rows(blocks, coefs):
+    """Running sums of the series sum_k v_k c_k, one block at a time.
+
+    ``blocks`` yields consecutive stacks of the terms v_k (axis 0 runs over
+    k, counted from 0) and ``coefs`` holds the c_k, broadcast from the left
+    over each term.  Yields (i0, S) with S[i] = sum_{k <= i0 + i} v_k c_k:
+    one product V * c per block, the previous block's last row (0.0 at
+    first) added to its first row, then one cumulative sum along axis 0, so
+    every row is the same sequential sum at any block size.  The product is
+    v_k c_k in this order: a complex product is not bitwise commutative.
+    """
+    coefs = np.asarray(coefs)
+    carry, i0 = 0.0, 0
+    for V in blocks:
+        c = coefs[i0:i0 + len(V)]
+        S = V * c.reshape(c.shape + (1,) * (V.ndim - c.ndim))
+        S[0] += carry
+        np.cumsum(S, axis=0, out=S)
+        yield i0, S
+        carry, i0 = S[-1], i0 + len(V)
+
+
+def ladder_rows(ladder, k_start: int) -> list:
+    """The distinct ladder entries, sorted; an entry below the start index
+    ``k_start`` has no partial sum and is refused."""
+    rows = sorted({int(n) for n in ladder})
+    if rows[0] < k_start:
+        raise ValueError(f"ladder entry {rows[0]} lies below the start index {k_start}")
+    return rows
 
 
 def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
@@ -230,31 +250,28 @@ def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
 
     Returns (direct, abel) where the Abel form is
     S_n/W_n + sum_{k<n} (1/W_k - 1/W_{k+1}) S_k; the two agree algebraically.
+    Both are ``series_rows``, the Abel form over the running sums S_k.
     """
     if k_start is None:
         k_start = W.n0
     if n < max(k_start, W.n0):
         raise ValueError(f"n={n} is below the start index")
-    w = W.prefix(n + 1)[k_start - W.n0:]
-    S = None
-    direct = None
-    correction = None
-    for k in range(k_start, n + 1):
+
+    def values(k):
         f = fseq(k)
         if f is None:
             raise ValueError(f"field f_{k} is undefined")
-        S = f.copy() if S is None else S + f
-        i = k - k_start
-        term = f * (1.0 / w[i])
-        direct = term if direct is None else direct + term
-        if k < n:
-            coeff = 1.0 / w[i] - 1.0 / w[i + 1]
-            piece = S * coeff
-            correction = piece if correction is None else correction + piece
-    abel = S * (1.0 / w[n - k_start])
-    if correction is not None:
-        abel = abel + correction
-    return direct, abel
+        return f.values
+
+    inv_w = 1.0 / W.prefix(n + 1)[k_start - W.n0:]       # k = k_start..n+1
+    plain, scaled = itertools.tee(_stacks(map(values, range(k_start, n + 1))))
+    sums = (S for _, S in series_rows(plain, np.ones(n - k_start + 1)))
+    abel_coefs = np.append(inv_w[:-2] - inv_w[1:-1], inv_w[-2])
+    for (_, direct), (_, abel) in zip(series_rows(scaled, inv_w[:-1]),
+                                      series_rows(sums, abel_coefs)):
+        pass
+    space = fseq(k_start).space
+    return VectorField(space, direct[-1]), VectorField(space, abel[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +499,15 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
         k_start = W.n0
     if n < k_start:
         raise ValueError(f"n={n} is below the start index {k_start}")
-    out = VectorField.zero(f.space, f.dim)
-    if a.is_zero():
-        return out
     n_ints, coeffs = _terms(a, sched, n, k_start)
     coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
-
-    for i, (k, P) in enumerate(zip(range(k_start, n + 1), T.powers(n_ints))):
-        out = out + T.act(P, f) * coeffs[i]
+    for i0, S in series_rows(T.blocks(n_ints, f), coeffs):
         if trace is not None:
-            norms = out.pointwise_norms()
-            trace.record(k, pointwise=norms, series_partial_norm=out.norm(trace.p))
-    return out
+            norms = np.linalg.norm(S, axis=2)
+            trace.record_block(range(k_start + i0, k_start + i0 + len(S)), norms,
+                               [None] * len(S),
+                               lp_norms(norms, f.space.weights, trace.p))
+    return VectorField(f.space, S[-1])
 
 
 def hilbert_trace(W: WeightSeq, sched: Schedule, n: int, seed: int,
@@ -549,8 +563,8 @@ def twisted_bound_check(a: ModulationSeq, sched: Schedule, G: WeightSeq, K: floa
                         rs, n_ladder, n_lambda: int = 256) -> BoundReport:
     """max_lam |sum_{k<=n} a_k k^{ir} lam^{n_k}|  vs  |r| K G_{n,r}."""
     k_start = G.n0
-    n_max = max(n_ladder)
-    cols = np.asarray(sorted(n_ladder))
+    cols = np.asarray(ladder_rows(n_ladder, k_start))
+    n_max = int(cols[-1])
     entries = []
     max_ratio = 0.0
     worst = {}
@@ -591,8 +605,8 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
         raise ValueError("interpolation bound needs a Dunford-Schwartz operator")
     if k_start is None:
         k_start = G.n0
-    ladder = sorted(n_ladder)
-    n_max = ladder[-1]
+    rows = np.asarray(ladder_rows(n_ladder, k_start)) - k_start
+    n_max = k_start + int(rows[-1])
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     g_vals = G.prefix(n_max)[k_start - G.n0:]
     entries = []
@@ -600,21 +614,19 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
     worst = {}
     for fi, f in enumerate(fields):
         fnorm = f.norm(p)
-        partial = VectorField.zero(f.space, f.dim)
-        li = 0
-        for i, (k, P) in enumerate(zip(range(k_start, n_max + 1), T.powers(n_ints))):
-            partial = partial + T.act(P, f) * coefs[i]
-            if li < len(ladder) and k == ladder[li]:
+        for i0, S in series_rows(T.blocks(n_ints, f), coefs):
+            hit = rows[(rows >= i0) & (rows < i0 + len(S))]
+            lhss = lp_norms(np.linalg.norm(S[hit - i0], axis=2), f.space.weights, p)
+            for i, lhs in zip(hit.tolist(), lhss):
+                k = k_start + i
                 bound = interpolation_bound(k, a.sup_bound, K,
                                             float(g_vals[i]), p) * fnorm
-                lhs = partial.norm(p)
                 ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0 else math.inf)
                 entries.append({"field": fi, "n": k, "lhs": lhs,
                                 "bound": bound, "ratio": ratio})
                 if ratio > max_ratio:
                     max_ratio = ratio
                     worst = {"field": fi, "n": k, "ratio": ratio}
-                li += 1
     return BoundReport("interpolation-T44", max_ratio, worst, entries)
 
 
@@ -642,11 +654,11 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
         if A.kind not in ("matrix", "markov"):
             raise ValueError("operator-norm series needs a matrix operator")
         _require_contraction(A)
-    ladder = sorted(n_ladder)
+    k_start = max(W.n0, G.n0)
+    ladder = ladder_rows(n_ladder, k_start)
     n_max = ladder[-1]
     # tail(j): numeric suffix to tail_N plus the symbolic class remainder
     tail_top = max(tail_N, n_max)
-    k_start = max(W.n0, G.n0)
     terms = _t21_terms(G, W, k_start, tail_top)
 
     n_ints, coefs = _terms(a, sched, n_max, k_start)
@@ -655,7 +667,7 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
 
     cls = _t21_class(G, W)
     est = None if cls is None else _tail_estimate(cls, tail_top)
-    cuts = [max(j - k_start, 0) for j in ladder] + [len(terms)]
+    cuts = [j - k_start for j in ladder] + [len(terms)]
     blocks = block_sums(terms, cuts) + [0.0 if est is None else est]
     first_block = {j: i for i, j in enumerate(ladder)}
 
@@ -668,17 +680,14 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
 
 def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
                    k_start: int, K: float, tail) -> OpNormReport:
-    d = A.matrix.shape[0]
-    S = np.zeros((d, d), dtype=complex)          # unweighted sum a_k A^{n_k}
-    Sw = np.zeros((d, d), dtype=complex)         # weighted sum a_k A^{n_k}/W_k
+    rows = np.asarray(ladder) - k_start
     snapshots = {}
-    li = 0
-    for i, (k, P) in enumerate(zip(range(k_start, ladder[-1] + 1), A.powers(n_ints))):
-        S = S + coefs[i] * P
-        Sw = Sw + (coefs[i] / w[i]) * P
-        if li < len(ladder) and k == ladder[li]:
-            snapshots[k] = (operator_norm(S) / w[i], Sw.copy())
-            li += 1
+    # S = sum a_k A^{n_k} and Sw = sum a_k A^{n_k}/W_k over one pass of powers
+    plain, weighted = itertools.tee(A.blocks(n_ints))
+    for (i0, S), (_, Sw) in zip(series_rows(plain, coefs),
+                                series_rows(weighted, coefs / w)):
+        for i in rows[(rows >= i0) & (rows < i0 + len(S))].tolist():
+            snapshots[k_start + i] = (operator_norm(S[i - i0]) / w[i], Sw[i - i0].copy())
 
     entries = []
     all_ok = True

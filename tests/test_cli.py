@@ -403,6 +403,33 @@ def test_hilbert_missing_operator_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--check", "t41", "--ladder", "0,32,64"),
+    ("hilbert", "--check", "t44", "--ladder", "0,16,32"),
+    ("hilbert", "--check", "t8", "--ladder", "0,32,64"),
+    ("random", "--stat", "hilbert", "--ladder", "0,64", "--samples", "2"),
+])
+def test_ladder_entry_below_the_start_index_exits_2(tmp_path, capsys, argv):
+    # t44 used to pass with no entries at all, t8 to exit with "error: 0"
+    assert _run(tmp_path, *argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: ladder entry 0 lies below the start index 1\n" and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("check, ladder", [
+    ("t41", "32,32,64"), ("t44", "16,16,32"), ("t8", "32,32,64")])
+def test_bound_check_repeated_ladder_entry_is_checked_once(tmp_path, check, ladder):
+    # t44 used to check n = 16 only, t8 to exit with "error: 64"
+    docs = []
+    for text in (ladder, ladder.split(",", 1)[1]):
+        assert _run(tmp_path / text, "hilbert", "--check", check, "--ladder", text) == 0
+        doc = json.loads((_only_run_dir(tmp_path / text) / f"{check}.json").read_text())
+        del doc["config_hash"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_check_full_sequence_writes_report(tmp_path):
     assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", "--schedule",
                 "power:2", "--full-sequence", "--ladder", "100,1000") == 0

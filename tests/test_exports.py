@@ -96,6 +96,26 @@ def test_every_phase_goes_through_the_circle_kernel():
     assert callers == []
 
 
+def test_operator_powers_are_read_only_through_blocks():
+    """One block source: every operator series takes its terms T^{n_k} f
+    from ``LinearOperator.blocks``, the only caller of ``powers``."""
+    callers = []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "powers"):
+                callers.append(f"{name}:{'.'.join(scope)}")
+            visit(child, inner, name)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert callers == ["operators.py:LinearOperator.blocks"]
+
+
 def test_no_module_imports_a_thread_or_process_pool():
     """Monte Carlo samples run in one ordered loop; a pool of per-sample
     numpy calls that hold the GIL gained nothing."""

@@ -25,17 +25,6 @@ def test_character_field_norm():
     assert f.norm(np.inf) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_field_arithmetic():
-    space = SampleSpace.finite(3)
-    f = VectorField(space, np.array([[1.0], [2.0], [3.0]]))
-    g = VectorField(space, np.array([[1.0], [1.0], [1.0]]))
-    assert (f + g).pointwise_norms().tolist() == [2.0, 3.0, 4.0]
-    assert (f - g).pointwise_norms().tolist() == [0.0, 1.0, 2.0]
-    assert (f * 2.0).norm(np.inf) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        f + VectorField(SampleSpace.finite(4), np.ones((4, 1)))
-
-
 def test_random_field_seed_determinism():
     space = SampleSpace.circle(32)
     a = random_field(space, 2, seed=5)
@@ -123,9 +112,8 @@ def test_doubling_isometry_on_bandlimited_fields():
     T = LinearOperator.koopman(Transformation.doubling(space))
     rng = np.random.Generator(np.random.Philox(key=3))
     coef = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    f = VectorField.zero(space, 1)
-    for mode in range(128):
-        f = f + character_field(space, mode) * coef[mode]
+    f = VectorField(space, sum(character_field(space, mode).values * coef[mode]
+                               for mode in range(128)))
     # modes sit in [0, M/2), so one application keeps them alias-free
     assert T.act(T.power(1), f).norm(2) == pytest.approx(f.norm(2), rel=1e-10)
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from ergolab import stochastics
+from ergolab import operators
 from ergolab.admissibility import series_report
 from ergolab.operators import Cocycle, SampleSpace, Transformation, VectorField
-from ergolab.registry import example_instance
+from ergolab.registry import check_t8, check_t44, example_instance
 from ergolab.stochastics import (MCEstimate, RandomModulation,
                                  ae_convergence_diag, canonical_hash,
                                  random_hilbert, random_sup_stat, slln_chain)
-from ergolab.transforms import ModulationSeq
+from ergolab.transforms import ModulationSeq, hilbert_trace, weighted_series
 from ergolab.weights import Schedule, WeightSeq
 
 LADDER = (10**2, 10**3, 10**4)
@@ -154,19 +154,39 @@ def test_hilbert_repeated_ladder_entry_is_matched_once():
 
 
 def test_hilbert_block_size_does_not_change_results(monkeypatch):
-    # the running sums are taken in blocks of rows with the last row carried;
-    # one row per block is the plain sequential sum
+    # every operator series is series_rows over blocks of at most
+    # operators._BLOCK_ENTRIES entries with the last row carried; one row per
+    # block is the plain sequential sum, so no block size may move a bit
     C, _ = _constant_setup()
     mod = RandomModulation("complex-gaussian", seed=9)
-    args = (mod, C, None, [1.0, 0.0], Schedule.identity(),
-            WeightSeq.from_text("n", n0=1), (5, 9, 30))
-    base = random_hilbert(*args, samples=3, no_regime_check=True)
-    for entries in (6, 42):       # M d = 6: blocks of 1 and of 7 rows
-        monkeypatch.setattr(stochastics, "_BLOCK_ENTRIES", entries)
-        again = random_hilbert(*args, samples=3, no_regime_check=True)
-        assert again.digest() == base.digest()
-        for a, b in zip(again.final_fields, base.final_fields):
-            assert np.array_equal(a, b)
+    W = WeightSeq.from_text("n", n0=1)
+    space = SampleSpace.finite(3)
+    vals = np.random.Generator(np.random.Philox(key=4)).standard_normal((41, 3))
+
+    def random_run():
+        est = random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
+                             (5, 9, 30), samples=3, no_regime_check=True)
+        return est.digest(), [f.tolist() for f in est.final_fields]
+
+    def abel_run():
+        pair = weighted_series(lambda k: VectorField(space, vals[k]), W, 40)
+        return [f.values.tolist() for f in pair]
+
+    runs = {   # entries of one term, the run
+        "random_hilbert": (3 * 2, random_run),
+        "trace rows": (1024, lambda: hilbert_trace(W, Schedule.identity(), 40,
+                                                   seed=2, lam=0.3).rows),
+        "t44 entries": (8, lambda: check_t44(1.5, 3, ladder=(5, 16, 23))[0]),
+        "t8 gaps": (6 * 6, lambda: check_t8(1, ladder=(5, 9, 30))[0]),
+        "weighted_series": (3, abel_run),
+    }
+    default = operators._BLOCK_ENTRIES
+    for name, (entries, run) in runs.items():
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", default)
+        base = run()
+        for rows in (1, 7):
+            monkeypatch.setattr(operators, "_BLOCK_ENTRIES", rows * entries)
+            assert run() == base, f"{name} moved at {rows}-row blocks"
 
 
 def test_hilbert_rejects_vector_h():

@@ -13,8 +13,9 @@ from ergolab.registry import example_instance
 from ergolab.transforms import (I_majorant, ModulationSeq, TransformTrace,
                                 circle_column_sups, circle_prefix_rows,
                                 gamma_tail, hilbert_partial,
-                                interpolation_bound, measure_K, modulated_poly,
-                                opnorm_series, rearrangement_and_I, sigma_grid,
+                                interpolation_bound, ladder_rows, measure_K,
+                                modulated_poly, opnorm_series,
+                                rearrangement_and_I, series_rows, sigma_grid,
                                 twisted_bound_check, weighted_series)
 from ergolab.weights import Schedule, WeightSeq
 
@@ -47,8 +48,8 @@ def test_modulation_rejects_non_unimodular_rotation():
 
 def test_trace_csv_roundtrip(tmp_path):
     tr = TransformTrace(p=2.0)
-    tr.record(1, norm_Sn_over_Wn=0.5, pointwise=np.array([1.0, 3.0]))
-    tr.record(4, norm_Sn_over_Wn=0.25, pointwise=np.array([2.0, 1.0]))
+    tr.record_block([1], np.array([[1.0, 3.0]]), [0.5], [None])
+    tr.record_block([4], np.array([[2.0, 1.0]]), [0.25], [None])
     path = tmp_path / "t.csv"
     tr.to_csv(path)
     with open(path) as fh:
@@ -68,7 +69,7 @@ def test_trace_block_is_row_by_row(p):
     w = rng.random(2049)
     one, block = TransformTrace(w, p), TransformTrace(w, p)
     for n, row in enumerate(pts, start=1):
-        one.record(n, pointwise=row, norm_Sn_over_Wn=n / 7, series_partial_norm=n / 3)
+        one.record_block([n], row[None].copy(), [n / 7], [n / 3])
     block.record_block([1, 2, 3], pts[:3].copy(), [1 / 7, 2 / 7, 3 / 7], [1 / 3, 2 / 3, 1.0])
     block.record_block(range(4, 13), pts[3:].copy(), [n / 7 for n in range(4, 13)],
                        [n / 3 for n in range(4, 13)])
@@ -77,6 +78,27 @@ def test_trace_block_is_row_by_row(p):
     expect = [float(m.max(initial=0.0)) if math.isinf(p) else float(np.sum(w * m**p) ** (1 / p))
               for m in np.maximum.accumulate(pts)]
     assert [row["running_max_Lp"] for row in one.rows] == expect
+
+
+# ---------------------------------------------------------------------------
+# series of terms
+
+
+def test_series_rows_is_one_running_sum_across_blocks():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    V = rng.standard_normal((23, 4, 2)) + 1j * rng.standard_normal((23, 4, 2))
+    c = rng.standard_normal(23) + 1j * rng.standard_normal(23)
+    whole = np.cumsum(V * c[:, None, None], axis=0)
+    cuts = [0, 1, 8, 9, 23]
+    got = list(series_rows((V[a:b] for a, b in zip(cuts, cuts[1:])), c))
+    assert [i0 for i0, _ in got] == cuts[:-1]
+    assert np.array_equal(np.concatenate([S for _, S in got]), whole)
+
+
+def test_ladder_rows_are_distinct_sorted_and_reached():
+    assert ladder_rows((64, 16, 16, 32), 16) == [16, 32, 64]
+    with pytest.raises(ValueError, match="ladder entry 8 lies below the start index 16"):
+        ladder_rows((32, 8), 16)
 
 
 # ---------------------------------------------------------------------------
