@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .accum import fsum, running_sums
+from .accum import block_sums, fsum, running_sums
 from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
@@ -98,21 +98,24 @@ class AdmissibilityReport:
 # series accumulation engine
 
 
-def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
-    """Partial sums of sum_{k=k_start}^{K} term(k) at the requested rungs.
+def _accumulate(terms, k_start: int, kmax: int, rungs) -> tuple[list, list]:
+    """Partial sums of sum_{k=k_start}^{K} terms[k - k_start] at the rungs.
 
-    Terms are evaluated and summed by ``accum.fsum`` one piece at a time, a
-    piece running between consecutive rungs and dyadic points (evaluating
-    all 10^6 terms at once is no faster and raises the peak memory); the
+    ``terms`` holds every term from k_start to kmax; it is audited once
+    (finite and nonnegative) and cut into pieces between consecutive rungs
+    and dyadic points, each piece summed by ``accum.block_sums``.  The
     partial sums are ``accum.running_sums`` of the pieces, read at the
     rungs.  Also returns dyadic block sums (blocks (2^j, 2^{j+1}]), each the
     ``accum.fsum`` of its pieces, for the decay heuristic.
     """
+    least, most = terms.min(), terms.max()
+    if not (least >= 0.0 and most < math.inf):     # false for any nan, too
+        raise ArithmeticError("series terms must be finite and nonnegative")
     rungs = sorted({min(r, kmax) for r in rungs if r >= k_start} | {kmax})
     dyadic = {2**j for j in range(int(kmax).bit_length()) if k_start <= 2**j < kmax}
     bounds = sorted({k_start - 1, *rungs} | dyadic)
 
-    pieces = [_piece_sum(term_fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pieces = block_sums(terms, [b - k_start + 1 for b in bounds])
     through = dict(zip(bounds[1:], running_sums(pieces)))
     partial_sums = [(K, through[K]) for K in rungs]
     blocks = {}
@@ -124,16 +127,6 @@ def _accumulate(term_fn, k_start: int, kmax: int, rungs) -> tuple[list, list]:
         # block would fake decay in the ratio heuristic
         del blocks[top]
     return partial_sums, [fsum(blocks[j]) for j in sorted(blocks)]
-
-
-def _piece_sum(term_fn, lo: int, hi: int) -> float:
-    """accum.fsum of term(k) for lo < k <= hi.  The terms are freed on
-    return: a piece's terms (up to 4 MB) still alive while the running sums
-    are taken fragment the heap and raise the peak memory."""
-    vals = np.asarray(term_fn(np.arange(lo + 1, hi + 1, dtype=np.int64)), dtype=float)
-    if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-        raise ArithmeticError("series terms must be finite and nonnegative")
-    return fsum(vals)
 
 
 def _heuristic_claim(partial_sums, block_sums) -> str:
@@ -184,16 +177,21 @@ def _tail_estimate(cls: WeightExpr, kmax: int) -> float | None:
     return float(val) + float(cls(N + 1.0))
 
 
-def series_report(kind: str, params: dict, term_fn, k_start: int, kmax: int,
+def series_report(kind: str, params: dict, terms, k_start: int, kmax: int,
                   symbolic_class: WeightExpr | None = None,
                   ladder=LADDER) -> AdmissibilityReport:
-    """Build a report for sum_{k>=k_start} term(k), summed to kmax."""
+    """Build a report for sum_{k>=k_start} term(k), summed to kmax, from the
+    array ``terms`` of term(k) for k = k_start..kmax."""
     if kmax < k_start:
         raise ValueError(f"empty summation range [{k_start}, {kmax}]")
     if kmax - k_start >= MAX_TERMS:
         raise ValueError(f"summation range [{k_start}, {kmax}] has more than "
                          f"{MAX_TERMS} terms")
-    partial_sums, block_sums = _accumulate(term_fn, k_start, kmax, ladder)
+    terms = np.asarray(terms, dtype=float)
+    if terms.shape != (kmax - k_start + 1,):
+        raise ValueError(f"{terms.size} terms given for the summation range "
+                         f"[{k_start}, {kmax}]")
+    partial_sums, block_sums = _accumulate(terms, k_start, kmax, ladder)
     claim = _heuristic_claim(partial_sums, block_sums)
 
     if symbolic_class is not None:
@@ -285,7 +283,10 @@ def _t21_terms(G: WeightSeq, W: WeightSeq, n_start: int, n_end: int) -> np.ndarr
     """The (T21) terms (G_n/W_n)(1 - W_n/W_{n+1}) for n = n_start..n_end."""
     g = G.prefix(n_end + 1)[n_start - G.n0:]
     w = W.prefix(n_end + 1)[n_start - W.n0:]
-    return (g[:-1] / w[:-1]) * (1.0 - w[:-1] / w[1:])
+    terms = g[:-1] / w[:-1]
+    shift = w[:-1] / w[1:]
+    terms *= np.subtract(1.0, shift, out=shift)
+    return terms
 
 
 def _t21_class(G: WeightSeq, W: WeightSeq) -> WeightExpr | None:
@@ -313,11 +314,13 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
         # derived gaps need n_{k+1}, so the last index has no gap
         kmax = min(kmax, len(sched._explicit) - 1)
 
-    n_vals = sched.values(kmax).astype(float)
-
-    def term_w1(ks):
-        nv = n_vals[ks - 1]
-        return (G.values(nv) / W.values(nv)) ** p
+    # G and W at n_k for k = k_start..kmax, each evaluated once
+    n_vals = sched.values(kmax)[k_start - 1:].astype(float)
+    terms = G.values(n_vals)
+    w = W.values(n_vals)
+    del n_vals
+    terms /= w
+    terms **= p
 
     ratio = _ratio_class(G, W)
     cls1 = None
@@ -325,13 +328,11 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
         composed = asymptotic_class(ratio, sched)
         cls1 = composed**p if composed is not None else None
     params = {"p": p, "W": W.label, "G": G.label, "schedule": sched.describe()}
-    rep1 = series_report("W1", params, term_w1, k_start, kmax, cls1, ladder)
+    rep1 = series_report("W1", params, terms, k_start, kmax, cls1, ladder)
+    del terms
 
-    xi_vals = xi.values(kmax)
-
-    def term_w2(ks):
-        nv = n_vals[ks - 1]
-        return (xi_vals[ks - 1] / W.values(nv)) ** p
+    terms = np.divide(xi.values(kmax)[k_start - 1:], w, out=w)
+    terms **= p
 
     cls2 = None
     if W.expr is not None:
@@ -343,7 +344,7 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
         elif xi.mode == "expr_of_nk":
             composed = asymptotic_class(xi.expr / W.expr, sched)
             cls2 = composed**p if composed is not None else None
-    rep2 = series_report("W2", params, term_w2, k_start, kmax, cls2, ladder)
+    rep2 = series_report("W2", params, terms, k_start, kmax, cls2, ladder)
     return rep1, rep2
 
 
@@ -359,9 +360,8 @@ def check_T21(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
     """Series sum (G_n/W_n)(1 - W_n/W_{n+1})."""
     n_start = max(G.n0, W.n0)
     n_end = _summation_end(ladder, n_start)
-    terms = _t21_terms(G, W, n_start, n_end)
     params = {"G": G.label, "W": W.label}
-    return series_report("T21", params, lambda ks: terms[ks - n_start], n_start,
+    return series_report("T21", params, _t21_terms(G, W, n_start, n_end), n_start,
                          n_end, _t21_class(G, W), ladder)
 
 
@@ -370,11 +370,11 @@ def _ratio_power_report(kind: str, params: dict, G: WeightSeq, W: WeightSeq,
     """Report for sum (G_n/W_n)^p over every index n from both start indices."""
     n_start = max(G.n0, W.n0)
     n_end = _summation_end(ladder, n_start)
-    g = G.prefix(n_end)[n_start - G.n0:]
-    w = W.prefix(n_end)[n_start - W.n0:]
+    terms = G.prefix(n_end)[n_start - G.n0:] / W.prefix(n_end)[n_start - W.n0:]
+    terms **= p
     cls = _ratio_class(G, W)
-    return series_report(kind, params, lambda ks: (g[ks - n_start] / w[ks - n_start]) ** p,
-                         n_start, n_end, None if cls is None else cls**p, ladder)
+    return series_report(kind, params, terms, n_start, n_end,
+                         None if cls is None else cls**p, ladder)
 
 
 def check_rrr(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
@@ -411,14 +411,12 @@ def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
     k_start = G.n0
     kmax = _summation_end(ladder, k_start, sched)
     g = G.prefix(kmax)
-    n_vals = sched.values(kmax).astype(float)
-
-    def term(ks):
-        return n_vals[ks - 1] ** alpha / g[ks - G.n0] ** 2
-
+    terms = sched.values(kmax)[k_start - 1:].astype(float)
+    terms **= alpha
+    terms /= g**2
     cls = _gamma_class(G, sched, alpha)
     params = {"alpha": alpha, "G": G.label, "schedule": sched.describe()}
-    rep = series_report("RT1gamma", params, term, k_start, kmax, cls, ladder)
+    rep = series_report("RT1gamma", params, terms, k_start, kmax, cls, ladder)
     if rep.verdict == "converges":
         rep.value = rep.partial_sums[-1][1]
     return rep

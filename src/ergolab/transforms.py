@@ -635,7 +635,6 @@ class OpNormReport:
     gaps: list                   # [(j, n, gap, bound), ...] consecutive pairs
     all_pairs_ok: bool
     gaps_monotone: bool
-    K_check_max: float           # max over ladder of ||S_n(A)|| / (K G_n)
     entries: list = field(default_factory=list, repr=False)
 
 
@@ -663,7 +662,6 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
 
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]
-    g = G.prefix(n_max)[k_start - G.n0:]
 
     cls = _t21_class(G, W)
     est = None if cls is None else _tail_estimate(cls, tail_top)
@@ -674,12 +672,11 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     def tail(j: int) -> float:
         return K * fsum(blocks[first_block[j]:])
 
-    return [_opnorm_report(A, n_ints, coefs, w, g, ladder, k_start, K, tail)
-            for A in ops]
+    return [_opnorm_report(A, n_ints, coefs, w, ladder, k_start, tail) for A in ops]
 
 
-def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
-                   k_start: int, K: float, tail) -> OpNormReport:
+def _opnorm_report(A: LinearOperator, n_ints, coefs, w, ladder,
+                   k_start: int, tail) -> OpNormReport:
     rows = np.asarray(ladder) - k_start
     snapshots = {}
     # S = sum a_k A^{n_k} and Sw = sum a_k A^{n_k}/W_k over one pass of powers
@@ -691,10 +688,6 @@ def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
 
     entries = []
     all_ok = True
-    k_check = 0.0
-    for j in ladder:
-        nrm, _sw = snapshots[j]
-        k_check = max(k_check, nrm * w[j - k_start] / (K * g[j - k_start]))
     for ai in range(len(ladder)):
         for bi in range(ai + 1, len(ladder)):
             j, nn = ladder[ai], ladder[bi]
@@ -708,7 +701,7 @@ def _opnorm_report(A: LinearOperator, n_ints, coefs, w, g, ladder,
     consecutive = [(e["j"], e["n"], e["gap"], e["bound"]) for e in entries
                    if (e["j"], e["n"]) in adjacent]
     gaps_mono = all(a2[2] <= a1[2] for a1, a2 in zip(consecutive, consecutive[1:]))
-    return OpNormReport(consecutive, all_ok, gaps_mono, k_check, entries)
+    return OpNormReport(consecutive, all_ok, gaps_mono, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ INDEX_CAP = 2**62
 #: libm rounds it to ...482.0), so value() and values() share one numpy
 #: expression for it
 FLOAT_EXACT_CAP = 2**53
+_CHUNK = 2**15            # indices evaluated at a time by WeightSeq.values
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +67,23 @@ class WeightExpr:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, n):
-        """Value at index n (scalar or array). Requires lnln-safe n if c != 0."""
+        """Value at index n (scalar or array). Requires lnln-safe n if c != 0.
+
+        The factors scale, n^a, (ln n)^b, (lnln n)^c and n^(s n) multiply in
+        that order, in place; ln n is taken once and a scale of 1 is skipped."""
         n = np.asarray(n, dtype=float)
-        v = np.full(n.shape, float(self.scale))
-        if self.n_exp:
-            v = v * n**self.n_exp
-        if self.log_exp:
-            v = v * np.log(n) ** self.log_exp
-        if self.loglog_exp:
-            v = v * np.log(np.log(n)) ** self.loglog_exp
-        if self.superexp_coeff:
-            v = v * n ** (self.superexp_coeff * n)
-        if v.ndim == 0:
+        ln = np.log(n) if self.log_exp or self.loglog_exp else None
+        factors = [f() for e, f in ((self.n_exp, lambda: n**self.n_exp),
+                                    (self.log_exp, lambda: ln**self.log_exp),
+                                    (self.loglog_exp, lambda: np.log(ln) ** self.loglog_exp),
+                                    (self.superexp_coeff,
+                                     lambda: n ** (self.superexp_coeff * n))) if e]
+        v = factors[0] if factors else np.full(n.shape, float(self.scale))
+        if factors and self.scale != 1.0:
+            v *= self.scale
+        for f in factors[1:]:
+            v *= f
+        if np.ndim(v) == 0:
             return float(v)
         return v
 
@@ -464,7 +470,8 @@ class WeightSeq:
     searched below 2^20.  The search scans blocks of candidates, doubling
     from 256 to 2^16: one evaluation per block, and prefix sums of the
     decreasing-or-NaN steps and of the non-finite values test every window
-    of the block at once.
+    of the block at once.  Every evaluation, the memoized ``prefix`` and the
+    n0 search included, goes through ``values``, 2^15 indices at a time.
     """
 
     LOOKAHEAD = 64
@@ -508,11 +515,16 @@ class WeightSeq:
         return float(self.values(np.asarray([n], dtype=float))[0])
 
     def values(self, n) -> np.ndarray:
+        """Values at the indices n (at least 1-d, in n's shape): the one
+        evaluation of a weight.  The expression or callable fills one output
+        _CHUNK indices at a time, so its temporaries stay in cache and a
+        million-index evaluation adds no full-size scratch arrays."""
         n = np.asarray(n, dtype=float)
-        if self.expr is not None:
-            out = self.expr(n)
-        else:
-            out = np.asarray(self.fn(n), dtype=float)
+        out = np.empty(n.shape)
+        fn = self.expr if self.expr is not None else self.fn
+        flat, dest = n.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat.size, _CHUNK):
+            dest[lo:lo + _CHUNK] = fn(flat[lo:lo + _CHUNK])
         return np.atleast_1d(out)
 
     def _default_n0(self) -> int:
@@ -550,15 +562,18 @@ class WeightSeq:
                 bad = int(ns[np.argmax(~np.isfinite(new))])
                 raise ArithmeticError(f"weight {self.label!r} is not finite at "
                                       f"index {bad}: not a weight")
-            prev = self._memo[-1] if len(self._memo) else None
-            block = new if prev is None else np.concatenate(([prev], new))
-            if np.any(np.diff(block) < 0.0):
-                bad = int(np.argmax(np.diff(block) < 0.0))
+            # down[i]: new[i] lies below the value before it (the memo's last)
+            m = len(self._memo)
+            down = np.empty(len(new), dtype=bool)
+            down[0] = m > 0 and new[0] < self._memo[-1]
+            np.less(new[1:], new[:-1], out=down[1:])
+            if down.any():
+                bad = m + int(np.argmax(down)) - (m == 0)
                 raise ArithmeticError(
                     f"weight {self.label!r} decreases near index "
-                    f"{self.n0 + len(self._memo) + bad}: not a weight"
+                    f"{self.n0 + bad}: not a weight"
                 )
-            self._memo = np.concatenate((self._memo, new))
+            self._memo = np.concatenate((self._memo, new)) if m else new
         return self._memo[:need]
 
     def __repr__(self):

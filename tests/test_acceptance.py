@@ -90,7 +90,8 @@ def test_criterion_1_verdict_table():
     n0 = max(inst0.G.n0, inst0.W.n0)
     g = inst0.G.prefix(n_max)[n0 - inst0.G.n0:]
     w = inst0.W.prefix(n_max)[n0 - inst0.W.n0:]
-    full = series_report("full-W1", {}, lambda ks: (g[ks - n0] / w[ks - n0]) ** p,
+    ks = np.arange(n0, n_max + 1)
+    full = series_report("full-W1", {}, (g[ks - n0] / w[ks - n0]) ** p,
                          n0, n_max, (inst0.G.expr / inst0.W.expr) ** p,
                          SHORT_LADDER)
     record(full.verdict == "diverges", f"E0 full-sum {full.verdict}")

@@ -1,6 +1,7 @@
 """Series convergence engine and the admissibility condition checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,8 @@ def test_boundary_exponent_is_exact():
 
 
 def test_series_report_partial_sums_match_fsum():
-    rep = series_report("test", {}, lambda ks: 1.0 / ks.astype(float) ** 2,
+    ks = np.arange(1, 10**4 + 1)
+    rep = series_report("test", {}, 1.0 / ks.astype(float) ** 2,
                         1, 10**4, None, SHORT_LADDER)
     brute = math.fsum(1.0 / k**2 for k in range(1, 101))
     assert rep.partial_sums[0] == (100, pytest.approx(brute, rel=1e-15))
@@ -74,32 +76,49 @@ def test_accumulate_partial_sums_are_fsums_of_every_term():
 
     k_start, kmax = 7, 10**6 + 6
     terms = term(np.arange(k_start, kmax + 1))
-    partials, _blocks = _accumulate(term, k_start, kmax, LADDER)
+    partials, _blocks = _accumulate(terms, k_start, kmax, LADDER)
     assert [K for K, _ in partials] == list(LADDER) + [kmax]
     for K, s in partials:
         assert s == pytest.approx(math.fsum(terms[:K - k_start + 1]), rel=1e-14)
 
 
 def test_heuristic_three_values():
-    conv = series_report("c", {}, lambda ks: 0.5 ** ks.astype(float),
+    ks = np.arange(1, 10**4 + 1)
+    conv = series_report("c", {}, 0.5 ** ks.astype(float),
                          1, 10**4, None, SHORT_LADDER)
     assert conv.verdict == "converges"
-    div = series_report("d", {}, lambda ks: np.ones(len(ks)),
+    div = series_report("d", {}, np.ones(len(ks)),
                         1, 10**4, None, SHORT_LADDER)
     assert div.verdict == "diverges"
-    slow = series_report("s", {}, lambda ks: 1.0 / ks.astype(float) ** 1.1,
+    slow = series_report("s", {}, 1.0 / ks.astype(float) ** 1.1,
                          1, 10**4, None, SHORT_LADDER)
     assert slow.verdict == "unknown"
 
 
 def test_negative_terms_rejected():
     with pytest.raises(ArithmeticError):
-        series_report("bad", {}, lambda ks: -np.ones(len(ks)),
+        series_report("bad", {}, -np.ones(10**3),
                       1, 10**3, None, SHORT_LADDER)
 
 
+@pytest.mark.parametrize("size", [10**3 - 1, 10**3 + 1])
+def test_series_report_refuses_misaligned_terms(size):
+    with pytest.raises(ValueError, match="terms given for the summation range"):
+        series_report("short", {}, np.ones(size), 1, 10**3, None, SHORT_LADDER)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+def test_series_report_refuses_a_bad_term_anywhere(bad, where):
+    terms = np.ones(10**6)
+    terms[where] = bad
+    with pytest.raises(ArithmeticError, match="finite and nonnegative"):
+        series_report("bad", {}, terms, 1, 10**6, None, LADDER)
+
+
 def test_symbolic_verdict_comes_with_tail_bound():
-    rep = series_report("t", {}, lambda ks: 1.0 / ks.astype(float) ** 2,
+    ks = np.arange(1, 10**4 + 1)
+    rep = series_report("t", {}, 1.0 / ks.astype(float) ** 2,
                         1, 10**4, WeightExpr(n_exp=-2.0), SHORT_LADDER)
     assert rep.verdict == "converges"
     total = math.pi**2 / 6.0
@@ -123,7 +142,8 @@ def test_symbolic_and_numeric_never_contradict(a, b):
         k = ks.astype(float)
         return k**a * np.log(k) ** b
 
-    rep = series_report("fuzz", {}, term, 3, 10**5, cls, (10**3, 10**4, 10**5))
+    rep = series_report("fuzz", {}, term(np.arange(3, 10**5 + 1)), 3, 10**5, cls,
+                        (10**3, 10**4, 10**5))
     claim = _heuristic_claim(rep.partial_sums, rep.block_sums)
     if claim != "indeterminate":
         assert claim == rep.verdict
@@ -240,3 +260,18 @@ def test_schedule_start_matches_linear_search(sched):
                 _schedule_start(sched, *seqs)
         else:
             assert _schedule_start(sched, *seqs) == ref
+
+
+def test_checks_peak_memory_is_bounded():
+    # E7's four checks sum 10^6 terms each from whole-range term arrays; the
+    # weights are evaluated in chunks, so the peak stays near the two 10^6
+    # prefix memos and two term arrays (30.5 MiB; 38.2 MiB when each piece
+    # was evaluated separately)
+    inst = example_instance("E7")
+    tracemalloc.start()
+    try:
+        inst.run_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * 2**20

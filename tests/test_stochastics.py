@@ -17,7 +17,8 @@ LADDER = (10**2, 10**3, 10**4)
 
 
 def _report(verdict_terms):
-    return series_report("pre", {}, verdict_terms, 1, 10**4, None, LADDER)
+    return series_report("pre", {}, verdict_terms(np.arange(1, 10**4 + 1)), 1, 10**4,
+                         None, LADDER)
 
 
 def _converging():

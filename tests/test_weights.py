@@ -210,6 +210,68 @@ def test_weightseq_prefix_memo_is_stable():
     assert np.array_equal(W.prefix(100), a)
 
 
+@pytest.mark.parametrize("first,index", [(None, 51), (40, 52), (51, 52)])
+def test_weightseq_decrease_names_its_index(first, index):
+    # values rise to n = 51 and drop at n = 52; a first fill names the last
+    # index before the drop, a fill after the memo the index of the drop
+    W = WeightSeq.from_callable(lambda n: 100.0 - np.abs(np.asarray(n) - 50.5),
+                                n0=1, label="peak")
+    if first is not None:
+        W.prefix(first)
+    with pytest.raises(ArithmeticError, match=f"decreases near index {index}:"):
+        W.prefix(100)
+
+
+def _unchunked(seq, n):
+    """WeightSeq.values as one whole-array expression, factor by factor."""
+    n = np.asarray(n, dtype=float)
+    if seq.expr is None:
+        return np.atleast_1d(np.asarray(seq.fn(n), dtype=float))
+    e = seq.expr
+    v = np.full(n.shape, float(e.scale))
+    if e.n_exp:
+        v = v * n**e.n_exp
+    if e.log_exp:
+        v = v * np.log(n) ** e.log_exp
+    if e.loglog_exp:
+        v = v * np.log(np.log(n)) ** e.loglog_exp
+    if e.superexp_coeff:
+        v = v * n ** (e.superexp_coeff * n)
+    return np.atleast_1d(v)
+
+
+def _evaluated_weights():
+    from ergolab.registry import example_instance
+    superexp = asymptotic_class(parse_weight("n^0.5*ln(n)"), Schedule.superexp())
+    assert superexp.superexp_coeff == 0.5
+    return [WeightSeq.from_text(t) for t in (
+        "n^0.5", "3*n^0.5", "ln(n)^2", "lnln(n)^1.5",
+        "2*n^0.75*ln(n)^-1*lnln(n)^2")] + [
+        WeightSeq(expr=superexp), example_instance("EwA").G]
+
+
+@pytest.mark.parametrize("size", [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
+def test_values_in_chunks_are_bit_equal_to_one_pass(size):
+    ns = np.arange(16, 16 + size, dtype=float)
+    with np.errstate(over="ignore"):            # the superexp class overflows
+        for seq in _evaluated_weights():
+            assert seq.values(ns).tobytes() == _unchunked(seq, ns).tobytes(), seq
+
+
+def test_values_keep_the_input_shape():
+    ns = np.arange(16, 16 + 3 * (2**15 + 1), dtype=float).reshape(3, -1)
+    with np.errstate(over="ignore"):
+        for seq in _evaluated_weights():
+            v = seq.values(ns)
+            assert v.shape == ns.shape
+            assert v.tobytes() == _unchunked(seq, ns).tobytes(), seq
+            assert seq.values(np.float64(17.0)).shape == (1,)
+            if seq.expr is not None:
+                one = seq.expr(np.float64(17.0))
+                assert type(one) is float
+                assert one == _unchunked(seq, 17.0)[0]
+
+
 # ---------------------------------------------------------------------------
 # default start-index search
 
