@@ -73,11 +73,15 @@ class WeightExpr:
         that order, in place; ln n is taken once and a scale of 1 is skipped."""
         n = np.asarray(n, dtype=float)
         ln = np.log(n) if self.log_exp or self.loglog_exp else None
-        factors = [f() for e, f in ((self.n_exp, lambda: n**self.n_exp),
-                                    (self.log_exp, lambda: ln**self.log_exp),
-                                    (self.loglog_exp, lambda: np.log(ln) ** self.loglog_exp),
-                                    (self.superexp_coeff,
-                                     lambda: n ** (self.superexp_coeff * n))) if e]
+        factors = []
+        if self.n_exp:
+            factors.append(n**self.n_exp)
+        if self.log_exp:
+            factors.append(ln**self.log_exp)
+        if self.loglog_exp:
+            factors.append(np.log(ln) ** self.loglog_exp)
+        if self.superexp_coeff:
+            factors.append(n ** (self.superexp_coeff * n))
         v = factors[0] if factors else np.full(n.shape, float(self.scale))
         if factors and self.scale != 1.0:
             v *= self.scale
@@ -562,7 +566,9 @@ class WeightSeq:
                 bad = int(ns[np.argmax(~np.isfinite(new))])
                 raise ArithmeticError(f"weight {self.label!r} is not finite at "
                                       f"index {bad}: not a weight")
-            # down[i]: new[i] lies below the value before it (the memo's last)
+            # down[i]: new[i] lies below the value before it (the memo's
+            # last); a first fill names the index before a drop, a later
+            # fill the drop itself
             m = len(self._memo)
             down = np.empty(len(new), dtype=bool)
             down[0] = m > 0 and new[0] < self._memo[-1]
