@@ -152,13 +152,11 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     regime, hashes = _gate_regime(regime_reports, no_regime_check)
-    ladder = sorted(int(n) for n in n_ladder)
-    n_max = ladder[-1]
     k_start = G.n0
-    if n_max < k_start:
-        raise ValueError(f"ladder top {n_max} is below the start index {k_start}")
+    ladder = ladder_rows(n_ladder, k_start)
+    n_max = ladder[-1]
     g = G.prefix(n_max)[k_start - G.n0:]
-    cols = np.asarray([n for n in ladder if n >= k_start], dtype=np.int64)
+    cols = np.asarray(ladder, dtype=np.int64)
     g_at = g[cols - k_start]
 
     def one_sample(y: int):
@@ -181,7 +179,7 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
               "G": G.label, "schedule": sched.describe(),
               "ladder": ladder, "n_lambda": n_lambda, "samples": samples}
     return MCEstimate("sup-circle-ladder", per_sample, mod.seed, config, regime,
-                      hashes, extra={"ladder": [int(c) for c in cols],
+                      hashes, extra={"ladder": ladder,
                                      "series_sup_trace": series_trace})
 
 

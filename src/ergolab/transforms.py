@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erfc
 
 from .accum import block_sums, fsum, running_sums
 from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
@@ -427,16 +425,28 @@ def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:
 
 def _refine(a: ModulationSeq, sched: Schedule, n: int, M_grid: int, j: int,
             k_start: int):
-    """Bounded 1-d maximization of |psi_n| on the grid cells next to omega^j;
-    returns (value, its angle, the angle of omega^j)."""
-    def neg(theta):
-        return -abs(modulated_poly(a, sched, n, np.exp(1j * theta), k_start))
+    """Golden-section maximization of |psi_n| on the grid cells next to
+    omega^j, to a bracket of width 1e-12; returns (value, its angle, the
+    angle of omega^j)."""
+    def mod(theta):
+        return abs(modulated_poly(a, sched, n, np.exp(1j * theta), k_start))
 
     theta_j = 2.0 * np.pi * j / M_grid
     h = 2.0 * np.pi / M_grid
-    res = minimize_scalar(neg, bounds=(theta_j - h, theta_j + h),
-                          method="bounded", options={"xatol": 1e-12})
-    return float(-res.fun), float(res.x), theta_j
+    lo, hi = theta_j - h, theta_j + h
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = mod(x1), mod(x2)
+    while hi - lo > 1e-12:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = mod(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = mod(x2)
+    return (f1, x1, theta_j) if f1 >= f2 else (f2, x2, theta_j)
 
 
 @dataclass
@@ -709,7 +719,9 @@ def _opnorm_report(A: LinearOperator, n_ints, coefs, w, ladder,
 
 
 def gamma_tail(G: WeightSeq, sched: Schedule, alpha: float, N: int) -> float:
-    """Upper estimate for sum_{k>N} n_k^alpha / G_k^2 (needs symbolic class)."""
+    """int_N^inf cls(x) dx + cls(N + 1) for the power-log class cls of
+    k -> n_k^alpha / G_k^2 (``_tail_estimate``; needs a symbolic class).  It
+    bounds the class remainder sum_{k>N} cls(k) whenever cls decreases past N."""
     if G.expr is None:
         raise ValueError("tail estimate needs a symbolic weight")
     cls = _gamma_class(G, sched, alpha)
@@ -805,5 +817,5 @@ def I_majorant(alpha: float, gamma: float) -> float:
     u_min = math.sqrt(math.log(4.0))
     integral = (2.0 * (8.0 * np.pi) ** (alpha / 2.0)
                 * math.sqrt(math.pi / (2.0 * alpha))
-                * float(erfc(u_min * math.sqrt(alpha / 2.0))))
+                * math.erfc(u_min * math.sqrt(alpha / 2.0)))
     return 2.0 ** (1.0 - alpha / 2.0) * math.sqrt(gamma) * integral

@@ -566,15 +566,13 @@ class WeightSeq:
                 bad = int(ns[np.argmax(~np.isfinite(new))])
                 raise ArithmeticError(f"weight {self.label!r} is not finite at "
                                       f"index {bad}: not a weight")
-            # down[i]: new[i] lies below the value before it (the memo's
-            # last); a first fill names the index before a drop, a later
-            # fill the drop itself
+            # down[i]: new[i] lies below the value before it (the memo's last)
             m = len(self._memo)
             down = np.empty(len(new), dtype=bool)
             down[0] = m > 0 and new[0] < self._memo[-1]
             np.less(new[1:], new[:-1], out=down[1:])
             if down.any():
-                bad = m + int(np.argmax(down)) - (m == 0)
+                bad = m + int(np.argmax(down))
                 raise ArithmeticError(
                     f"weight {self.label!r} decreases near index "
                     f"{self.n0 + bad}: not a weight"

@@ -1,5 +1,6 @@
 """Series convergence engine and the admissibility condition checks."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.admissibility import (LADDER, _accumulate, _heuristic_claim,
-                                   _schedule_start,
+from ergolab.admissibility import (LADDER, _accumulate, _class_integral,
+                                   _heuristic_claim, _schedule_start,
+                                   _tail_estimate,
                                    bertrand_converges, check_1RT1,
                                    check_admissible, check_rrr, check_T21,
                                    check_weak_admissible, series_report)
@@ -125,6 +127,49 @@ def test_symbolic_verdict_comes_with_tail_bound():
     partial = rep.partial_sums[-1][1]
     assert total <= partial + rep.tail_estimate
     assert rep.tail_estimate < 1e-3
+
+
+@pytest.mark.parametrize("N", [3, 15, 10**3, 10**6])
+def test_tail_closed_forms_are_exact(N):
+    # each integral is its antiderivative at N; a = -1 maps onto the class
+    # (b, c, 0) at ln N, and a = b = -1 onto the pure power c at lnln N
+    x = float(N)
+    cases = [
+        (WeightExpr(2.5, -3.0), 2.5 * x ** -2.0 / 2.0),
+        (WeightExpr(1.5, -1.0, -2.5), 1.5 * math.log(x) ** -1.5 / 1.5),
+        (WeightExpr(0.5, -1.0, -1.0, -3.0), 0.5 * math.log(math.log(x)) ** -2.0 / 2.0),
+    ]
+    for cls, integral in cases:
+        assert _class_integral(cls, x) == integral
+        assert _tail_estimate(cls, N) == integral + cls(x + 1.0)
+
+
+def test_tail_numeric_rule_matches_quad():
+    # the log-modified classes with a < -1, against scipy's adaptive rule on
+    # the same integral in t = ln(x/N): int_0^inf x cls(x) dt
+    from scipy.integrate import quad
+    for a, b, c, N in itertools.product(
+            (-6.0, -3.0, -2.0, -1.5, -1.1, -1.01, -1.001),
+            (-6.0, -2.0, -0.5, 0.5, 1.5, 3.0), (0.0, 1.0, -1.0, -2.5),
+            (3, 15, 10**3, 46340, 10**6)):
+        ln_N = math.log(N)
+
+        def x_cls(t):
+            L = ln_N + t
+            return math.exp((a + 1.0) * L) * L**b * math.log(L) ** c
+
+        expected, _ = quad(x_cls, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        got = _class_integral(WeightExpr(1.0, a, b, c), float(N))
+        assert got == pytest.approx(expected, rel=1e-9, abs=0.0), (a, b, c, N)
+
+
+def test_w4_tail_bounds_the_class_remainder():
+    # W4 terms are exactly n^-1 (ln n)^-4, whose remainder past 10^6 is at
+    # least int_{10^6+1}^inf = (ln(10^6+1))^-3/3
+    W, G = WeightSeq.from_text("n^0.5*ln(n)^2"), WeightSeq.from_text("n^0.25")
+    _, w4 = check_admissible(W, G, Schedule.identity(), 2.0)
+    assert w4.verdict == "converges" and w4.partial_sums[-1][0] == 10**6
+    assert w4.tail_estimate >= math.log(10**6 + 1) ** -3 / 3.0
 
 
 @settings(max_examples=60, deadline=None)

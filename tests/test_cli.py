@@ -645,6 +645,29 @@ def test_random_weight_starts_at_its_own_n0(tmp_path, text, g, k0):
     assert doc["per_sample"][0] != pytest.approx(sup_from(other), rel=1e-6)
 
 
+def test_random_sup_ladder_entry_below_n0_exits_2(tmp_path, capsys):
+    # lnln(n) starts at n0 = 16; the entry 8 used to be dropped silently
+    assert _run(tmp_path, "random", "--stat", "sup", "--G", "lnln(n)",
+                "--ladder", "8,256", "--no-regime-check") == 2
+    out, err = capsys.readouterr()
+    assert err == "error: ladder entry 8 lies below the start index 16\n" and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
+def test_random_sup_repeated_ladder_entry_is_one_column(tmp_path):
+    # the repeated 256 used to be written as two columns
+    docs = []
+    for text in ("256,256", "256"):
+        assert _run(tmp_path / text, "random", "--stat", "sup", "--ladder", text,
+                    "--samples", "2") == 0
+        docs.append(json.loads((_only_run_dir(tmp_path / text) / "estimate.json")
+                               .read_text()))
+    assert docs[0]["extra"]["ladder"] == [256]
+    assert [len(row) for row in docs[0]["extra"]["series_sup_trace"]] == [1, 1]
+    assert docs[0]["extra"] == docs[1]["extra"]
+    assert docs[0]["per_sample"] == docs[1]["per_sample"]
+
+
 def test_check_ladder_past_the_summation_cap_sums_to_it(tmp_path):
     t0 = time.perf_counter()
     assert _run(tmp_path, "check", "--G", "n", "--W", "n^2",

@@ -116,10 +116,8 @@ def test_operator_powers_are_read_only_through_blocks():
     assert callers == ["operators.py:LinearOperator.blocks"]
 
 
-def test_no_module_imports_a_thread_or_process_pool():
-    """Monte Carlo samples run in one ordered loop; a pool of per-sample
-    numpy calls that hold the GIL gained nothing."""
-    banned = {"concurrent", "threading", "multiprocessing"}
+def _importers(banned: set[str]) -> list[str]:
+    """The package modules that import a top-level package in ``banned``."""
     importers = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -131,7 +129,20 @@ def test_no_module_imports_a_thread_or_process_pool():
                 continue
             if roots & banned:
                 importers.append(path.name)
-    assert importers == []
+    return importers
+
+
+def test_no_module_imports_a_thread_or_process_pool():
+    """Monte Carlo samples run in one ordered loop; a pool of per-sample
+    numpy calls that hold the GIL gained nothing."""
+    assert _importers({"concurrent", "threading", "multiprocessing"}) == []
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency: the class tails are closed forms
+    or one exp-sinh rule, the circle refinement a golden-section search and
+    erfc is math.erfc.  The tests keep scipy as an independent reference."""
+    assert _importers({"scipy"}) == []
 
 
 def test_public_methods_are_reached():

@@ -210,10 +210,10 @@ def test_weightseq_prefix_memo_is_stable():
     assert np.array_equal(W.prefix(100), a)
 
 
-@pytest.mark.parametrize("first,index", [(None, 51), (40, 52), (51, 52)])
+@pytest.mark.parametrize("first,index", [(None, 52), (40, 52), (51, 52)])
 def test_weightseq_decrease_names_its_index(first, index):
-    # values rise to n = 51 and drop at n = 52; a first fill names the last
-    # index before the drop, a fill after the memo the index of the drop
+    # values rise to n = 51 and drop at n = 52; every fill, the first one
+    # included, names the index of the drop
     W = WeightSeq.from_callable(lambda n: 100.0 - np.abs(np.asarray(n) - 50.5),
                                 n0=1, label="peak")
     if first is not None:
