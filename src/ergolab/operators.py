@@ -30,6 +30,7 @@ __all__ = [
 
 _CONTRACTION_SLACK = 1e-12
 _BLOCK_ENTRIES = 1 << 13  # array entries per block of stacked series terms
+_TABLE_ENTRIES = 1 << 13  # array entries of the residue table T^0..T^{L-1}
 
 
 class SampleSpace:
@@ -219,6 +220,7 @@ class LinearOperator:
         self.cocycle = cocycle
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
         self.dunford_schwartz = False
+        self._table = None                    # (L, T^0..T^{L-1}), see _residues
 
         if kind == "koopman":
             if transformation is None:
@@ -289,57 +291,134 @@ class LinearOperator:
         return out
 
     def _compose(self, P, Q):
-        """T^{a+b} from P = T^a and Q = T^b."""
+        """T^{a+b} from P = T^a and Q = T^b.  Either may carry a leading stack
+        axis: a stack P with one Q composes every row with Q, two stacks
+        compose row by row."""
         if self.kind == "koopman":
-            return P[Q]
+            return _take(P, Q, 1)
         if self.kind == "skew":
             (A, i), (B, j) = P, Q
-            return np.einsum("wij,wjk->wik", A, B.take(i, axis=0)), j[i]
+            return np.einsum("...ij,...jk->...ik", A, _take(B, i, 3)), _take(j, i, 1)
         return P @ Q
 
-    def powers(self, n_ints):
-        """T^{n_k} for the nondecreasing ``n_ints``, each the previous one
-        composed with the power of the gap.  Apply them to the original field
-        with ``act``: stepping the field (v <- T v) instead leaves many
-        cocycle entries denormal, which slows every later product."""
-        P, prev = None, 0
-        for n in n_ints:
-            n = int(n)
-            P = self.power(n) if P is None else self._compose(P, self.power(n - prev))
-            prev = n
+    def _residues(self):
+        """(L, R): L the largest power of two whose L powers fit in
+        _TABLE_ENTRIES array entries, at least one, and R the stack of
+        T^0..T^{L-1}, built once.  Row 2^b + r is row r composed with the
+        cached square T^{2^b}, the last step of ``power``'s ascending fold,
+        so row r is bit-equal to power(r)."""
+        if self._table is None:
+            L = 1 << max(0, (_TABLE_ENTRIES // _entries(self.power(1))).bit_length() - 1)
+            R, rows = _each(lambda p: p[None], self.power(0)), 1
+            while rows < L:
+                square = self.power(rows)
+                R = _each(lambda r, s, c: np.concatenate([r, s[None], c]), R, square,
+                          self._compose(_each(lambda r: r[1:], R), square))
+                rows *= 2
+            self._table = L, R
+        return self._table
+
+    def powers(self, n_ints, rows: int):
+        """Consecutive stacks of the powers T^{n_k}, ``rows`` at a time, for
+        the nondecreasing ``n_ints``.  T^n is T^{n mod L} from the residue
+        table (see _residues) composed with the quotient power T^{L q},
+        q = floor(n/L), which is stepped along the series: each new one is
+        the previous one composed with power(L (q_k - q_{k-1})).  A block
+        takes its quotient powers as they are for the rows with residue 0
+        and composes the other rows in one batched product; with L = 1 every
+        row is a stepped power.  Apply them to the original field with
+        ``act``: stepping the field (v <- T v) instead leaves many cocycle
+        entries denormal, which slows every later product."""
+        L, R = self._residues()
+        quot, res = np.divmod(np.asarray(n_ints, dtype=np.int64), L)
+        Q, prev = None, 0
+        for s in range(0, len(quot), rows):
+            distinct, at = np.unique(quot[s:s + rows], return_inverse=True)
+            stepped = []
+            for q in distinct.tolist():
+                if Q is None:
+                    Q = self.power(L * q)
+                elif q != prev:
+                    Q = self._compose(Q, self.power(L * (q - prev)))
+                prev = q
+                stepped.append(Q)
+            r = res[s:s + rows]
+            hit = np.flatnonzero(r)
+            if len(stepped) == 1 and not len(hit):   # every row is Q: no copy
+                P = _each(lambda p: np.broadcast_to(p, (len(r),) + p.shape), Q)
+            else:
+                P = _each(lambda *ps: np.stack(ps)[at], *stepped)
+            if len(hit):
+                mixed = self._compose(_each(lambda t: t[r[hit]], R),
+                                      _each(lambda p: p[hit], P))
+                for p, m in zip(_parts(P), _parts(mixed)):
+                    p[hit] = m
             yield P
 
     def blocks(self, n_ints, f: VectorField | None = None):
-        """Consecutive stacks of the terms T^{n_k} f (``act(T^{n_k}, f).values``)
-        for the nondecreasing ``n_ints``, or of the matrix powers T^{n_k}
-        themselves when ``f`` is None: the one block source of every operator
-        series.  A block holds as many terms as fit in _BLOCK_ENTRIES array
-        entries, at least one, so a series holds one block, not all n terms."""
-        powers = self.powers(n_ints)
-        return _stacks(powers if f is None else
-                       (self.act(P, f).values for P in powers))
+        """Consecutive stacks of the terms T^{n_k} f (``act`` of a stack of
+        powers) for the nondecreasing ``n_ints``, or of the powers T^{n_k}
+        themselves when ``f`` is None: the one block source of every
+        operator series.  A block holds as many powers, and as many terms,
+        as fit in _BLOCK_ENTRIES array entries, at least one, so a series
+        holds one block, not all n terms."""
+        entries = _entries(self.power(1))
+        if f is not None:
+            entries = max(entries, f.values.size)
+        powers = self.powers(n_ints, max(1, _BLOCK_ENTRIES // entries))
+        return powers if f is None else (self.act(P, f) for P in powers)
 
-    def act(self, P, f: VectorField) -> VectorField:
-        """T^n f for a power P = power(n).  Rows are gathered with ``take``,
+    def act(self, P, f: VectorField):
+        """T^n f as a VectorField for a power P = power(n); for a stack of
+        powers (a leading axis, as ``blocks`` yields them) the array of the
+        values T^{n_k} f, one row per power.  Rows are gathered with ``take``,
         which is several times faster than fancy indexing on small arrays."""
         if self.kind == "koopman":
             if f.space != self.transformation.space:
                 raise ValueError("field lives on a different space")
-            return VectorField(f.space, f.values.take(P, axis=0))
-        if self.kind == "matrix":
+            values = f.values.take(P, axis=0)
+        elif self.kind == "matrix":
             if f.dim != self.matrix.shape[0]:
                 raise ValueError(f"field dimension {f.dim} != operator dimension "
                                  f"{self.matrix.shape[0]}")
-            return VectorField(f.space, f.values @ P.T)
-        if self.kind == "markov":
+            values = f.values @ np.swapaxes(P, -1, -2)
+        elif self.kind == "markov":
             if f.space.kind != "finite" or f.space.size != self.matrix.shape[0]:
                 raise ValueError("markov operator needs a matching finite space")
-            return VectorField(f.space, P @ f.values)
-        # skew: (T^n f)(w) = A[w] f(alpha^n w)
-        if f.space != self.cocycle.space:
-            raise ValueError("field lives on a different space")
-        A, idx = P
-        return VectorField(f.space, np.einsum("mij,mj->mi", A, f.values.take(idx, axis=0)))
+            values = P @ f.values
+        else:
+            # skew: (T^n f)(w) = A[w] f(alpha^n w)
+            if f.space != self.cocycle.space:
+                raise ValueError("field lives on a different space")
+            A, idx = P
+            values = np.einsum("...ij,...j->...i", A, f.values.take(idx, axis=0))
+        return VectorField(f.space, values) if values.ndim == 2 else values
+
+
+def _parts(P) -> tuple:
+    """The arrays of a power or a stack of powers: a skew power is the pair
+    (A, idx), any other one array."""
+    return P if isinstance(P, tuple) else (P,)
+
+
+def _each(fn, *powers):
+    """``fn`` over the powers or stacks of powers ``powers``, part by part."""
+    out = tuple(map(fn, *map(_parts, powers)))
+    return out if isinstance(powers[0], tuple) else out[0]
+
+
+def _take(X, idx, ndim: int):
+    """``X.take(idx, axis=0)`` for one power's array X of ``ndim`` axes; for
+    a stack X (one more leading axis) row s of ``idx`` gathers from X[s]."""
+    if X.ndim > ndim:
+        idx = idx + np.arange(0, len(X) * X.shape[1], X.shape[1])[:, None]
+        X = X.reshape((-1,) + X.shape[2:])
+    return X.take(idx, axis=0)
+
+
+def _entries(P) -> int:
+    """Array entries of the power P."""
+    return sum(p.size for p in _parts(P))
 
 
 def _stacks(terms):

@@ -610,7 +610,9 @@ def interpolation_bound(n: int, a_bound: float, K: float, G_n: float, p: float) 
 def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedule,
                               G: WeightSeq, K: float, p: float, fields,
                               n_ladder, k_start: int | None = None) -> BoundReport:
-    """||sum_{k<=n} a_k T^{n_k} f||_p <= bound(n) ||f||_p for each field."""
+    """||sum_{k<=n} a_k T^{n_k} f||_p <= bound(n) ||f||_p for each field.
+
+    Each block of powers T^{n_k} is drawn once and applied to every field."""
     if not T.dunford_schwartz:
         raise ValueError("interpolation bound needs a Dunford-Schwartz operator")
     if k_start is None:
@@ -619,24 +621,28 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
     n_max = k_start + int(rows[-1])
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     g_vals = G.prefix(n_max)[k_start - G.n0:]
+    fields = list(fields)
+    sums = [series_rows(map(T.act, powers, itertools.repeat(f)), coefs) for f, powers
+            in zip(fields, itertools.tee(T.blocks(n_ints), len(fields)))]
+    lhss = [[] for _ in fields]          # ||S_n f||_p at the ladder rows, per field
+    for block in zip(*sums):
+        for f, lhs, (i0, S) in zip(fields, lhss, block):
+            hit = rows[(rows >= i0) & (rows < i0 + len(S))]
+            lhs += lp_norms(np.linalg.norm(S[hit - i0], axis=2), f.space.weights, p)
     entries = []
     max_ratio = 0.0
     worst = {}
-    for fi, f in enumerate(fields):
+    for fi, (f, lhs_f) in enumerate(zip(fields, lhss)):
         fnorm = f.norm(p)
-        for i0, S in series_rows(T.blocks(n_ints, f), coefs):
-            hit = rows[(rows >= i0) & (rows < i0 + len(S))]
-            lhss = lp_norms(np.linalg.norm(S[hit - i0], axis=2), f.space.weights, p)
-            for i, lhs in zip(hit.tolist(), lhss):
-                k = k_start + i
-                bound = interpolation_bound(k, a.sup_bound, K,
-                                            float(g_vals[i]), p) * fnorm
-                ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0 else math.inf)
-                entries.append({"field": fi, "n": k, "lhs": lhs,
-                                "bound": bound, "ratio": ratio})
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    worst = {"field": fi, "n": k, "ratio": ratio}
+        for i, lhs in zip(rows.tolist(), lhs_f):
+            k = k_start + i
+            bound = interpolation_bound(k, a.sup_bound, K, float(g_vals[i]), p) * fnorm
+            ratio = lhs / bound if bound > 0 else (0.0 if lhs == 0 else math.inf)
+            entries.append({"field": fi, "n": k, "lhs": lhs,
+                            "bound": bound, "ratio": ratio})
+            if ratio > max_ratio:
+                max_ratio = ratio
+                worst = {"field": fi, "n": k, "ratio": ratio}
     return BoundReport("interpolation-T44", max_ratio, worst, entries)
 
 
@@ -665,6 +671,10 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
         _require_contraction(A)
     k_start = max(W.n0, G.n0)
     ladder = ladder_rows(n_ladder, k_start)
+    if len(ladder) < 2:
+        raise ValueError(f"only one distinct ladder entry lies at or above the start "
+                         f"index {k_start}; the operator-norm check needs two for a "
+                         "Cauchy gap")
     n_max = ladder[-1]
     # tail(j): numeric suffix to tail_N plus the symbolic class remainder
     tail_top = max(tail_N, n_max)

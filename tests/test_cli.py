@@ -430,6 +430,16 @@ def test_bound_check_repeated_ladder_entry_is_checked_once(tmp_path, check, ladd
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("ladder", ["32", "32,32"])
+def test_t8_ladder_of_one_entry_exits_2(tmp_path, capsys, ladder):
+    # used to print "bound ok=True" for every contraction with no gap checked
+    assert _run(tmp_path, "hilbert", "--check", "t8", "--ladder", ladder) == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: only one distinct ladder entry lies at or above the start "
+                   "index 1; the operator-norm check needs two for a Cauchy gap\n")
+    assert out == "" and list(tmp_path.glob("run-*")) == []
+
+
 def test_check_full_sequence_writes_report(tmp_path):
     assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", "--schedule",
                 "power:2", "--full-sequence", "--ladder", "100,1000") == 0

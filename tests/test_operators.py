@@ -1,5 +1,7 @@
 """Sample spaces, transformations, operators, cocycles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ergolab.operators import (Cocycle, LinearOperator, SampleSpace,
                                Transformation, VectorField, character_field,
                                operator_from_json, operator_norm, random_field,
                                skew_operator)
+from ergolab.transforms import ModulationSeq, hilbert_partial
+from ergolab.weights import Schedule, WeightSeq
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +263,18 @@ def _operators_of_every_kind():
 
 
 @pytest.mark.parametrize("kind", ["koopman", "matrix", "markov", "skew"])
-def test_stepped_powers_match_direct_powers(kind):
+@pytest.mark.parametrize("rows", [1, 4, 64])
+def test_stepped_powers_match_direct_powers(kind, rows):
     op = _operators_of_every_kind()[kind]
-    # repeats (gap 0), unit gaps and gaps of many bits
-    n_ints = [0, 0, 1, 5, 5, 6, 40, 41, 300, 2000, 2000, 10**4 + 3]
-    stepped = list(op.powers(np.asarray(n_ints, dtype=np.int64)))
+    L, _ = op._residues()
+    assert L > 1
+    # repeats (gap 0), unit gaps, the residue table's edges L-1, L, L+1, 2L
+    # and quotient gaps of many bits
+    big = L * (2**21 + 2**9 + 7) + 5
+    n_ints = sorted([0, 0, 1, 5, 5, 6, 40, 41, 300, 2000, 2000, 10**4 + 3,
+                     L - 1, L, L + 1, 2 * L, big, big + L * (2**33 + 2**14 + 1) + L - 1])
+    stepped = [P for stack in op.powers(np.asarray(n_ints, dtype=np.int64), rows)
+               for P in (zip(*stack) if kind == "skew" else stack)]
     assert len(stepped) == len(n_ints)
     for n, P in zip(n_ints, stepped):
         Q = op.power(n)
@@ -274,6 +285,58 @@ def test_stepped_powers_match_direct_powers(kind):
             assert np.abs(P[0] - Q[0]).max() <= 1e-12
         else:
             assert np.abs(P - Q).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["koopman", "matrix", "markov", "skew"])
+def test_residue_table_rows_are_the_direct_powers(kind):
+    op = _operators_of_every_kind()[kind]
+    L, R = op._residues()
+    rows = list(zip(*R)) if kind == "skew" else list(R)
+    assert len(rows) == L
+    for r, P in enumerate(rows):
+        Q = op.power(r)
+        for got, want in (zip(P, Q) if kind == "skew" else [(P, Q)]):
+            assert np.array_equal(got, want)
+
+
+def _large_skew():
+    # one power holds 2^12 (2 * 2 + 1) entries, more than the residue table's 2^13
+    rng = np.random.Generator(np.random.Philox(key=5))
+    m = 1 << 12
+    F = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    base = Transformation.permutation(SampleSpace.finite(m), rng.permutation(m))
+    return skew_operator(Cocycle(base, F / operator_norm(F)[:, None, None]))
+
+
+def test_large_operator_powers_are_the_stepped_powers():
+    op = _large_skew()
+    assert op._residues()[0] == 1
+    n_ints = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 1000, 10**6 + 7]
+    stacks = list(op.blocks(np.asarray(n_ints, dtype=np.int64)))
+    assert len(stacks) == len(n_ints)
+    P, prev = None, 0   # each power the previous one composed with the gap's power
+    for n, (A, idx) in zip(n_ints, stacks):
+        B, j = op.power(n - prev)
+        P = (B, j) if P is None else (np.einsum("wij,wjk->wik", P[0], B.take(P[1], axis=0)),
+                                      j[P[1]])
+        prev = n
+        assert A.shape[0] == 1 and np.array_equal(A[0], P[0])
+        assert np.array_equal(idx[0], P[1])
+
+
+def test_large_operator_series_peak_memory_is_bounded():
+    # 1.18 MiB at the per-term stepping this replaced; a table of 128 such
+    # powers would hold 40 MiB
+    op = _large_skew()
+    f = random_field(op.cocycle.space, 2, seed=3)
+    W = WeightSeq.from_text("n", n0=1)
+    tracemalloc.start()
+    try:
+        hilbert_partial(ModulationSeq.constant(1.0), op, Schedule.identity(), W, f, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,9 @@ def test_hilbert_block_size_does_not_change_results(monkeypatch):
     W = WeightSeq.from_text("n", n0=1)
     space = SampleSpace.finite(3)
     vals = np.random.Generator(np.random.Philox(key=4)).standard_normal((41, 3))
+    perms = np.random.Generator(np.random.Philox(key=6)).permuted(
+        np.tile(np.arange(16), (16, 1)), axis=1)
+    markov16 = {"kind": "markov", "matrix": (sum(np.eye(16)[p] for p in perms) / 16).tolist()}
 
     def random_run():
         est = random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
@@ -180,6 +183,9 @@ def test_hilbert_block_size_does_not_change_results(monkeypatch):
         "t44 entries": (8, lambda: check_t44(1.5, 3, ladder=(5, 16, 23))[0]),
         "t8 gaps": (6 * 6, lambda: check_t8(1, ladder=(5, 9, 30))[0]),
         "weighted_series": (3, abel_run),
+        # L = 32 for a 16 x 16 matrix; the gaps of k^2 span several quotients
+        "power:2 trace rows": (16 * 16, lambda: hilbert_trace(
+            W, Schedule.power(2.0), 200, seed=2, lam=0.3, operator=markov16).rows),
     }
     default = operators._BLOCK_ENTRIES
     for name, (entries, run) in runs.items():

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from ergolab import operators
 from ergolab.operators import (LinearOperator, SampleSpace, Transformation,
-                               VectorField, random_field)
+                               VectorField, lp_norms, random_field)
 from ergolab.registry import example_instance
 from ergolab.transforms import (I_majorant, ModulationSeq, TransformTrace,
                                 circle_column_sups, circle_prefix_rows,
                                 gamma_tail, hilbert_partial,
-                                interpolation_bound, ladder_rows, measure_K,
+                                interpolation_bound, interpolation_bound_check,
+                                ladder_rows, measure_K,
                                 modulated_poly, opnorm_series,
                                 rearrangement_and_I, series_rows, sigma_grid,
                                 twisted_bound_check, weighted_series)
@@ -522,6 +524,26 @@ def test_interpolation_bound_endpoints_exact():
     assert mid == pytest.approx(100 ** (1.0 / 3.0) * 10.0 ** (2.0 / 3.0))
     with pytest.raises(ValueError):
         interpolation_bound(10, 1.0, 1.0, 1.0, 2.5)
+
+
+def test_interpolation_check_entries_are_the_per_field_series(monkeypatch):
+    # each block of powers is drawn once for all fields; every lhs is
+    # bit-equal to the field's own series over T.blocks(n_ints, f)
+    monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 36 * 7)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    T = LinearOperator.markov(sum(np.eye(6)[rng.permutation(6)] for _ in range(6)) / 6)
+    fields = [random_field(SampleSpace.finite(6), 1, seed=s) for s in range(4)]
+    a = ModulationSeq.rotation(np.exp(0.7j))
+    sched, G, ladder = Schedule.power(2.0), WeightSeq.from_text("n", n0=1), (3, 40, 100)
+    rep = interpolation_bound_check(a, T, sched, G, 1.0, 1.5, fields, ladder)
+    n_ints = sched.values(100)
+    coefs = a.values(np.arange(1, 101), n_ints.astype(float))
+    want = []
+    for f in fields:
+        for i0, S in series_rows(T.blocks(n_ints, f), coefs):
+            hit = [n - 1 - i0 for n in ladder if 0 <= n - 1 - i0 < len(S)]
+            want += lp_norms(np.linalg.norm(S[hit], axis=2), f.space.weights, 1.5)
+    assert [e["lhs"] for e in rep.entries] == want
 
 
 def test_opnorm_series_contraction():
