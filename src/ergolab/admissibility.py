@@ -212,7 +212,6 @@ def series_report(kind: str, params: dict, terms, k_start: int, kmax: int,
         raise ValueError(f"{terms.size} terms given for the summation range "
                          f"[{k_start}, {kmax}]")
     partial_sums, block_sums = _accumulate(terms, k_start, kmax, ladder)
-    claim = _heuristic_claim(partial_sums, block_sums)
 
     if symbolic_class is not None:
         verdict = "converges" if bertrand_converges(symbolic_class) else "diverges"
@@ -222,6 +221,7 @@ def series_report(kind: str, params: dict, terms, k_start: int, kmax: int,
         cls_scale = symbolic_class.scale
         sx = symbolic_class.superexp_coeff
     else:
+        claim = _heuristic_claim(partial_sums, block_sums)
         verdict = claim if claim != "indeterminate" else "unknown"
         source = "numeric-heuristic"
         tail = None
@@ -247,35 +247,14 @@ def _ratio_class(num: WeightSeq, den: WeightSeq) -> WeightExpr | None:
     return num.expr / den.expr
 
 
-def _gap_class(sched: Schedule) -> WeightExpr | None:
-    """Class of xi_k = n_{k+1} - n_k for symbolic schedules."""
-    if sched.kind in ("power", "monomial"):
-        r = float(sched.param)
-        return WeightExpr(scale=r, n_exp=r - 1.0)
-    if sched.kind == "superexp":
-        # n_{k+1} - n_k ~ (k+1)^{k+1} ~ e * k * k^k
-        return WeightExpr(scale=math.e, n_exp=1.0, superexp_coeff=1.0)
-    return None
-
-
 def _schedule_start(sched: Schedule, *seqs: WeightSeq) -> int:
     """First k whose n_k clears every operand's start index."""
     n_min = max(s.n0 for s in seqs)
-    reach = sched.max_k()
-    # gallop, then bisect: n_lo < n_min <= n_hi, with n_0 read as 0
-    lo, hi = 0, 1
-    while hi < reach and sched.value(hi) < n_min:
-        lo, hi = hi, min(2 * hi, reach)
-    if reach < 1 or sched.value(hi) < n_min:
+    k = sched.first_k(n_min)
+    if k > sched.max_k():
         raise ValueError(f"schedule {sched.describe()} ends before n_k reaches "
                          f"the start index {n_min}")
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if sched.value(mid) < n_min:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return k
 
 
 def _summation_end(ladder, start: int, sched: Schedule | None = None) -> int:
@@ -327,12 +306,7 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
     if not p > 1.0:
         raise ValueError("weak admissibility requires p > 1")
     k_start = _schedule_start(sched, W, G)
-    kmax = _summation_end(ladder, k_start, sched)
-    if xi.mode == "explicit":
-        kmax = min(kmax, len(xi._values))
-    if xi.mode == "derived" and sched.kind == "explicit":
-        # derived gaps need n_{k+1}, so the last index has no gap
-        kmax = min(kmax, len(sched._explicit) - 1)
+    kmax = min(_summation_end(ladder, k_start, sched), xi.max_k())
 
     # G and W at n_k for k = k_start..kmax, each evaluated once
     n_vals = sched.values(kmax)[k_start - 1:].astype(float)
@@ -357,7 +331,7 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
     cls2 = None
     if W.expr is not None:
         if xi.mode == "derived":
-            gap = _gap_class(sched)
+            gap = sched.gap_class()
             wc = asymptotic_class(W.expr, sched)
             if gap is not None and wc is not None:
                 cls2 = (gap / wc) ** p

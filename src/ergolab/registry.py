@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import (LADDER, check_admissible, check_rrr, check_T21,
-                            check_weak_admissible)
+from .admissibility import (LADDER, _t21_terms, check_admissible, check_rrr,
+                            check_T21, check_weak_admissible)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
                         operator_norm, random_field)
 from .stochastics import MCEstimate, random_hilbert
@@ -235,12 +235,11 @@ def t21_term_bound_ewa(eps: float, n) -> np.ndarray:
 
 
 def t21_terms(G: WeightSeq, W: WeightSeq, n) -> np.ndarray:
-    """(G_n/W_n)(1 - W_n/W_{n+1}) evaluated directly (for bound checks)."""
-    n = np.asarray(n, dtype=float)
-    g = G.values(n)
-    w = W.values(n)
-    w1 = W.values(n + 1.0)
-    return (g / w) * (1.0 - w / w1)
+    """(G_n/W_n)(1 - W_n/W_{n+1}) at the integer indices n (for bound
+    checks): the engine's (T21) terms over min(n)..max(n), read at n."""
+    n = np.asarray(n, dtype=np.int64)
+    lo = int(n.min())
+    return _t21_terms(G, W, lo, int(n.max()))[n - lo]
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,8 @@ def _schedule_ints(sched: Schedule, n: int) -> np.ndarray:
     """n_1..n_n as exact int64, rejecting n past the schedule's reach."""
     if n > sched.max_k():
         raise ValueError(f"schedule {sched.describe()} has only {sched.max_k()} terms "
-                         f"with n_k <= 2^62; n={n} is out of reach")
+                         f"with n_k <= 2^{sched.cap.bit_length() - 1}; n={n} is out "
+                         f"of reach")
     return sched.values(n)
 
 

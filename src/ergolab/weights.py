@@ -282,6 +282,8 @@ class Schedule:
         self.param = param
         self._explicit = None
         self._max_k = None
+        fractional = kind == "power" and not float(param).is_integer()
+        self.cap = FLOAT_EXACT_CAP if fractional else INDEX_CAP  # largest n_k max_k() counts
         if kind == "explicit":
             vals = [int(v) for v in values]
             if not vals:
@@ -348,43 +350,33 @@ class Schedule:
             raise IndexError(f"explicit schedule has only {len(vals)} entries")
         return vals[k - 1]
 
-    def max_k(self) -> int:
-        """Largest k with n_k <= INDEX_CAP (0 when already n_1 exceeds it).
-        A schedule never changes after construction, so it is found once."""
-        if self._max_k is None:
-            self._max_k = self._find_max_k()
-        return self._max_k
-
-    def _find_max_k(self) -> int:
-        if self.kind == "explicit":
-            vals = self._explicit
-            ks = [i + 1 for i, v in enumerate(vals) if v <= INDEX_CAP]
-            return ks[-1] if ks else 0
-        cap = INDEX_CAP
-        if self.kind == "power" and not float(self.param).is_integer():
-            cap = min(cap, FLOAT_EXACT_CAP)
-
-        def fits(k: int) -> bool:
+    def first_k(self, n: int) -> int:
+        """Least k >= 1 with n_k >= n, by galloping and then bisection
+        (Bentley and Yao 1976).  An n_k that cannot be evaluated, past an
+        explicit list or a fractional power's cap, counts as >= n."""
+        def below(k: int) -> bool:
             try:
-                return self.value(k) <= cap
-            except OverflowError:
+                return self.value(k) < n
+            except (IndexError, OverflowError):
                 return False
 
-        lo, hi = 1, 2
-        if not fits(1):
-            return 0
-        while fits(hi):
-            lo = hi
-            hi *= 2
-            if hi > cap:  # e.g. identity schedule: every k works up to the cap
-                break
+        lo, hi = 0, 1           # n_lo < n <= n_hi, with n_0 read as 0
+        while below(hi):
+            lo, hi = hi, 2 * hi
         while lo + 1 < hi:
             mid = (lo + hi) // 2
-            if fits(mid):
+            if below(mid):
                 lo = mid
             else:
                 hi = mid
-        return lo
+        return hi
+
+    def max_k(self) -> int:
+        """Largest k with n_k <= cap (0 when already n_1 exceeds it).
+        A schedule never changes after construction, so it is found once."""
+        if self._max_k is None:
+            self._max_k = self.first_k(self.cap + 1) - 1
+        return self._max_k
 
     def values(self, kmax: int) -> np.ndarray:
         """n_1..n_kmax as an int64 array; caller must keep kmax <= max_k()."""
@@ -406,12 +398,23 @@ class Schedule:
         return np.array(self._explicit[:kmax], dtype=np.int64)
 
     def gap_values(self, kmax: int) -> np.ndarray:
-        """xi_k = n_{k+1} - n_k for k = 1..kmax."""
-        if self.kind != "explicit" and self.value(kmax + 1) > np.iinfo(np.int64).max:
-            # n_{kmax+1} overflows int64 (e.g. superexp): exact int fallback
-            vals = [self.value(k) for k in range(1, kmax + 2)]
-            return np.array([b - a for a, b in zip(vals, vals[1:])], dtype=np.float64)
-        return np.diff(self.values(kmax + 1))
+        """xi_k = n_{k+1} - n_k for k = 1..kmax as floats; the last gap is
+        taken in Python ints, since n_{kmax+1} may pass int64 (superexp)."""
+        vals = self.values(kmax)
+        last = float(self.value(kmax + 1) - int(vals[-1]))
+        gaps = np.diff(vals)
+        del vals            # at most two kmax-sized arrays are alive at once
+        return np.append(gaps, last)
+
+    def gap_class(self) -> WeightExpr | None:
+        """Class of xi_k = n_{k+1} - n_k for symbolic schedules."""
+        if self.kind in ("power", "monomial"):
+            r = float(self.param)
+            return WeightExpr(scale=r, n_exp=r - 1.0)
+        if self.kind == "superexp":
+            # n_{k+1} - n_k ~ (k+1)^{k+1} ~ e * k * k^k
+            return WeightExpr(scale=math.e, n_exp=1.0, superexp_coeff=1.0)
+        return None
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -450,9 +453,22 @@ class GapSeq:
     def of_schedule_expr(cls, expr: WeightExpr, schedule: Schedule) -> "GapSeq":
         return cls("expr_of_nk", schedule=schedule, expr=expr)
 
+    def max_k(self) -> int:
+        """Last k with a gap: an explicit list's length; for derived gaps the
+        last k whose n_{k+1} is exact, one short of an explicit list or of a
+        fractional power's reach; otherwise the schedule's max_k()."""
+        if self.mode == "explicit":
+            return len(self._values)
+        sched = self.schedule
+        if self.mode == "derived" and sched.kind == "explicit":
+            return len(sched._explicit) - 1
+        if self.mode == "derived" and sched.cap == FLOAT_EXACT_CAP:
+            return sched.max_k() - 1
+        return sched.max_k()
+
     def values(self, kmax: int) -> np.ndarray:
         if self.mode == "derived":
-            return self.schedule.gap_values(kmax).astype(float)
+            return self.schedule.gap_values(kmax)
         if self.mode == "expr_of_nk":
             return self.expr(self.schedule.values(kmax).astype(float))
         if kmax > len(self._values):

@@ -293,11 +293,15 @@ def _linear_schedule_start(sched, n_min):
 
 @pytest.mark.parametrize("sched", [
     Schedule.identity(), Schedule.monomial(3), Schedule.power(2.0),
-    Schedule.power(2.5), Schedule.superexp(), Schedule.geometric(1.5),
-    Schedule.explicit([1, 4, 9, 16, 100]),
+    Schedule.power(2.5), Schedule.power(6.5), Schedule.superexp(),
+    Schedule.geometric(1.5), Schedule.geometric(2), Schedule.explicit([1, 4, 9, 16, 100]),
+    pytest.param(Schedule.explicit([3, 27, 2**62, 2**62 + 1]), id="explicit-past-cap"),
 ], ids=lambda s: s.kind + str(s.param or ""))
 def test_schedule_start_matches_linear_search(sched):
-    for n_min in (1, 2, 3, 4, 5, 9, 10, 16, 17, 27, 28, 99, 100, 101, 5504, 10**5):
+    n_mins = (1, 2, 3, 4, 5, 9, 10, 16, 17, 27, 28, 99, 100, 101, 5504, 10**5)
+    if sched.max_k() < 10**6:       # a short reach: step to its end, too
+        n_mins += (2**53, 2**62, 2**62 + 1)
+    for n_min in n_mins:
         seqs = (WeightSeq.from_text("n", n0=n_min), WeightSeq.from_text("n", n0=1))
         ref = _linear_schedule_start(sched, n_min)
         if ref is None:

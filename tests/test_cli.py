@@ -687,6 +687,23 @@ def test_check_ladder_past_the_summation_cap_sums_to_it(tmp_path):
     assert doc["partial_sums"][-1][0] == 10**6
 
 
+@pytest.mark.parametrize("schedule, last_gap", [("power:3.5", 36177),
+                                               ("power:6.5", 283)])
+def test_check_fractional_power_sums_to_its_last_exact_gap(tmp_path, schedule, last_gap):
+    # the gap after the schedule's reach needs an n_k past the float-exact cap
+    assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", "--schedule",
+                schedule) == 0
+    doc = json.loads((_only_run_dir(tmp_path) / "W4.json").read_text())
+    assert doc["partial_sums"][-1][0] == last_gap
+
+
+def test_hilbert_past_a_fractional_power_reach_names_its_cap(tmp_path, capsys):
+    assert _run(tmp_path, "hilbert", "--schedule", "power:6.5", "--n-max", "300") == 2
+    err = capsys.readouterr().err
+    assert "has only 284 terms with n_k <= 2^53" in err
+    assert "out of reach" in err
+
+
 _WEIGHT_TEXT = st.sampled_from([
     "n", "n^0.5", "n^1.5", "n^2", "2*n", "ln(n)", "n*ln(n)^2", "lnln(n)",
     "n^0.5*ln(n)^-3", "ln(n)^-1", "n^-1", "0.5", "n^400", "n^", "n**2", "bogus", ""])

@@ -145,6 +145,36 @@ def test_no_module_imports_scipy():
     assert _importers({"scipy"}) == []
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines: functions, classes, assigned
+    names and attributes it stores (``self._memo = ...``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    """A module reads ``x._name`` only when it defines ``_name`` itself; the
+    state of another module's objects is reached through their methods."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    defined = {name: _private_definitions(tree) for name, tree in trees.items()}
+    reads = []
+    for name, tree in trees.items():
+        foreign = set().union(*(d for other, d in defined.items() if other != name))
+        foreign -= defined[name]
+        reads += [f"{name}:{ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in foreign]
+    assert reads == []
+
+
 def test_public_methods_are_reached():
     trees = _package_trees()
     loads = sum(map(_loads, trees), collections.Counter())

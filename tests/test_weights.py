@@ -172,6 +172,50 @@ def test_fractional_power_value_matches_values(r):
     assert [s.value(k) for k in range(1, K + 1)] == vals.tolist()
 
 
+def _linear_max_k(sched, cap):
+    """The last k with n_k <= cap by stepping k = 1, 2, ...; an n_k that
+    cannot be evaluated ends the schedule."""
+    k = 0
+    while True:
+        try:
+            if sched.value(k + 1) > cap:
+                return k
+        except (IndexError, OverflowError):
+            return k
+        k += 1
+
+
+@pytest.mark.parametrize("sched, cap", [
+    (Schedule.superexp(), INDEX_CAP), (Schedule.geometric(1.5), INDEX_CAP),
+    (Schedule.geometric(2), INDEX_CAP), (Schedule.power(6.5), FLOAT_EXACT_CAP),
+    (Schedule.power(7.75), FLOAT_EXACT_CAP), (Schedule.explicit([1, 4, 9, 16, 100]), INDEX_CAP),
+    (Schedule.explicit([2, 3, 2**62, 2**62 + 1]), INDEX_CAP),
+    (Schedule.explicit([2**62 + 1]), INDEX_CAP),
+], ids=["superexp", "geometric1.5", "geometric2", "power6.5", "power7.75", "explicit",
+        "explicit-past-cap", "explicit-all-past-cap"])
+def test_max_k_matches_linear_search(sched, cap):
+    assert sched.cap == cap
+    assert sched.max_k() == _linear_max_k(sched, cap)
+
+
+@pytest.mark.parametrize("sched, last_gap", [
+    (Schedule.power(3.5), 36177), (Schedule.power(6.5), 283),
+    (Schedule.geometric(2), 62), (Schedule.superexp(), 15),
+    (Schedule.explicit([1, 4, 9]), 2), (Schedule.identity(), INDEX_CAP),
+], ids=["power3.5", "power6.5", "geometric2", "superexp", "explicit", "identity"])
+def test_derived_gaps_reach_the_last_exact_n_k(sched, last_gap):
+    xi = GapSeq.derived(sched)
+    assert xi.max_k() == last_gap
+    if last_gap < 10**6:
+        assert np.all(xi.values(last_gap) > 0)
+
+
+def test_gapseq_max_k_of_explicit_and_expr_modes():
+    assert GapSeq.explicit([1.0, 2.5, 4.0]).max_k() == 3
+    sched = Schedule.power(6.5)
+    assert GapSeq.of_schedule_expr(WeightExpr(n_exp=0.5), sched).max_k() == sched.max_k()
+
+
 def test_max_k_identity_unbounded_to_cap():
     assert Schedule.identity().max_k() == INDEX_CAP
 
