@@ -319,6 +319,8 @@ def cmd_random(args) -> int:
         tuple(2**j for j in range(8, 13))
     require_size("the ladder top", max(ladder))
     require_size("--n-lambda", args.n_lambda, MAX_GRID)
+    if args.samples < 1:
+        raise ValueError("sample count must be >= 1")
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
               "ladder": list(ladder), "n_lambda": args.n_lambda,

@@ -22,6 +22,7 @@ __all__ = [
     "Cocycle",
     "operator_norm",
     "lp_norms",
+    "pointwise_norms",
     "skew_operator",
     "random_field",
     "character_field",
@@ -158,7 +159,25 @@ class VectorField:
 
     def norm(self, p: float = 2.0) -> float:
         """(integral of |f(x)|_H^p dmu)^(1/p) on the discrete measure."""
-        return lp_norms(np.linalg.norm(self.values, axis=1)[None], self.space.weights, p)[0]
+        return lp_norms(pointwise_norms(self.values)[None], self.space.weights, p)[0]
+
+
+def pointwise_norms(values):
+    """|v(w)|_H along the last axis of ``values``: the square root of the sum
+    of the squares (v.conj() * v).real, bit-equal to
+    ``np.linalg.norm(values, axis=-1)``.  Below 8 entries the squares are
+    added left to right, which is numpy's own order there and skips the
+    cost of a reduction over a short axis; from 8 entries up numpy sums
+    pairwise, so ``np.add.reduce`` takes over."""
+    values = np.asarray(values)
+    squares = (values.conj() * values).real
+    d = squares.shape[-1]
+    if d >= 8:
+        return np.sqrt(np.add.reduce(squares, axis=-1))
+    total = squares[..., 0].copy()
+    for j in range(1, d):
+        total += squares[..., j]
+    return np.sqrt(total, out=total)
 
 
 def lp_norms(h, weights, p: float) -> list:

@@ -2,8 +2,10 @@
 
 Random streams are counter-based (Philox keyed by (seed, sample id)), so the
 draw for index k never depends on how many indices were materialized:
-extending a ladder never perturbs earlier draws.  Samples run in one ordered
-loop, so reruns are bit-identical.
+extending a ladder never perturbs earlier draws.  Samples run in ordered
+groups, and no bit depends on the grouping, so reruns are bit-identical:
+``random_hilbert`` takes a group as one series over the samples' stacked
+coefficients, each sample with its own products and sequential sums.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .accum import block_sums, running_sums
 from .admissibility import LADDER, AdmissibilityReport, check_rrr
-from .operators import Cocycle, VectorField, skew_operator
+from .operators import Cocycle, VectorField, pointwise_norms, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
                          circle_prefix_rows, ladder_rows, series_rows)
 from .weights import Schedule, WeightSeq
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 _LAWS = ("rademacher", "gaussian", "complex-gaussian", "zero")
+_GROUP_TERMS = 1 << 14  # series terms times samples in one group of random_hilbert
 
 
 def canonical_hash(obj) -> str:
@@ -197,6 +200,12 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     the sample count collapses to 1).  Returns per-sample L2 norms of the
     running maximal function, with max-over-w Cauchy gaps between consecutive
     ladder entries in ``extra``.
+
+    The blocks of V_k are built once.  The samples run in ordered groups of
+    max(1, _GROUP_TERMS // n) for n terms: one ``series_rows`` over the
+    blocks V[:, None] and the group's coefficients as the columns of one
+    (n, g) array gives every sample the rows it would have alone, bit for
+    bit, at the cost of one pass over the blocks per group.
     """
     if samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -224,22 +233,29 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     if deterministic:
         samples = 1
 
-    def one_sample(y: int):
+    def coefficients(y: int):
         if deterministic:
             draws = mod.values(np.arange(1, kmax + 1), n_vals.astype(float))
         else:
             draws = mod.draws(y, kmax)
-        running = np.zeros(C.space.size)
+        return draws[k_start - 1:] / w
+
+    def one_group(ys):
+        # column j of the coefficients, and of every row, is sample ys[j]
+        coefs = np.stack([coefficients(y) for y in ys], axis=1)
+        running = np.zeros((len(ys), C.space.size))
         snaps = []
-        for i0, S in series_rows(blocks, draws[k_start - 1:] / w):
-            np.maximum(running, np.linalg.norm(S, axis=2).max(axis=0), out=running)
+        for i0, S in series_rows((V[:, None] for V in blocks), coefs):
+            np.maximum(running, pointwise_norms(S).max(axis=0), out=running)
             snaps.append(S[rows[(rows >= i0) & (rows < i0 + len(S))] - i0])
         snaps = np.concatenate(snaps)
-        gaps = np.linalg.norm(np.diff(snaps, axis=0), axis=2).max(axis=1)
-        maxfn_l2 = float(np.sqrt(np.sum(mu * running**2)))
-        return maxfn_l2, gaps.tolist(), snaps[-1]
+        gaps = pointwise_norms(np.diff(snaps, axis=0)).max(axis=2)
+        return [(float(np.sqrt(np.sum(mu * r**2))), gap.tolist(), final)
+                for r, gap, final in zip(running, gaps.T, snaps[-1])]
 
-    results = [one_sample(y) for y in range(samples)]
+    size = max(1, _GROUP_TERMS // len(w))
+    results = [r for y0 in range(0, samples, size)
+               for r in one_group(range(y0, min(y0 + size, samples)))]
     per_sample = [r[0] for r in results]
     gaps = [r[1] for r in results]
     config = {"statistic": "hilbert-maximal-L2",
@@ -289,7 +305,7 @@ def ae_convergence_diag(partials, ladder) -> AEDiagnosis:
         raise ValueError("one column per ladder entry expected")
     diffs = arr[:, 1:] - arr[:, :-1]
     if diffs.ndim == 3:
-        gaps = np.linalg.norm(diffs, axis=2).max(axis=0)
+        gaps = pointwise_norms(diffs).max(axis=0)
     else:
         gaps = np.abs(diffs).max(axis=0)
     gaps = np.asarray(gaps, dtype=float)

@@ -22,7 +22,7 @@ from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
                             _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
                         _stacks, lp_norms, operator_from_json, operator_norm,
-                        random_field)
+                        pointwise_norms, random_field)
 from .weights import Schedule, WeightSeq, twisted_weight
 
 __all__ = [
@@ -514,7 +514,7 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
     coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
     for i0, S in series_rows(T.blocks(n_ints, f), coeffs):
         if trace is not None:
-            norms = np.linalg.norm(S, axis=2)
+            norms = pointwise_norms(S)
             trace.record_block(range(k_start + i0, k_start + i0 + len(S)), norms,
                                [None] * len(S),
                                lp_norms(norms, f.space.weights, trace.p))
@@ -629,7 +629,7 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
     for block in zip(*sums):
         for f, lhs, (i0, S) in zip(fields, lhss, block):
             hit = rows[(rows >= i0) & (rows < i0 + len(S))]
-            lhs += lp_norms(np.linalg.norm(S[hit - i0], axis=2), f.space.weights, p)
+            lhs += lp_norms(pointwise_norms(S[hit - i0]), f.space.weights, p)
     entries = []
     max_ratio = 0.0
     worst = {}

@@ -266,6 +266,53 @@ def parse_weight(text: str) -> WeightExpr:
 # schedules and gap sequences
 
 
+def _ceil_power(q: float, k: int) -> int:
+    """The exact ceil(q^k) of a float q > 1, in integers.  q = a / 2^e
+    exactly, and for e = 0 the power is a^k.  Otherwise a is odd, so q^k is
+    never an integer and its ceiling is floor(q^k) + 1; that floor is read
+    off two fixed-point powers of P fractional bits, one rounded down and
+    one up at every product.  P doubles until the two floors agree, as they
+    must once P reaches the e*k bits of the exact power."""
+    a, b = q.as_integer_ratio()
+    if b == 1:
+        return a**k
+    e = b.bit_length() - 1
+    P = 128
+    while True:
+        lo = hi = 1 << P
+        base_lo = base_hi = a << (P - e)
+        j = k
+        while j:
+            if j & 1:
+                lo = lo * base_lo >> P
+                hi = -(-hi * base_hi >> P)
+            j >>= 1
+            if j:
+                base_lo = base_lo * base_lo >> P
+                base_hi = -(-base_hi * base_hi >> P)
+        if lo >> P == hi >> P:
+            return (lo >> P) + 1
+        P *= 2
+
+
+def _ceil_powers(q: float, kmax: int) -> list:
+    """[_ceil_power(q, k) for k = 1..kmax], stepping the two fixed-point
+    bounds of q^k by one product each; a k whose bounds do not share a
+    floor is left to ``_ceil_power``."""
+    a, b = q.as_integer_ratio()
+    if b == 1:
+        return [a**k for k in range(1, kmax + 1)]
+    P = 128
+    Q = a << (P - b.bit_length() + 1)       # q * 2^P
+    lo = hi = 1 << P
+    out = []
+    for k in range(1, kmax + 1):
+        lo = lo * Q >> P
+        hi = -(-hi * Q >> P)
+        out.append((lo >> P) + 1 if lo >> P == hi >> P else _ceil_power(q, k))
+    return out
+
+
 class Schedule:
     """Strictly increasing index subsequence n_k (k >= 1).
 
@@ -344,7 +391,7 @@ class Schedule:
         if self.kind == "superexp":
             return k**k
         if self.kind == "geometric":
-            return math.ceil(self.param**k)
+            return _ceil_power(self.param, k)
         vals = self._explicit
         if k > len(vals):
             raise IndexError(f"explicit schedule has only {len(vals)} entries")
@@ -392,7 +439,7 @@ class Schedule:
         if self.kind == "superexp":
             return np.array([k**k for k in range(1, kmax + 1)], dtype=np.int64)
         if self.kind == "geometric":
-            return np.array([self.value(int(k)) for k in ks], dtype=np.int64)
+            return np.array(_ceil_powers(self.param, kmax), dtype=np.int64)
         if kmax > len(self._explicit):
             raise IndexError(f"explicit schedule has only {len(self._explicit)} entries")
         return np.array(self._explicit[:kmax], dtype=np.int64)

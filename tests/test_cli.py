@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ergolab import cli, registry
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
 from ergolab.registry import EXAMPLE_IDS, example_instance
@@ -653,6 +654,22 @@ def test_random_weight_starts_at_its_own_n0(tmp_path, text, g, k0):
     assert doc["per_sample"][0] == pytest.approx(sup_from(k0), rel=1e-12)
     other = 1 if k0 == 3 else 3
     assert doc["per_sample"][0] != pytest.approx(sup_from(other), rel=1e-6)
+
+
+@pytest.mark.parametrize("stat", ["sup", "hilbert"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_random_samples_below_one_exit_2_before_any_series(tmp_path, capsys, monkeypatch,
+                                                           stat, samples):
+    # hilbert used to run W3, W4 and T21 of E5, and sup (1RT1), before refusing
+    def never(*args, **kwargs):
+        raise AssertionError("a precondition series ran")
+
+    monkeypatch.setattr(registry, "check_admissible", never)
+    monkeypatch.setattr(cli, "check_1RT1", never)
+    assert _run(tmp_path, "random", "--stat", stat, "--samples", samples) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: sample count must be >= 1\n" and out == ""
+    assert list(tmp_path.glob("run-*")) == []
 
 
 def test_random_sup_ladder_entry_below_n0_exits_2(tmp_path, capsys):

@@ -96,6 +96,17 @@ def test_every_phase_goes_through_the_circle_kernel():
     assert callers == []
 
 
+def test_pointwise_norms_go_through_operators():
+    """One pointwise-norm rule: |v(w)|_H is ``operators.pointwise_norms``,
+    bit-equal to ``np.linalg.norm`` along the last axis but without its
+    reduction over a short axis; ``operator_norm`` is the other norm."""
+    sites = [f"{path.name}:{i}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "operators.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "linalg.norm(" in line]
+    assert sites == []
+
+
 def test_operator_powers_are_read_only_through_blocks():
     """One block source: every operator series takes its terms T^{n_k} f
     from ``LinearOperator.blocks``, the only caller of ``powers``."""
@@ -133,8 +144,9 @@ def _importers(banned: set[str]) -> list[str]:
 
 
 def test_no_module_imports_a_thread_or_process_pool():
-    """Monte Carlo samples run in one ordered loop; a pool of per-sample
-    numpy calls that hold the GIL gained nothing."""
+    """Monte Carlo samples run in ordered groups, each group one stacked
+    series; a pool of per-sample numpy calls that hold the GIL gained
+    nothing."""
     assert _importers({"concurrent", "threading", "multiprocessing"}) == []
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from ergolab.operators import (Cocycle, LinearOperator, SampleSpace,
                                Transformation, VectorField, character_field,
-                               operator_from_json, operator_norm, random_field,
-                               skew_operator)
+                               operator_from_json, operator_norm,
+                               pointwise_norms, random_field, skew_operator)
 from ergolab.transforms import ModulationSeq, hilbert_partial
 from ergolab.weights import Schedule, WeightSeq
 
@@ -36,6 +36,33 @@ def test_random_field_seed_determinism():
     c = random_field(space, 2, seed=6)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def _norm_inputs(d: int, dtype):
+    """Arrays whose last axis has d entries, from 1e-8 to 1e8 in size: one
+    C-contiguous, a Fortran-ordered copy, a strided view, a copy whose last
+    axis is the slowest, a row selection, a single vector and all zeros."""
+    rng = np.random.Generator(np.random.Philox(key=d))
+    x = rng.standard_normal((2, 40, 3, d)) * 10.0 ** rng.integers(-8, 9, (2, 40, 3, d))
+    x = x[0] + 1j * x[1] if dtype is complex else x[0]
+    wide = np.zeros((40, 3, 2 * d), dtype=x.dtype)
+    wide[..., ::2] = x
+    moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    return {"C": x, "F": np.asfortranarray(x), "strided": wide[..., ::2],
+            "moved": moved, "rows": x[::3, 1], "one": x[0, 0],
+            "zeros": np.zeros_like(x)}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pointwise_norms_are_numpys_norms_bit_for_bit(d, dtype):
+    # left to right below 8 entries, pairwise (add.reduce) from 8 up
+    for name, x in _norm_inputs(d, dtype).items():
+        got = pointwise_norms(x)
+        want = np.linalg.norm(x, axis=-1)
+        assert np.shape(got) == np.shape(want), name
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Random modulation streams, Monte Carlo estimates, convergence diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ergolab import operators
+from ergolab import operators, registry, stochastics
 from ergolab.admissibility import series_report
 from ergolab.operators import Cocycle, SampleSpace, Transformation, VectorField
 from ergolab.registry import check_t8, check_t44, example_instance
@@ -194,6 +196,65 @@ def test_hilbert_block_size_does_not_change_results(monkeypatch):
         for rows in (1, 7):
             monkeypatch.setattr(operators, "_BLOCK_ENTRIES", rows * entries)
             assert run() == base, f"{name} moved at {rows}-row blocks"
+
+
+_E5_LADDER = tuple(2**j for j in range(8, 13))   # random's default ladder
+
+
+def _e5_hilbert():
+    """random_hilbert at the shape of ``random --stat hilbert``: E5's weight
+    over one 2 x 2 contraction on the 16-cycle, without the E5 gate; called
+    as run(mod, samples)."""
+    space = SampleSpace.finite(16)
+    base = Transformation.permutation(space, np.roll(np.arange(16), -1))
+    C = Cocycle.constant(base, registry._random_contraction(2, 999))
+    W = example_instance("E5").W
+    return lambda mod, samples: random_hilbert(mod, C, None, [1.0, 0.0],
+                                               Schedule.identity(), W,
+                                               _E5_LADDER, samples)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "complex-gaussian"])
+def test_hilbert_sample_groups_do_not_change_results(monkeypatch, law):
+    # the samples run in ordered groups, each group one series over its
+    # stacked coefficient columns; no group size may move a bit
+    mod = RandomModulation(law, seed=5)
+    n_terms = _E5_LADDER[-1] - example_instance("E5").W.n0 + 1
+    hilbert = _e5_hilbert()
+
+    def run():
+        est = hilbert(mod, 7)
+        return est.digest(), [f.tobytes() for f in est.final_fields]
+
+    base = run()
+    for size in (1, 2, 3):
+        monkeypatch.setattr(stochastics, "_GROUP_TERMS", size * n_terms)
+        assert run() == base, f"results moved at groups of {size}"
+
+
+def test_hilbert_samples_are_a_prefix_of_more_samples():
+    mod = RandomModulation("rademacher", seed=3)
+    hilbert = _e5_hilbert()
+    few, many = hilbert(mod, 2), hilbert(mod, 5)
+    assert few.per_sample == many.per_sample[:2]
+    assert few.extra["cauchy_gaps"] == many.extra["cauchy_gaps"][:2]
+    for a, b in zip(few.final_fields, many.final_fields):
+        assert np.array_equal(a, b)
+
+
+def test_hilbert_sample_groups_bound_peak_memory():
+    # 3.3 MiB at the default groups of 4 samples, 2.9 MiB one sample at a
+    # time and 16.6 MiB with all 64 samples in one stack
+    mod = RandomModulation("gaussian", seed=1)
+    hilbert = _e5_hilbert()
+    hilbert(mod, 1)           # first calls of numpy kernels allocate once
+    tracemalloc.start()
+    try:
+        hilbert(mod, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_hilbert_rejects_vector_h():

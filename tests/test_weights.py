@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ def test_geometric_schedule_increasing():
     v = s.values(30)
     assert np.all(np.diff(v) > 0)
     assert s.value(4) == math.ceil(1.5**4)
+
+
+@pytest.mark.parametrize("q, reach", [(1.5, 105), (2.0, 62), (3.0, 39), (1.1, 450)])
+def test_geometric_values_are_exact_ceilings(q, reach):
+    # math.ceil(1.5**k) was off at k = 90, 91, 92 and 94..105, where the float
+    # power rounds past the integer above q^k; the reach stays where it was
+    s = Schedule.geometric(q)
+    assert s.max_k() == reach
+    exact = [math.ceil(Fraction(q) ** k) for k in range(1, reach + 1)]
+    assert [s.value(k) for k in range(1, reach + 1)] == exact
+    assert s.values(reach).tolist() == exact
 
 
 def test_explicit_schedule_bounds():
