@@ -170,7 +170,9 @@ def pointwise_norms(values):
     cost of a reduction over a short axis; from 8 entries up numpy sums
     pairwise, so ``np.add.reduce`` takes over."""
     values = np.asarray(values)
-    squares = (values.conj() * values).real
+    prod = np.conjugate(values)     # a new array; a real .conj() is values itself
+    np.multiply(prod, values, out=prod)
+    squares = prod.real
     d = squares.shape[-1]
     if d >= 8:
         return np.sqrt(np.add.reduce(squares, axis=-1))

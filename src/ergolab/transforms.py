@@ -276,19 +276,10 @@ def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
 # modulated polynomials on the circle
 
 
-def _schedule_ints(sched: Schedule, n: int) -> np.ndarray:
-    """n_1..n_n as exact int64, rejecting n past the schedule's reach."""
-    if n > sched.max_k():
-        raise ValueError(f"schedule {sched.describe()} has only {sched.max_k()} terms "
-                         f"with n_k <= 2^{sched.cap.bit_length() - 1}; n={n} is out "
-                         f"of reach")
-    return sched.values(n)
-
-
 def _terms(a: ModulationSeq, sched: Schedule, n: int, k_start: int):
     """(n_k, a_k) for k = k_start..n: the exact int64 indices and the
     coefficients evaluated at them, the one source of both for every series."""
-    n_ints = _schedule_ints(sched, n)[k_start - 1:]
+    n_ints = sched.values(n)[k_start - 1:]
     ks = np.arange(k_start, n + 1, dtype=np.int64)
     return n_ints, a.values(ks, n_ints.astype(float))
 
@@ -768,7 +759,7 @@ def sigma_grid(G: WeightSeq, sched: Schedule, ts, N: int, alpha: float,
     if tail is None:
         tail = gamma_tail(G, sched, alpha, N)
     inv_g2 = 1.0 / G.prefix(N) ** 2
-    residues = _schedule_ints(sched, N)[G.n0 - 1:] % M
+    residues = sched.values(N)[G.n0 - 1:] % M
     C = next(circle_prefix_rows(inv_g2, residues, M, [N], G.n0))[1][0].real
     partial = np.maximum(0.5 * (C[0] - C[np.minimum(j, M - j)]), 0.0)  # >= 0 exactly
     return (2.0 * np.sqrt(partial),

@@ -266,62 +266,26 @@ def parse_weight(text: str) -> WeightExpr:
 # schedules and gap sequences
 
 
-def _ceil_power(q: float, k: int) -> int:
-    """The exact ceil(q^k) of a float q > 1, in integers.  q = a / 2^e
-    exactly, and for e = 0 the power is a^k.  Otherwise a is odd, so q^k is
-    never an integer and its ceiling is floor(q^k) + 1; that floor is read
-    off two fixed-point powers of P fractional bits, one rounded down and
-    one up at every product.  P doubles until the two floors agree, as they
-    must once P reaches the e*k bits of the exact power."""
-    a, b = q.as_integer_ratio()
-    if b == 1:
-        return a**k
-    e = b.bit_length() - 1
-    P = 128
-    while True:
-        lo = hi = 1 << P
-        base_lo = base_hi = a << (P - e)
-        j = k
-        while j:
-            if j & 1:
-                lo = lo * base_lo >> P
-                hi = -(-hi * base_hi >> P)
-            j >>= 1
-            if j:
-                base_lo = base_lo * base_lo >> P
-                base_hi = -(-base_hi * base_hi >> P)
-        if lo >> P == hi >> P:
-            return (lo >> P) + 1
-        P *= 2
-
-
-def _ceil_powers(q: float, kmax: int) -> list:
-    """[_ceil_power(q, k) for k = 1..kmax], stepping the two fixed-point
-    bounds of q^k by one product each; a k whose bounds do not share a
-    floor is left to ``_ceil_power``."""
-    a, b = q.as_integer_ratio()
-    if b == 1:
-        return [a**k for k in range(1, kmax + 1)]
-    P = 128
-    Q = a << (P - b.bit_length() + 1)       # q * 2^P
-    lo = hi = 1 << P
-    out = []
-    for k in range(1, kmax + 1):
-        lo = lo * Q >> P
-        hi = -(-hi * Q >> P)
-        out.append((lo >> P) + 1 if lo >> P == hi >> P else _ceil_power(q, k))
-    return out
+class _PastReach(ValueError, IndexError):
+    """A schedule read past its reach: bad input to a caller (ValueError)
+    and, for an explicit list, a read past its end (IndexError)."""
 
 
 class Schedule:
     """Strictly increasing index subsequence n_k (k >= 1).
 
     kinds:
-      power(r)     n_k = floor(k^r) + 1
-      monomial(r)  n_k = k^r exactly (integer r >= 1)
+      power(r)     n_k = floor(k^r) + 1, 1 <= r <= 62
+      monomial(r)  n_k = k^r exactly (integer 1 <= r <= 62)
       superexp     n_k = k^k
-      geometric(q) n_k = ceil(q^k), q > 1
+      geometric(q) n_k = ceil(q^k), q^3 > 3
       explicit     user-supplied list
+
+    A geometric q is the float a / 2^e exactly, so ceil(q^k) is the integer
+    shift -(-a^k >> e k).  Its ceilings increase exactly when
+    ceil(q) < ceil(q^2) < ceil(q^3), that is when q^3 > 3: from k = 3 on,
+    q^{k+1} - q^k = q^k (q - 1) > 3 (3^{1/3} - 1) > 1 keeps them apart.
+    ``geometric`` checks those three ceilings.
     """
 
     def __init__(self, kind: str, param=None, values=None):
@@ -345,14 +309,20 @@ class Schedule:
 
     @classmethod
     def power(cls, r: float) -> "Schedule":
+        if not math.isfinite(r):
+            raise ValueError(f"power schedule needs a finite r, got {r}")
         if r < 1:
             raise ValueError("power schedule needs r >= 1")
+        if r > 62:          # n_2 > 2^62, and k^r of a huge integer r never ends
+            raise ValueError(f"power schedule needs r <= 62, got {r}")
         return cls("power", float(r))
 
     @classmethod
     def monomial(cls, r: int) -> "Schedule":
         if int(r) != r or r < 1:
             raise ValueError("monomial schedule needs integer r >= 1")
+        if r > 62:          # as for power
+            raise ValueError(f"monomial schedule needs r <= 62, got {r}")
         return cls("monomial", int(r))
 
     @classmethod
@@ -365,9 +335,17 @@ class Schedule:
 
     @classmethod
     def geometric(cls, q: float) -> "Schedule":
+        if not math.isfinite(q):
+            raise ValueError(f"geometric schedule needs a finite q, got {q}")
         if q <= 1:
             raise ValueError("geometric schedule needs q > 1")
-        return cls("geometric", float(q))
+        sched = cls("geometric", float(q))
+        n = [sched.value(k) for k in (1, 2, 3)]
+        for k in (2, 3):
+            if n[k - 1] == n[k - 2]:
+                raise ValueError(f"geometric schedule q={q} repeats n_{k} = {n[k - 1]}: "
+                                 f"ceil(q^k) increases only for q^3 > 3")
+        return sched
 
     @classmethod
     def explicit(cls, vals) -> "Schedule":
@@ -391,7 +369,8 @@ class Schedule:
         if self.kind == "superexp":
             return k**k
         if self.kind == "geometric":
-            return _ceil_power(self.param, k)
+            a, b = self.param.as_integer_ratio()
+            return -(-a**k >> (b.bit_length() - 1) * k)
         vals = self._explicit
         if k > len(vals):
             raise IndexError(f"explicit schedule has only {len(vals)} entries")
@@ -426,23 +405,23 @@ class Schedule:
         return self._max_k
 
     def values(self, kmax: int) -> np.ndarray:
-        """n_1..n_kmax as an int64 array; caller must keep kmax <= max_k()."""
+        """n_1..n_kmax as an int64 array.  A kmax past max_k() is refused;
+        past an explicit list's end that refusal is an IndexError, too."""
+        if kmax > self.max_k():
+            raise _PastReach(f"schedule {self.describe()} has only {self.max_k()} "
+                             f"terms with n_k <= 2^{self.cap.bit_length() - 1}; "
+                             f"n={kmax} is out of reach")
+        if self.kind == "explicit":
+            return np.array(self._explicit[:kmax], dtype=np.int64)
+        if self.kind in ("superexp", "geometric"):    # reach at most 117
+            return np.array([self.value(k) for k in range(1, kmax + 1)], dtype=np.int64)
         ks = np.arange(1, kmax + 1, dtype=np.int64)
-        if self.kind == "power":
-            r = self.param
-            if float(r).is_integer():
-                r = int(r)
-                return ks**r + 1
-            return np.floor(ks.astype(float) ** r).astype(np.int64) + 1
+        r = self.param
         if self.kind == "monomial":
-            return ks**self.param
-        if self.kind == "superexp":
-            return np.array([k**k for k in range(1, kmax + 1)], dtype=np.int64)
-        if self.kind == "geometric":
-            return np.array(_ceil_powers(self.param, kmax), dtype=np.int64)
-        if kmax > len(self._explicit):
-            raise IndexError(f"explicit schedule has only {len(self._explicit)} entries")
-        return np.array(self._explicit[:kmax], dtype=np.int64)
+            return ks**r
+        if float(r).is_integer():
+            return ks**int(r) + 1
+        return np.floor(ks.astype(float) ** r).astype(np.int64) + 1
 
     def gap_values(self, kmax: int) -> np.ndarray:
         """xi_k = n_{k+1} - n_k for k = 1..kmax as floats; the last gap is
@@ -502,13 +481,14 @@ class GapSeq:
 
     def max_k(self) -> int:
         """Last k with a gap: an explicit list's length; for derived gaps the
-        last k whose n_{k+1} is exact, one short of an explicit list or of a
-        fractional power's reach; otherwise the schedule's max_k()."""
+        last k whose n_{k+1} is exact, one short of an explicit list (and
+        within its reach) or of a fractional power's reach; otherwise the
+        schedule's max_k()."""
         if self.mode == "explicit":
             return len(self._values)
         sched = self.schedule
         if self.mode == "derived" and sched.kind == "explicit":
-            return len(sched._explicit) - 1
+            return min(len(sched._explicit) - 1, sched.max_k())
         if self.mode == "derived" and sched.cap == FLOAT_EXACT_CAP:
             return sched.max_k() - 1
         return sched.max_k()

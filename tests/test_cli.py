@@ -107,6 +107,36 @@ def test_schedule_reach_errors_return_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--G", "n^0.5", "--W", "n", "--schedule", "geometric:1.1"),
+     "geometric schedule q=1.1 repeats n_2 = 2: ceil(q^k) increases only for q^3 > 3"),
+    (("hilbert", "--schedule", "geometric:1.3", "--n-max", "10"),
+     "geometric schedule q=1.3 repeats n_2 = 2"),
+    (("hilbert", "--schedule", "geometric:1.1", "--n-max", "20"),
+     "geometric schedule q=1.1 repeats n_2 = 2"),
+    (("check", "--G", "n^0.5", "--W", "n", "--schedule", "power:nan"),
+     "power schedule needs a finite r, got nan"),
+    (("check", "--G", "n^0.5", "--W", "n", "--schedule", "geometric:inf"),
+     "geometric schedule needs a finite q, got inf"),
+    (("hilbert", "--schedule", "power:-inf", "--n-max", "10"),
+     "power schedule needs a finite r, got -inf"),
+    (("hilbert", "--schedule", "geometric:nan", "--n-max", "10"),
+     "geometric schedule needs a finite q, got nan"),
+    # n_2 = 2^r used to be computed in integers, without end
+    (("check", "--G", "n^0.5", "--W", "n", "--schedule", "power:1e18"),
+     "power schedule needs r <= 62, got 1e+18"),
+    (("hilbert", "--schedule", "monomial:1000000000000000000", "--n-max", "10"),
+     "monomial schedule needs r <= 62, got 1000000000000000000"),
+])
+def test_bad_schedule_parameters_exit_2_without_a_run_dir(tmp_path, capsys, argv,
+                                                          message):
+    assert _run(tmp_path, *argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
 def test_unknown_subcommand_returns_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

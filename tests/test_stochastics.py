@@ -143,6 +143,15 @@ def test_deterministic_hilbert_matches_matrix_sum():
     assert len(est.extra["cauchy_gaps"][0]) == 1
 
 
+def test_hilbert_past_the_schedule_reach_is_refused():
+    # superexp has 15 terms below 2^62; n_16 = 16^16 does not fit int64
+    C, _ = _constant_setup()
+    W = WeightSeq.from_text("n", n0=1)
+    with pytest.raises(ValueError, match="has only 15 terms .*n=20 is out of reach"):
+        random_hilbert(RandomModulation("gaussian", seed=3), C, None, [1.0, 0.0],
+                       Schedule.superexp(), W, (20,), samples=2, no_regime_check=True)
+
+
 def test_hilbert_repeated_ladder_entry_is_matched_once():
     C, _ = _constant_setup()
     mod = RandomModulation("gaussian", seed=3)

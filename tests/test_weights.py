@@ -143,7 +143,7 @@ def test_geometric_schedule_increasing():
     assert s.value(4) == math.ceil(1.5**4)
 
 
-@pytest.mark.parametrize("q, reach", [(1.5, 105), (2.0, 62), (3.0, 39), (1.1, 450)])
+@pytest.mark.parametrize("q, reach", [(1.5, 105), (2.0, 62), (3.0, 39), (1.45, 115)])
 def test_geometric_values_are_exact_ceilings(q, reach):
     # math.ceil(1.5**k) was off at k = 90, 91, 92 and 94..105, where the float
     # power rounds past the integer above q^k; the reach stays where it was
@@ -152,6 +152,26 @@ def test_geometric_values_are_exact_ceilings(q, reach):
     exact = [math.ceil(Fraction(q) ** k) for k in range(1, reach + 1)]
     assert [s.value(k) for k in range(1, reach + 1)] == exact
     assert s.values(reach).tolist() == exact
+
+
+@pytest.mark.parametrize("q, k, repeated", [(1.1, 2, 2), (1.3, 2, 2),
+                                             (math.sqrt(2), 3, 3)])
+def test_geometric_schedule_refuses_repeated_ceilings(q, k, repeated):
+    # the float sqrt(2) squares to 2.0000000000000004, so only n_3 repeats
+    with pytest.raises(ValueError, match=rf"repeats n_{k} = {repeated}: .* q\^3 > 3"):
+        Schedule.geometric(q)
+    s = Schedule.geometric(1.4423)
+    assert np.all(np.diff(s.values(s.max_k())) > 0)
+
+
+@pytest.mark.parametrize("sched", [Schedule.monomial(3), Schedule.superexp(),
+                                   Schedule.power(6.5)],
+                         ids=["monomial3", "superexp", "power6.5"])
+def test_values_refuse_past_reach(sched):
+    K = sched.max_k()
+    assert len(sched.values(K)) == K
+    with pytest.raises(ValueError, match=f"has only {K} terms .*n={K + 1} is out of reach"):
+        sched.values(K + 1)
 
 
 def test_explicit_schedule_bounds():
@@ -174,11 +194,16 @@ def test_fractional_power_overflow_guard():
     assert s.value(s.max_k()) <= FLOAT_EXACT_CAP
 
 
-@pytest.mark.parametrize("r", [2.5, 3.5, 6.5, 7.75])
-def test_fractional_power_value_matches_values(r):
-    # one n_k formula: the scalar and the array path floor the same power
-    # (the first disagreements used to be k = 102571, 8483, 160 and 77)
-    s = Schedule.power(r)
+@pytest.mark.parametrize("s", [
+    *(Schedule.power(r) for r in (2.5, 3.5, 6.5, 7.75)), Schedule.identity(),
+    Schedule.power(2), Schedule.monomial(3), Schedule.superexp(),
+    *(Schedule.geometric(q) for q in (1.45, 1.5, 2, 3)), Schedule.explicit([2, 3, 5, 8, 13]),
+], ids=["2.5", "3.5", "6.5", "7.75", "identity", "power2", "monomial3", "superexp",
+        "geometric1.45", "geometric1.5", "geometric2", "geometric3", "explicit"])
+def test_fractional_power_value_matches_values(s):
+    # one n_k rule for every kind: the scalar and the array path agree up to
+    # the reach.  For a fractional power both floor the same power (the first
+    # disagreements used to be k = 102571, 8483, 160 and 77 for r = 2.5..7.75)
     K = min(s.max_k(), 150_000)
     vals = s.values(K)
     assert [s.value(k) for k in range(1, K + 1)] == vals.tolist()
@@ -214,7 +239,9 @@ def test_max_k_matches_linear_search(sched, cap):
     (Schedule.power(3.5), 36177), (Schedule.power(6.5), 283),
     (Schedule.geometric(2), 62), (Schedule.superexp(), 15),
     (Schedule.explicit([1, 4, 9]), 2), (Schedule.identity(), INDEX_CAP),
-], ids=["power3.5", "power6.5", "geometric2", "superexp", "explicit", "identity"])
+    (Schedule.explicit([1, 2**62 + 1, 2**62 + 2]), 1),
+], ids=["power3.5", "power6.5", "geometric2", "superexp", "explicit", "identity",
+        "explicit-past-cap"])
 def test_derived_gaps_reach_the_last_exact_n_k(sched, last_gap):
     xi = GapSeq.derived(sched)
     assert xi.max_k() == last_gap
