@@ -9,7 +9,7 @@ from .weights import (INDEX_CAP, GapSeq, Schedule, WeightExpr, WeightSeq,
                       WeightSyntaxError, asymptotic_class, parse_weight,
                       twisted_weight)
 from .admissibility import (LADDER, AdmissibilityReport, bertrand_converges,
-                            check_1RT1, check_admissible, check_full_W1,
+                            check_1RT1, check_admissible, check_index_series,
                             check_rrr, check_T21, check_weak_admissible,
                             series_report)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
@@ -35,7 +35,7 @@ __all__ = [
     "INDEX_CAP", "GapSeq", "Schedule", "WeightExpr", "WeightSeq",
     "WeightSyntaxError", "asymptotic_class", "parse_weight", "twisted_weight",
     "LADDER", "AdmissibilityReport", "bertrand_converges", "check_1RT1",
-    "check_admissible", "check_full_W1", "check_rrr", "check_T21",
+    "check_admissible", "check_index_series", "check_rrr", "check_T21",
     "check_weak_admissible", "series_report",
     "Cocycle", "LinearOperator", "SampleSpace", "Transformation",
     "VectorField", "character_field", "lp_norms", "operator_from_json",

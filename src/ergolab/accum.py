@@ -30,10 +30,21 @@ box every element as a ``numpy.float64``) when the buffer has
   where Shewchuk's partials are cheaper);
 - no nonzero term, so that a sum of signed zeros keeps fsum's sign rule.
 
-A long series is cut into blocks, each block is fsum'd, and a partial or
-tail sum is the fsum of its block sums; for nonnegative terms that lies
-within 2^-52 relative of the exact value (one rounding in the blocks, one
-in the total).
+A long series is cut into pieces, each piece is fsum'd, and a partial or
+tail sum is the fsum of its piece sums; for nonnegative terms that lies
+within 2^-52 relative of the exact value (one rounding in the pieces, one
+in the total).  ``PieceSums`` sums the pieces of a series that arrives in
+chunks, so that no caller holds the whole series: a chunk is cut at the
+piece bounds, and each segment goes through the same extraction, with the
+overflow bound taken on its piece's whole count.  A segment that would go
+to ``math.fsum`` whole is kept as its terms instead, and a piece sum is
+``math.fsum`` of its parts and kept terms in feeding order.  Each part is
+exact, so that is the piece's correctly rounded sum, bit-equal to ``fsum``
+of the piece in one buffer.  Its nan/inf results and errors are fsum's as
+well, because the terms that cause them are kept in order; the one
+exception is a run of signed terms whose prefix sum leaves the float range
+and comes back inside an extracted segment, which no nonnegative series
+has.  ``block_sums`` is the one-chunk call.
 
 ``running_sums`` gives every prefix sum of a sequence under the same rule
 in linear time: out[i] is ``math.fsum(xs[:i + 1])`` bit for bit, including
@@ -42,12 +53,13 @@ its non-finite results and its ``OverflowError``/``ValueError``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
 import numpy as np
 
-__all__ = ["block_sums", "fsum", "running_sums"]
+__all__ = ["PieceSums", "block_sums", "fsum", "running_sums"]
 
 
 _MIN_TERMS = 1024         # shorter buffers go to math.fsum
@@ -63,15 +75,17 @@ def fsum(xs) -> float:
     return math.fsum(memoryview(buf) if parts is None else parts)
 
 
-def _extracted_parts(buf) -> list | None:
+def _extracted_parts(buf, count: int | None = None, work=None) -> list | None:
     """Pass sums of ``buf`` by error-free extraction, whose exact total is
-    the exact sum of ``buf``; None when ``buf`` must go to math.fsum whole."""
+    the exact sum of ``buf``; None when ``buf`` must go to math.fsum whole.
+    ``count`` (``buf.size`` by default) is the number of terms of the sum
+    that ``buf`` belongs to, on which the overflow bound is taken; ``work``
+    is a pair of scratch arrays of at least min(buf.size, _CHUNK) floats."""
     n = buf.size
     if n < _MIN_TERMS:
         return None
-    n_bits = (n + 2).bit_length()
-    r = np.empty(min(n, _CHUNK))
-    q = np.empty_like(r)
+    n_bits = ((n if count is None else count) + 2).bit_length()
+    r, q = work or (np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK)))
     parts = []
     for lo in range(0, n, _CHUNK):
         chunk = buf[lo:lo + _CHUNK]
@@ -95,10 +109,44 @@ def _extracted_parts(buf) -> list | None:
     return parts or None          # no nonzero term
 
 
+class PieceSums:
+    """fsum of each piece xs[cuts[i]:cuts[i+1]] of a series fed in chunks.
+
+    ``add(lo, chunk)`` takes the terms xs[lo:lo + len(chunk)]; the chunks
+    must come in order and cover the cut range once.  ``sums()`` then gives
+    every piece sum, bit-equal to ``fsum`` of the piece (and raising as it
+    does).  A chunk's buffer may be reused once ``add`` returns."""
+
+    def __init__(self, cuts):
+        self._cuts = [int(c) for c in cuts]
+        self._parts = [[] for _ in self._cuts[1:]]      # per piece, in feeding order
+        self._work = None       # the extraction's scratch, kept across chunks
+
+    def add(self, lo: int, chunk) -> None:
+        chunk = np.ascontiguousarray(chunk, dtype=float).ravel()
+        hi = lo + chunk.size
+        cuts = self._cuts
+        for i in range(max(bisect.bisect_right(cuts, lo) - 1, 0), len(cuts) - 1):
+            if cuts[i] >= hi:
+                break
+            a, b = max(cuts[i], lo), min(cuts[i + 1], hi)
+            if a < b:
+                seg = chunk[a - lo:b - lo]
+                if self._work is None and seg.size >= _MIN_TERMS:
+                    self._work = np.empty(_CHUNK), np.empty(_CHUNK)
+                parts = _extracted_parts(seg, cuts[i + 1] - cuts[i], self._work)
+                self._parts[i].append(memoryview(seg.copy()) if parts is None else parts)
+
+    def sums(self) -> list:
+        return [math.fsum(itertools.chain.from_iterable(parts)) for parts in self._parts]
+
+
 def block_sums(xs, cuts) -> list:
-    """fsum of xs[cuts[i]:cuts[i+1]] for each pair of consecutive cut points."""
-    xs = np.asarray(xs, dtype=float)
-    return [fsum(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    """fsum of xs[cuts[i]:cuts[i+1]] for each pair of consecutive cut points:
+    the one-chunk case of ``PieceSums``."""
+    pieces = PieceSums(cuts)
+    pieces.add(cuts[0], np.asarray(xs, dtype=float)[cuts[0]:cuts[-1]])
+    return pieces.sums()
 
 
 def running_sums(xs) -> list:

@@ -7,6 +7,12 @@ operands live in the power-log algebra; otherwise the verdict falls back to a
 conservative numeric heuristic and is labeled as such.  Numeric summation can
 never prove convergence, so the heuristic only claims a verdict when the
 evidence is unambiguous and reports ``unknown`` otherwise.
+
+Every check is one pass over its range, _CHUNK indices at a time: it
+evaluates the weights once per chunk, audits them, forms every term it sums
+and feeds them to one ``_Series`` per series, whose pieces an
+``accum.PieceSums`` sums while they are in cache.  No check holds a
+whole-range array.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import block_sums, fsum, running_sums
-from .weights import GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
+from .accum import PieceSums, fsum, running_sums
+from .weights import _CHUNK, GapSeq, Schedule, WeightExpr, WeightSeq, asymptotic_class
 
 __all__ = [
     "LADDER",
@@ -31,7 +37,7 @@ __all__ = [
     "check_admissible",
     "check_T21",
     "check_rrr",
-    "check_full_W1",
+    "check_index_series",
     "check_1RT1",
 ]
 
@@ -96,35 +102,82 @@ class AdmissibilityReport:
 # series accumulation engine
 
 
-def _accumulate(terms, k_start: int, kmax: int, rungs) -> tuple[list, list]:
-    """Partial sums of sum_{k=k_start}^{K} terms[k - k_start] at the rungs.
+class _Series:
+    """sum_{k=k_start}^{kmax} term(k), fed its terms in chunks.
 
-    ``terms`` holds every term from k_start to kmax; it is audited once
-    (finite and nonnegative) and cut into pieces between consecutive rungs
-    and dyadic points, each piece summed by ``accum.block_sums``.  The
-    partial sums are ``accum.running_sums`` of the pieces, read at the
-    rungs.  Also returns dyadic block sums (blocks (2^j, 2^{j+1}]), each the
-    ``accum.fsum`` of its pieces, for the decay heuristic.
+    The range is cut into pieces between consecutive rungs and dyadic
+    points.  ``add`` audits a chunk of terms (finite and nonnegative) and
+    feeds it to one ``accum.PieceSums``; a refused chunk is kept and raised
+    by ``report``, so that a pass can finish and raise its faults in the
+    order the checks state them.
     """
-    least, most = terms.min(), terms.max()
-    if not (least >= 0.0 and most < math.inf):     # false for any nan, too
-        raise ArithmeticError("series terms must be finite and nonnegative")
-    rungs = sorted({min(r, kmax) for r in rungs if r >= k_start} | {kmax})
-    dyadic = {2**j for j in range(int(kmax).bit_length()) if k_start <= 2**j < kmax}
-    bounds = sorted({k_start - 1, *rungs} | dyadic)
 
-    pieces = block_sums(terms, [b - k_start + 1 for b in bounds])
-    through = dict(zip(bounds[1:], running_sums(pieces)))
-    partial_sums = [(K, through[K]) for K in rungs]
-    blocks = {}
-    for lo, s in zip(bounds, pieces):
-        blocks.setdefault(int(math.log2(lo)) if lo > 0 else -1, []).append(s)
-    top = max(blocks)
-    if len(blocks) > 1 and kmax < 2 ** (top + 1):
-        # the top block (2^j, 2^{j+1}] was cut off at kmax; a truncated
-        # block would fake decay in the ratio heuristic
-        del blocks[top]
-    return partial_sums, [fsum(blocks[j]) for j in sorted(blocks)]
+    def __init__(self, k_start: int, kmax: int, ladder):
+        if kmax < k_start:
+            raise ValueError(f"empty summation range [{k_start}, {kmax}]")
+        if kmax - k_start >= MAX_TERMS:
+            raise ValueError(f"summation range [{k_start}, {kmax}] has more than "
+                             f"{MAX_TERMS} terms")
+        self.k_start, self.kmax = k_start, kmax
+        self.rungs = sorted({min(r, kmax) for r in ladder if r >= k_start} | {kmax})
+        dyadic = {2**j for j in range(int(kmax).bit_length()) if k_start <= 2**j < kmax}
+        self.bounds = sorted({k_start - 1, *self.rungs} | dyadic)
+        self.pieces = PieceSums([b - k_start + 1 for b in self.bounds])
+        self.fault = None
+
+    def add(self, k: int, terms) -> None:
+        """Audit and sum the terms at k, k + 1, ..."""
+        if self.fault is not None:
+            return
+        least, most = terms.min(), terms.max()
+        if least >= 0.0 and most < math.inf:     # false for any nan, too
+            self.pieces.add(k - self.k_start, terms)
+        else:
+            self.fault = ArithmeticError("series terms must be finite and nonnegative")
+
+    def report(self, kind: str, params: dict,
+               symbolic_class: WeightExpr | None = None) -> AdmissibilityReport:
+        """The report, with the partial sums at the rungs, each the running
+        sum of the pieces up to it, and the dyadic block sums (blocks
+        (2^j, 2^{j+1}]), each the ``accum.fsum`` of its pieces, for the decay
+        heuristic."""
+        if self.fault is not None:
+            raise self.fault
+        pieces = self.pieces.sums()
+        through = dict(zip(self.bounds[1:], running_sums(pieces)))
+        partial_sums = [(K, through[K]) for K in self.rungs]
+        blocks = {}
+        for lo, s in zip(self.bounds, pieces):
+            blocks.setdefault(int(math.log2(lo)) if lo > 0 else -1, []).append(s)
+        top = max(blocks)
+        if len(blocks) > 1 and self.kmax < 2 ** (top + 1):
+            # the top block (2^j, 2^{j+1}] was cut off at kmax; a truncated
+            # block would fake decay in the ratio heuristic
+            del blocks[top]
+        block_sums = [fsum(blocks[j]) for j in sorted(blocks)]
+
+        if symbolic_class is not None:
+            verdict = "converges" if bertrand_converges(symbolic_class) else "diverges"
+            source = "symbolic"
+            tail = _tail_estimate(symbolic_class, self.kmax)
+            cls_tuple = symbolic_class.exponents
+            cls_scale = symbolic_class.scale
+            sx = symbolic_class.superexp_coeff
+        else:
+            claim = _heuristic_claim(partial_sums, block_sums)
+            verdict = claim if claim != "indeterminate" else "unknown"
+            source = "numeric-heuristic"
+            tail = None
+            cls_tuple = None
+            cls_scale = None
+            sx = 0.0
+
+        return AdmissibilityReport(
+            kind=kind, params=params, verdict=verdict, verdict_source=source,
+            partial_sums=partial_sums, comparison_class=cls_tuple,
+            class_scale=cls_scale, superexp_coeff=sx, tail_estimate=tail,
+            block_sums=block_sums,
+        )
 
 
 def _heuristic_claim(partial_sums, block_sums) -> str:
@@ -201,40 +254,15 @@ def series_report(kind: str, params: dict, terms, k_start: int, kmax: int,
                   symbolic_class: WeightExpr | None = None,
                   ladder=LADDER) -> AdmissibilityReport:
     """Build a report for sum_{k>=k_start} term(k), summed to kmax, from the
-    array ``terms`` of term(k) for k = k_start..kmax."""
-    if kmax < k_start:
-        raise ValueError(f"empty summation range [{k_start}, {kmax}]")
-    if kmax - k_start >= MAX_TERMS:
-        raise ValueError(f"summation range [{k_start}, {kmax}] has more than "
-                         f"{MAX_TERMS} terms")
+    array ``terms`` of term(k) for k = k_start..kmax: the one-chunk case of
+    a check's pass."""
+    series = _Series(k_start, kmax, ladder)
     terms = np.asarray(terms, dtype=float)
     if terms.shape != (kmax - k_start + 1,):
         raise ValueError(f"{terms.size} terms given for the summation range "
                          f"[{k_start}, {kmax}]")
-    partial_sums, block_sums = _accumulate(terms, k_start, kmax, ladder)
-
-    if symbolic_class is not None:
-        verdict = "converges" if bertrand_converges(symbolic_class) else "diverges"
-        source = "symbolic"
-        tail = _tail_estimate(symbolic_class, kmax)
-        cls_tuple = symbolic_class.exponents
-        cls_scale = symbolic_class.scale
-        sx = symbolic_class.superexp_coeff
-    else:
-        claim = _heuristic_claim(partial_sums, block_sums)
-        verdict = claim if claim != "indeterminate" else "unknown"
-        source = "numeric-heuristic"
-        tail = None
-        cls_tuple = None
-        cls_scale = None
-        sx = 0.0
-
-    return AdmissibilityReport(
-        kind=kind, params=params, verdict=verdict, verdict_source=source,
-        partial_sums=partial_sums, comparison_class=cls_tuple,
-        class_scale=cls_scale, superexp_coeff=sx, tail_estimate=tail,
-        block_sums=block_sums,
-    )
+    series.add(k_start, terms)
+    return series.report(kind, params, symbolic_class)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +306,12 @@ def log_derivative_shift(W: WeightExpr) -> WeightExpr | None:
     return None
 
 
-def _t21_terms(G: WeightSeq, W: WeightSeq, n_start: int, n_end: int) -> np.ndarray:
-    """The (T21) terms (G_n/W_n)(1 - W_n/W_{n+1}) for n = n_start..n_end."""
-    g = G.prefix(n_end + 1)[n_start - G.n0:]
-    w = W.prefix(n_end + 1)[n_start - W.n0:]
-    terms = g[:-1] / w[:-1]
-    shift = w[:-1] / w[1:]
+def _t21_terms(g, w, out=None, shift=None) -> np.ndarray:
+    """The (T21) terms (G_n/W_n)(1 - W_n/W_{n+1}) from the values g of G at
+    n = a..b and w of W at n = a..b+1, one index further; ``out`` and
+    ``shift``, when given, take the terms and 1 - W_n/W_{n+1}."""
+    terms = np.divide(g, w[:-1], out=out)
+    shift = np.divide(w[:-1], w[1:], out=shift)
     terms *= np.subtract(1.0, shift, out=shift)
     return terms
 
@@ -302,32 +330,36 @@ def _t21_class(G: WeightSeq, W: WeightSeq) -> WeightExpr | None:
 
 def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
                           xi: GapSeq, p: float, ladder=LADDER):
-    """(W1)/(W2) reports for the pair (W, G) along the schedule."""
+    """(W1)/(W2) reports for the pair (W, G) along the schedule, from one
+    pass over k that evaluates G and W once at each chunk of n_k."""
     if not p > 1.0:
         raise ValueError("weak admissibility requires p > 1")
     k_start = _schedule_start(sched, W, G)
     kmax = min(_summation_end(ladder, k_start, sched), xi.max_k())
-
-    # G and W at n_k for k = k_start..kmax, each evaluated once
-    n_vals = sched.values(kmax)[k_start - 1:].astype(float)
-    terms = G.values(n_vals)
-    w = W.values(n_vals)
-    del n_vals
-    terms /= w
-    terms **= p
 
     ratio = _ratio_class(G, W)
     cls1 = None
     if ratio is not None:
         composed = asymptotic_class(ratio, sched)
         cls1 = composed**p if composed is not None else None
+    w1, w2 = _Series(k_start, kmax, ladder), _Series(k_start, kmax, ladder)
+    n_vals, terms, w = _buffers(3, kmax - k_start + 1)
+    with np.errstate(all="ignore"):     # the term audit refuses what overflows
+        for a, b in _chunks(k_start, kmax + 1):
+            m = b - a
+            n_ints = sched.values(b - 1, a)
+            np.copyto(n_vals[:m], n_ints, casting="unsafe")
+            G.values(n_vals[:m], terms[:m])
+            W.values(n_vals[:m], w[:m])
+            terms[:m] /= w[:m]
+            terms[:m] **= p
+            w1.add(a, terms[:m])
+            np.divide(xi.values(b - 1, a, n_ints), w[:m], out=terms[:m])
+            terms[:m] **= p
+            w2.add(a, terms[:m])
+
     params = {"p": p, "W": W.label, "G": G.label, "schedule": sched.describe()}
-    rep1 = series_report("W1", params, terms, k_start, kmax, cls1, ladder)
-    del terms
-
-    terms = np.divide(xi.values(kmax)[k_start - 1:], w, out=w)
-    terms **= p
-
+    rep1 = w1.report("W1", params, cls1)
     cls2 = None
     if W.expr is not None:
         if xi.mode == "derived":
@@ -338,7 +370,7 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
         elif xi.mode == "expr_of_nk":
             composed = asymptotic_class(xi.expr / W.expr, sched)
             cls2 = composed**p if composed is not None else None
-    rep2 = series_report("W2", params, terms, k_start, kmax, cls2, ladder)
+    rep2 = w2.report("W2", params, cls2)
     return rep1, rep2
 
 
@@ -350,40 +382,108 @@ def check_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule, p: float,
     return rep1, rep2
 
 
+def _chunks(lo: int, hi: int):
+    """(a, b) for the chunks a..b-1 that cover lo..hi-1, cut at the
+    multiples of _CHUNK, so that a dyadic piece of a series fills whole
+    chunks."""
+    while lo < hi:
+        b = min((lo // _CHUNK + 1) * _CHUNK, hi)
+        yield lo, b
+        lo = b
+
+
+def _buffers(count: int, size: int) -> list:
+    """``count`` work arrays for the chunks of a range of ``size`` indices,
+    one index longer than a chunk; a pass reuses them for every chunk."""
+    return [np.empty(min(size, _CHUNK) + 1) for _ in range(count)]
+
+
+def _index_chunks(weights, n_start: int, n_end: int, ahead: bool = False):
+    """The pass over n = n_start..n_end: (a, m, values) for each chunk, where
+    values[i] holds weights[i] at n = a..a+m-1, and at a+m when ``ahead``
+    (as (T21) needs), in a work array that the next chunk reuses.  Each
+    weight is evaluated once per chunk and audited finite and nondecreasing
+    from its own n0 up to n_end + ahead; the audit faults are raised after
+    the last chunk, in the order of ``weights``."""
+    top = n_end + ahead                               # the last index audited
+    audits = [S.audit() for S in weights]
+    ns, *values = _buffers(1 + len(weights), top - min(S.n0 for S in weights) + 1)
+    offsets = np.arange(ns.size, dtype=float)
+
+    def evaluate(S, audit, a, size, audited, out):
+        np.add(offsets[:size], a, out=ns[:size])
+        with np.errstate(all="ignore"):               # the audit refuses overflow
+            S.values(ns[:size], out[:size])
+        audit.add(a, out[:audited])
+
+    for S, audit, out in zip(weights, audits, values):    # from a lower n0 on
+        for a, b in _chunks(S.n0, n_start):
+            evaluate(S, audit, a, b - a, b - a, out)
+    for a, b in _chunks(n_start, top + 1):            # audits n = a..b-1
+        for S, audit, out in zip(weights, audits, values):
+            evaluate(S, audit, a, b - a + (b <= top and ahead), b - a, out)
+        m = min(b, n_end + 1) - a
+        if m > 0:
+            yield a, m, values
+    for audit in audits:
+        audit.check()
+
+
+def check_index_series(G: WeightSeq, W: WeightSeq, kinds, p: float = 1.0,
+                       ladder=LADDER) -> dict:
+    """Reports of the series over every index n from both start indices,
+    one for each of ``kinds``, from one pass (``_index_chunks``):
+
+      "T21"      sum (G_n/W_n)(1 - W_n/W_{n+1});
+      "rrr"      sum G_n/W_n, whose divergence marks the meaningful regime;
+      "full-W1"  sum (G_n/W_n)^p, not only along a schedule.
+
+    Faults are raised after the pass in the order of separate checks: the
+    weights' first, then each series' class and terms in the order of
+    ``kinds``.
+    """
+    if not set(kinds) <= {"T21", "rrr", "full-W1"}:
+        raise ValueError(f"unknown index series in {kinds}")
+    n_start = max(G.n0, W.n0)
+    n_end = _summation_end(ladder, n_start)
+    series = {kind: _Series(n_start, n_end, ladder) for kind in kinds}
+    terms, shift = _buffers(2, n_end - n_start + 1)
+    for a, m, (g, w) in _index_chunks((G, W), n_start, n_end, "T21" in series):
+        with np.errstate(all="ignore"):   # the term audit refuses what overflows
+            if "T21" in series:
+                series["T21"].add(a, _t21_terms(g[:m], w[:m + 1], terms[:m], shift[:m]))
+            if "rrr" in series or "full-W1" in series:
+                np.divide(g[:m], w[:m], out=terms[:m])
+                if "rrr" in series:
+                    series["rrr"].add(a, terms[:m])
+                if "full-W1" in series:
+                    terms[:m] **= p
+                    series["full-W1"].add(a, terms[:m])
+
+    labels = {"G": G.label, "W": W.label}
+    reports = {}
+    for kind in kinds:
+        if kind == "T21":
+            name, params, cls = "T21", labels, _t21_class(G, W)
+        else:
+            cls = _ratio_class(G, W)
+            cls = None if cls is None else cls**(1.0 if kind == "rrr" else p)
+            name, params = ("RRR-divergence", labels) if kind == "rrr" else \
+                ("full-W1", {**labels, "p": p})
+        reports[kind] = series[kind].report(name, params, cls)
+    if "rrr" in reports:
+        reports["rrr"].meaningful = reports["rrr"].verdict == "diverges"
+    return reports
+
+
 def check_T21(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
     """Series sum (G_n/W_n)(1 - W_n/W_{n+1})."""
-    n_start = max(G.n0, W.n0)
-    n_end = _summation_end(ladder, n_start)
-    params = {"G": G.label, "W": W.label}
-    return series_report("T21", params, _t21_terms(G, W, n_start, n_end), n_start,
-                         n_end, _t21_class(G, W), ladder)
-
-
-def _ratio_power_report(kind: str, params: dict, G: WeightSeq, W: WeightSeq,
-                        p: float, ladder) -> AdmissibilityReport:
-    """Report for sum (G_n/W_n)^p over every index n from both start indices."""
-    n_start = max(G.n0, W.n0)
-    n_end = _summation_end(ladder, n_start)
-    terms = G.prefix(n_end)[n_start - G.n0:] / W.prefix(n_end)[n_start - W.n0:]
-    terms **= p
-    cls = _ratio_class(G, W)
-    return series_report(kind, params, terms, n_start, n_end,
-                         None if cls is None else cls**p, ladder)
+    return check_index_series(G, W, ("T21",), ladder=ladder)["T21"]
 
 
 def check_rrr(G: WeightSeq, W: WeightSeq, ladder=LADDER) -> AdmissibilityReport:
     """Divergence of sum G_k/W_k; divergence marks the meaningful regime."""
-    rep = _ratio_power_report("RRR-divergence", {"G": G.label, "W": W.label}, G, W,
-                              1.0, ladder)
-    rep.meaningful = rep.verdict == "diverges"
-    return rep
-
-
-def check_full_W1(G: WeightSeq, W: WeightSeq, p: float,
-                  ladder=LADDER) -> AdmissibilityReport:
-    """Series sum (G_n/W_n)^p over every index n, not only along a schedule."""
-    return _ratio_power_report("full-W1", {"G": G.label, "W": W.label, "p": p}, G, W,
-                               p, ladder)
+    return check_index_series(G, W, ("rrr",), ladder=ladder)["rrr"]
 
 
 def _gamma_class(G: WeightSeq, sched: Schedule, alpha: float) -> WeightExpr | None:
@@ -404,13 +504,18 @@ def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
         raise ValueError("alpha must lie in (0, 1)")
     k_start = G.n0
     kmax = _summation_end(ladder, k_start, sched)
-    g = G.prefix(kmax)
-    terms = sched.values(kmax)[k_start - 1:].astype(float)
-    terms **= alpha
-    terms /= g**2
+    series = _Series(k_start, kmax, ladder)
+    (terms,) = _buffers(1, kmax - k_start + 1)
+    for a, m, (g,) in _index_chunks((G,), k_start, kmax):
+        with np.errstate(all="ignore"):   # the term audit refuses what overflows
+            np.copyto(terms[:m], sched.values(a + m - 1, a), casting="unsafe")
+            terms[:m] **= alpha
+            g[:m] **= 2
+            terms[:m] /= g[:m]
+        series.add(a, terms[:m])
     cls = _gamma_class(G, sched, alpha)
     params = {"alpha": alpha, "G": G.label, "schedule": sched.describe()}
-    rep = series_report("RT1gamma", params, terms, k_start, kmax, cls, ladder)
+    rep = series.report("RT1gamma", params, cls)
     if rep.verdict == "converges":
         rep.value = rep.partial_sums[-1][1]
     return rep

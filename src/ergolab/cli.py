@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissibility import (LADDER, MAX_TERMS, AdmissibilityReport, check_1RT1,
-                            check_full_W1)
+from .admissibility import LADDER, MAX_TERMS, AdmissibilityReport, check_1RT1
 from .registry import (EXAMPLE_IDS, ExampleInstance, check_t8, check_t41,
                        check_t44, example_instance, random_hilbert_e5)
 from .stochastics import (AEDiagnosis, RandomModulation, canonical_hash,
@@ -203,9 +202,7 @@ def cmd_check(args) -> int:
         sched = parse_schedule(args.schedule or "identity")
         inst = ExampleInstance("ad-hoc", args.p, G, W, sched, GapSeq.derived(sched),
                                {}, {})
-    reports = inst.run_checks(ladder)
-    if args.full_sequence:
-        reports["full-W1"] = check_full_W1(inst.G, inst.W, args.p, ladder)
+    reports = inst.run_checks(ladder, args.full_sequence)
 
     run_dir = run_dir_for(args.out, config)
     for kind, rep in reports.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import (LADDER, _t21_terms, check_admissible, check_rrr,
+from .admissibility import (LADDER, _t21_terms, check_admissible, check_index_series,
                             check_T21, check_weak_admissible)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
                         operator_norm, random_field)
@@ -45,7 +45,9 @@ class ExampleInstance:
     weak_only: bool = False             # E0/EwA claim weak admissibility only
     notes: str = ""
 
-    def run_checks(self, ladder=LADDER) -> dict:
+    def run_checks(self, ladder=LADDER, full_sequence: bool = False) -> dict:
+        """W1/W2 (or W3/W4), then T21 and rrr, and the full-W1 series over
+        every index when ``full_sequence``, from one pass over n."""
         reports = {}
         if self.weak_only:
             r1, r2 = check_weak_admissible(self.W, self.G, self.sched, self.xi,
@@ -54,8 +56,8 @@ class ExampleInstance:
         else:
             r3, r4 = check_admissible(self.W, self.G, self.sched, self.p, ladder)
             reports["W3"], reports["W4"] = r3, r4
-        reports["T21"] = check_T21(self.G, self.W, ladder)
-        reports["rrr"] = check_rrr(self.G, self.W, ladder)
+        kinds = ("T21", "rrr") + (("full-W1",) if full_sequence else ())
+        reports.update(check_index_series(self.G, self.W, kinds, self.p, ladder))
         return reports
 
     def verdicts_ok(self, reports: dict) -> bool:
@@ -238,8 +240,9 @@ def t21_terms(G: WeightSeq, W: WeightSeq, n) -> np.ndarray:
     """(G_n/W_n)(1 - W_n/W_{n+1}) at the integer indices n (for bound
     checks): the engine's (T21) terms over min(n)..max(n), read at n."""
     n = np.asarray(n, dtype=np.int64)
-    lo = int(n.min())
-    return _t21_terms(G, W, lo, int(n.max()))[n - lo]
+    lo, hi = int(n.min()), int(n.max())
+    g = G.prefix(hi + 1)[lo - G.n0:-1]
+    return _t21_terms(g, W.prefix(hi + 1)[lo - W.n0:])[n - lo]
 
 
 # ---------------------------------------------------------------------------

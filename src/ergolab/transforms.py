@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import block_sums, fsum, running_sums
-from .admissibility import (MAX_TERMS, _gamma_class, _t21_class, _t21_terms,
-                            _tail_estimate)
+from .accum import PieceSums, fsum, running_sums
+from .admissibility import (MAX_TERMS, _gamma_class, _index_chunks, _t21_class,
+                            _t21_terms, _tail_estimate)
 from .operators import (LinearOperator, SampleSpace, Transformation, VectorField,
                         _stacks, lp_norms, operator_from_json, operator_norm,
                         pointwise_norms, random_field)
@@ -668,17 +668,19 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
                          f"index {k_start}; the operator-norm check needs two for a "
                          "Cauchy gap")
     n_max = ladder[-1]
-    # tail(j): numeric suffix to tail_N plus the symbolic class remainder
+    # tail(j): numeric suffix to tail_N plus the symbolic class remainder,
+    # its blocks between ladder entries summed in one chunked (T21) pass
     tail_top = max(tail_N, n_max)
-    terms = _t21_terms(G, W, k_start, tail_top)
+    pieces = PieceSums([j - k_start for j in ladder] + [tail_top - k_start + 1])
+    for i, m, (g, w) in _index_chunks((G, W), k_start, tail_top, ahead=True):
+        pieces.add(i - k_start, _t21_terms(g[:m], w[:m + 1]))
 
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]
 
     cls = _t21_class(G, W)
     est = None if cls is None else _tail_estimate(cls, tail_top)
-    cuts = [j - k_start for j in ladder] + [len(terms)]
-    blocks = block_sums(terms, cuts) + [0.0 if est is None else est]
+    blocks = pieces.sums() + [0.0 if est is None else est]
     first_block = {j: i for i, j in enumerate(ladder)}
 
     def tail(j: int) -> float:

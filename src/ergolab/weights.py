@@ -66,28 +66,42 @@ class WeightExpr:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, n):
-        """Value at index n (scalar or array). Requires lnln-safe n if c != 0.
+    def __call__(self, n, out=None):
+        """Value at index n (scalar or array), written into the array
+        ``out`` when given. Requires lnln-safe n if c != 0.
 
-        The factors scale, n^a, (ln n)^b, (lnln n)^c and n^(s n) multiply in
-        that order, in place; ln n is taken once and a scale of 1 is skipped."""
+        The first of the factors n^a, (ln n)^b, (lnln n)^c and n^(s n), the
+        scale and then the others multiply in that order, in place; ln n is
+        taken once, a scale of 1 is skipped, and an array n needs at most two
+        scratch arrays besides ``out`` (three with s)."""
         n = np.asarray(n, dtype=float)
-        ln = np.log(n) if self.log_exp or self.loglog_exp else None
+        v = np.empty(n.shape) if out is None else out
         factors = []
-        if self.n_exp:
-            factors.append(n**self.n_exp)
-        if self.log_exp:
-            factors.append(ln**self.log_exp)
-        if self.loglog_exp:
-            factors.append(np.log(ln) ** self.loglog_exp)
+        if self.log_exp or self.loglog_exp:
+            ln = np.log(n)          # a numpy scalar for a scalar n
+            if self.loglog_exp:
+                lnln = np.log(ln, out=ln if n.ndim and not self.log_exp else None)
+                lnln **= self.loglog_exp
+            if self.log_exp:
+                ln **= self.log_exp
+                factors.append(ln)
+            if self.loglog_exp:
+                factors.append(lnln)
         if self.superexp_coeff:
             factors.append(n ** (self.superexp_coeff * n))
-        v = factors[0] if factors else np.full(n.shape, float(self.scale))
-        if factors and self.scale != 1.0:
+        scaled = bool(self.n_exp or factors) and self.scale != 1.0
+        if self.n_exp:
+            np.copyto(v, n)
+            v **= self.n_exp
+        elif factors:
+            np.copyto(v, factors.pop(0))
+        else:
+            v[...] = self.scale
+        if scaled:
             v *= self.scale
-        for f in factors[1:]:
+        for f in factors:
             v *= f
-        if np.ndim(v) == 0:
+        if v.ndim == 0:
             return float(v)
         return v
 
@@ -109,27 +123,38 @@ class WeightExpr:
 
     # -- algebra ------------------------------------------------------------
 
+    # A product or power whose scale or exponents leave the float range is
+    # refused with a ValueError that names the operands.
+
     def __mul__(self, other: "WeightExpr") -> "WeightExpr":
-        return WeightExpr(
-            self.scale * other.scale,
-            self.n_exp + other.n_exp,
-            self.log_exp + other.log_exp,
-            self.loglog_exp + other.loglog_exp,
-            self.superexp_coeff + other.superexp_coeff,
-        )
+        try:
+            return WeightExpr(
+                self.scale * other.scale,
+                self.n_exp + other.n_exp,
+                self.log_exp + other.log_exp,
+                self.loglog_exp + other.loglog_exp,
+                self.superexp_coeff + other.superexp_coeff,
+            )
+        except ValueError:
+            raise ValueError(f"WeightExpr product ({self}) * ({other}) leaves the "
+                             "float range") from None
 
     def __truediv__(self, other: "WeightExpr") -> "WeightExpr":
         return self * other**-1.0
 
     def __pow__(self, t: float) -> "WeightExpr":
         t = float(t)
-        return WeightExpr(
-            self.scale**t,
-            self.n_exp * t,
-            self.log_exp * t,
-            self.loglog_exp * t,
-            self.superexp_coeff * t,
-        )
+        try:
+            return WeightExpr(
+                self.scale**t,
+                self.n_exp * t,
+                self.log_exp * t,
+                self.loglog_exp * t,
+                self.superexp_coeff * t,
+            )
+        except (OverflowError, ValueError):
+            raise ValueError(f"WeightExpr ({self}) to the power {t!r} leaves the "
+                             "float range") from None
 
     @property
     def exponents(self):
@@ -404,18 +429,20 @@ class Schedule:
             self._max_k = self.first_k(self.cap + 1) - 1
         return self._max_k
 
-    def values(self, kmax: int) -> np.ndarray:
-        """n_1..n_kmax as an int64 array.  A kmax past max_k() is refused;
-        past an explicit list's end that refusal is an IndexError, too."""
+    def values(self, kmax: int, first: int = 1) -> np.ndarray:
+        """n_first..n_kmax as an int64 array.  A kmax past max_k() is
+        refused; past an explicit list's end that refusal is an IndexError,
+        too."""
         if kmax > self.max_k():
             raise _PastReach(f"schedule {self.describe()} has only {self.max_k()} "
                              f"terms with n_k <= 2^{self.cap.bit_length() - 1}; "
                              f"n={kmax} is out of reach")
         if self.kind == "explicit":
-            return np.array(self._explicit[:kmax], dtype=np.int64)
+            return np.array(self._explicit[first - 1:kmax], dtype=np.int64)
         if self.kind in ("superexp", "geometric"):    # reach at most 117
-            return np.array([self.value(k) for k in range(1, kmax + 1)], dtype=np.int64)
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
+            return np.array([self.value(k) for k in range(first, kmax + 1)],
+                            dtype=np.int64)
+        ks = np.arange(first, kmax + 1, dtype=np.int64)
         r = self.param
         if self.kind == "monomial":
             return ks**r
@@ -423,14 +450,15 @@ class Schedule:
             return ks**int(r) + 1
         return np.floor(ks.astype(float) ** r).astype(np.int64) + 1
 
-    def gap_values(self, kmax: int) -> np.ndarray:
-        """xi_k = n_{k+1} - n_k for k = 1..kmax as floats; the last gap is
-        taken in Python ints, since n_{kmax+1} may pass int64 (superexp)."""
-        vals = self.values(kmax)
-        last = float(self.value(kmax + 1) - int(vals[-1]))
-        gaps = np.diff(vals)
-        del vals            # at most two kmax-sized arrays are alive at once
-        return np.append(gaps, last)
+    def gap_values(self, kmax: int, first: int = 1, n=None) -> np.ndarray:
+        """xi_k = n_{k+1} - n_k for k = first..kmax as floats, from
+        ``n`` = values(kmax, first) when given; the last gap is taken in
+        Python ints, since n_{kmax+1} may pass int64 (superexp)."""
+        vals = self.values(kmax, first) if n is None else n
+        gaps = np.empty(vals.size)
+        np.subtract(vals[1:], vals[:-1], out=gaps[:-1])
+        gaps[-1] = float(self.value(kmax + 1) - int(vals[-1]))
+        return gaps
 
     def gap_class(self) -> WeightExpr | None:
         """Class of xi_k = n_{k+1} - n_k for symbolic schedules."""
@@ -493,14 +521,18 @@ class GapSeq:
             return sched.max_k() - 1
         return sched.max_k()
 
-    def values(self, kmax: int) -> np.ndarray:
+    def values(self, kmax: int, first: int = 1, n=None) -> np.ndarray:
+        """xi_first..xi_kmax as floats; ``n``, when given, holds the
+        schedule's n_first..n_kmax."""
+        if n is None and self.mode != "explicit":
+            n = self.schedule.values(kmax, first)
         if self.mode == "derived":
-            return self.schedule.gap_values(kmax)
+            return self.schedule.gap_values(kmax, first, n)
         if self.mode == "expr_of_nk":
-            return self.expr(self.schedule.values(kmax).astype(float))
+            return self.expr(n.astype(float))
         if kmax > len(self._values):
             raise IndexError(f"explicit gap sequence has only {len(self._values)} entries")
-        return self._values[:kmax]
+        return self._values[first - 1:kmax]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +551,8 @@ class WeightSeq:
     decreasing-or-NaN steps and of the non-finite values test every window
     of the block at once.  Every evaluation, the memoized ``prefix`` and the
     n0 search included, goes through ``values``, 2^15 indices at a time.
+    Every audit that the values from n0 on are finite and nondecreasing is
+    an ``audit()``, fed the values in index order in chunks.
     """
 
     LOOKAHEAD = 64
@@ -561,17 +595,20 @@ class WeightSeq:
     def value(self, n) -> float:
         return float(self.values(np.asarray([n], dtype=float))[0])
 
-    def values(self, n) -> np.ndarray:
-        """Values at the indices n (at least 1-d, in n's shape): the one
-        evaluation of a weight.  The expression or callable fills one output
-        _CHUNK indices at a time, so its temporaries stay in cache and a
-        million-index evaluation adds no full-size scratch arrays."""
+    def values(self, n, out=None) -> np.ndarray:
+        """Values at the indices n (at least 1-d, in n's shape), written
+        into the contiguous array ``out`` when given: the one evaluation of a
+        weight.  The expression or callable fills the output _CHUNK indices
+        at a time, so its temporaries stay in cache and a million-index
+        evaluation adds no full-size scratch arrays."""
         n = np.asarray(n, dtype=float)
-        out = np.empty(n.shape)
-        fn = self.expr if self.expr is not None else self.fn
+        out = np.empty(n.shape) if out is None else out
         flat, dest = n.reshape(-1), out.reshape(-1)
         for lo in range(0, flat.size, _CHUNK):
-            dest[lo:lo + _CHUNK] = fn(flat[lo:lo + _CHUNK])
+            if self.expr is not None:
+                self.expr(flat[lo:lo + _CHUNK], dest[lo:lo + _CHUNK])
+            else:
+                dest[lo:lo + _CHUNK] = self.fn(flat[lo:lo + _CHUNK])
         return np.atleast_1d(out)
 
     def _default_n0(self) -> int:
@@ -593,6 +630,10 @@ class WeightSeq:
             n, size = hi, min(2 * size, self._N0_BLOCK_MAX)
         raise ValueError(f"no valid start index found for weight {self.label!r}")
 
+    def audit(self) -> "_Audit":
+        """A new audit of the values from n0 on (see ``_Audit``)."""
+        return _Audit(self.label)
+
     # -- memoized prefix ----------------------------------------------------
 
     def prefix(self, N: int) -> np.ndarray:
@@ -601,30 +642,51 @@ class WeightSeq:
         if N < self.n0:
             raise IndexError(f"index {N} below start index n0={self.n0}")
         need = N - self.n0 + 1
-        if need > len(self._memo):
-            ns = np.arange(self.n0 + len(self._memo), N + 1, dtype=float)
+        m = len(self._memo)
+        if need > m:
+            ns = np.arange(self.n0 + m, N + 1, dtype=float)
             with np.errstate(all="ignore"):   # overflow is refused below
                 new = self.values(ns)
-            if not np.all(np.isfinite(new)):
-                bad = int(ns[np.argmax(~np.isfinite(new))])
-                raise ArithmeticError(f"weight {self.label!r} is not finite at "
-                                      f"index {bad}: not a weight")
-            # down[i]: new[i] lies below the value before it (the memo's last)
-            m = len(self._memo)
-            down = np.empty(len(new), dtype=bool)
-            down[0] = m > 0 and new[0] < self._memo[-1]
-            np.less(new[1:], new[:-1], out=down[1:])
-            if down.any():
-                bad = m + int(np.argmax(down))
-                raise ArithmeticError(
-                    f"weight {self.label!r} decreases near index "
-                    f"{self.n0 + bad}: not a weight"
-                )
+            audit = _Audit(self.label, self._memo[-1] if m else None)
+            audit.add(self.n0 + m, new)
+            audit.check()
             self._memo = np.concatenate((self._memo, new)) if m else new
         return self._memo[:need]
 
     def __repr__(self):
         return f"WeightSeq({self.label!r}, n0={self.n0})"
+
+
+class _Audit:
+    """Whether a weight's values, fed in index order in chunks by ``add``,
+    are finite and nondecreasing.  ``check`` then refuses the weight at its
+    first non-finite value, or else at its first decrease."""
+
+    def __init__(self, label: str, last: float | None = None):
+        self.label = label
+        self.last = last            # the value before the next chunk
+        self.not_finite = self.drop = None      # first index of each fault
+
+    def add(self, n: int, v) -> None:
+        """Audit the values v at n, n + 1, ..."""
+        if self.not_finite is None and not np.isfinite(v).all():
+            self.not_finite = n + int(np.argmin(np.isfinite(v)))
+        if self.drop is None:
+            # down[i]: v[i] lies below the value before it
+            down = np.empty(len(v), dtype=bool)
+            down[0] = self.last is not None and v[0] < self.last
+            np.less(v[1:], v[:-1], out=down[1:])
+            if down.any():
+                self.drop = n + int(np.argmax(down))
+        self.last = v[-1]
+
+    def check(self) -> None:
+        if self.not_finite is not None:
+            raise ArithmeticError(f"weight {self.label!r} is not finite at "
+                                  f"index {self.not_finite}: not a weight")
+        if self.drop is not None:
+            raise ArithmeticError(f"weight {self.label!r} decreases near index "
+                                  f"{self.drop}: not a weight")
 
 
 # ---------------------------------------------------------------------------

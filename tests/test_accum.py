@@ -220,3 +220,50 @@ def test_running_sums_raise_as_fsum(xs, error):
         _prefix_fsums(xs)
     with pytest.raises(error):
         running_sums(xs)
+
+
+def _fed(xs, cuts, splits):
+    """PieceSums of xs at ``cuts``, fed in chunks that end at ``splits``."""
+    pieces = accum.PieceSums(cuts)
+    ends = sorted({cuts[0], cuts[-1]} | {s for s in splits if cuts[0] < s < cuts[-1]})
+    for lo, hi in zip(ends, ends[1:]):
+        chunk = xs[lo:hi].copy()
+        pieces.add(lo, chunk)
+        chunk[...] = np.nan               # a fed buffer may be reused
+    return pieces.sums()
+
+
+def _random_cuts(n, rng, count):
+    return sorted({0, n} | set(rng.integers(0, n, count).tolist()))
+
+
+@pytest.mark.parametrize("xs", _ties(10**5) + _subnormals(10**5) + _modulated(10**5)
+                         + _below_minus_one([1100, 2000, 3000, 10**5]))
+def test_piece_sums_fed_in_chunks_are_fsums_of_each_piece(xs):
+    rng = np.random.Generator(np.random.Philox(key=xs.size + int(xs[0] * 2**20) % 97))
+    for _ in range(3):
+        cuts = _random_cuts(xs.size, rng, 8)
+        splits = _random_cuts(xs.size, rng, int(rng.integers(1, 40)))
+        want = [math.fsum(xs[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:])]
+        assert _bits(_fed(xs, cuts, splits)) == _bits(want)
+
+
+def test_piece_sums_keep_short_pieces_zeros_and_overflow():
+    xs = np.abs(_spread(5 * 2**15, seed=7)) * 1e-300
+    xs[40_000:42_000] = -0.0                   # a piece of 2,000 signed zeros
+    xs[42_000:42_500] = 0.0                    # and one of mixed zeros
+    xs[42_500:43_000] = -0.0
+    cuts = [0, 33_000, 33_700, 40_000, 42_000, 43_000, xs.size]
+    # 33_000..33_700, under 1,024 terms, straddles the split at 33_300; the
+    # zero pieces straddle 41_000 and 42_600
+    splits = [2**15, 33_300, 41_000, 42_600, 3 * 2**15]
+    want = [math.fsum(xs[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:])]
+    assert _bits(_fed(xs, cuts, splits)) == _bits(want)
+    assert _bits(accum.block_sums(xs, cuts)) == _bits(want)
+
+    big = np.concatenate((np.ones(2**16), np.full(2**16, 2.0**1008)))   # total 2^1024
+    with pytest.raises(OverflowError):
+        math.fsum(big.tolist())
+    for splits in ([], [2**15, 2**16 + 5, 3 * 2**15]):
+        with pytest.raises(OverflowError):
+            _fed(big, [0, big.size], splits)

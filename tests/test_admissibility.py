@@ -1,6 +1,7 @@
 """Series convergence engine and the admissibility condition checks."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.admissibility import (LADDER, _accumulate, _class_integral,
+from ergolab.admissibility import (LADDER, _class_integral,
                                    _heuristic_claim, _schedule_start,
                                    _tail_estimate,
                                    bertrand_converges, check_1RT1,
-                                   check_admissible, check_rrr, check_T21,
-                                   check_weak_admissible, series_report)
-from ergolab.registry import EXAMPLE_IDS, example_instance
+                                   check_admissible, check_index_series, check_rrr,
+                                   check_T21, check_weak_admissible, series_report)
+from ergolab import admissibility
+from ergolab.registry import EXAMPLE_IDS, check_t8, example_instance
 from ergolab.weights import GapSeq, Schedule, WeightExpr, WeightSeq
 
 SHORT_LADDER = (10**2, 10**3, 10**4)
@@ -78,7 +80,7 @@ def test_accumulate_partial_sums_are_fsums_of_every_term():
 
     k_start, kmax = 7, 10**6 + 6
     terms = term(np.arange(k_start, kmax + 1))
-    partials, _blocks = _accumulate(terms, k_start, kmax, LADDER)
+    partials = series_report("t", {}, terms, k_start, kmax, None, LADDER).partial_sums
     assert [K for K, _ in partials] == list(LADDER) + [kmax]
     for K, s in partials:
         assert s == pytest.approx(math.fsum(terms[:K - k_start + 1]), rel=1e-14)
@@ -239,6 +241,63 @@ def test_truncated_top_block_does_not_fake_decay():
     assert rep.verdict == "diverges"
 
 
+# rungs inside chunks of every size below, and off the dyadic points
+INSIDE_LADDER = (150, 1_500, 40_001, 70_001, 200_003)
+
+
+def test_pass_chunk_size_does_not_change_results(monkeypatch):
+    # every check, and the (T21) tail of t8, is one pass of
+    # admissibility._CHUNK indices, cut at the multiples of the chunk size,
+    # and each piece sum is exact, so no chunk size may move a bit
+    pair = ("n^0.5*ln(n)^2", "n^0.9*lnln(n)")       # G.n0 = 3, W.n0 = 16
+    scheds = [Schedule.identity(), Schedule.power(2.0), Schedule.monomial(3),
+              Schedule.superexp(), Schedule.geometric(2.0),
+              Schedule.explicit([3 * k * k + 17 for k in range(1, 400)])]
+
+    def reports():
+        G, W = (WeightSeq.from_text(t) for t in pair)
+        out = []
+        for sched in scheds:
+            out += check_admissible(W, G, sched, 2.0, INSIDE_LADDER)
+        out += check_index_series(G, W, ("T21", "rrr", "full-W1"), 1.5).values()
+        out.append(check_1RT1(G, Schedule.power(2.0), 0.5, INSIDE_LADDER))
+        inst = example_instance("EwA")                  # callable weights
+        out += inst.run_checks(INSIDE_LADDER, full_sequence=True).values()
+        return [(rep.kind, json.dumps(rep.to_json()), [s.hex() for s in rep.block_sums])
+                for rep in out] + [("t8", repr(check_t8(1, ladder=(5, 9, 30))[0]))]
+
+    assert WeightSeq.from_text(pair[0]).n0 != WeightSeq.from_text(pair[1]).n0
+    base = reports()
+    for chunk in (1000, 1024, 2**15 + 1):
+        monkeypatch.setattr(admissibility, "_CHUNK", chunk)
+        moved = [a[0] for a, b in zip(base, reports()) if a != b]
+        assert moved == [], f"chunks of {chunk} moved {moved}"
+
+
+def test_pass_audits_name_the_first_fault_as_prefix_does():
+    # G drops at 2^15, the first index of a chunk, which only the carry
+    # across chunks sees; W is not finite at a lower index, but G is audited
+    # first, as G.prefix was filled before W.prefix
+    def g(n):
+        n = np.asarray(n, dtype=float)
+        return np.where(n == 2**15, 1.0, n)
+
+    def w(n):
+        n = np.asarray(n, dtype=float)
+        return np.where(n == 100, np.inf, 2.0 * n)
+
+    G = WeightSeq.from_callable(g, n0=1, label="g")
+    W = WeightSeq.from_callable(w, n0=3, label="w")
+    for check in (lambda: check_T21(G, W), lambda: check_rrr(G, W),
+                  lambda: check_1RT1(G, Schedule.identity(), 0.5)):
+        with pytest.raises(ArithmeticError, match="'g' decreases near index 32768:"):
+            check()
+    with pytest.raises(ArithmeticError, match="'g' decreases near index 32768:"):
+        G.prefix(10**5)
+    with pytest.raises(ArithmeticError, match="'w' is not finite at index 100:"):
+        check_rrr(WeightSeq.from_text("n", n0=1), W)
+
+
 # ---------------------------------------------------------------------------
 # registry expectations
 
@@ -312,10 +371,11 @@ def test_schedule_start_matches_linear_search(sched):
 
 
 def test_checks_peak_memory_is_bounded():
-    # E7's four checks sum 10^6 terms each from whole-range term arrays; the
-    # weights are evaluated in chunks, so the peak stays near the two 10^6
-    # prefix memos and two term arrays (30.5 MiB; 38.2 MiB when each piece
-    # was evaluated separately)
+    # E7's four checks sum 10^6 terms each in chunked passes that hold no
+    # whole-range array, so the peak is the passes' chunk buffers and the
+    # schedule values of one chunk (3.1 MiB; 30.5 MiB with whole-range term
+    # arrays and two 10^6 prefix memos, 38.2 MiB when each piece was
+    # evaluated separately)
     inst = example_instance("E7")
     tracemalloc.start()
     try:

@@ -428,6 +428,24 @@ def test_overflowing_weight_exits_2_without_warnings(tmp_path, capsys):
     assert err.startswith("error: ") and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--example", "EwA", "--p", "1e300"),
+    ("--G", "n^0.5", "--W", "n", "--p", "1e300", "--schedule", "power:2"),
+    ("--example", "E1", "--p", "1e300"),
+])
+def test_huge_p_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    # (xi/W)^p overflows: the pass takes its powers without numpy warnings and
+    # the term audit refuses them; a class to the power p that leaves the
+    # float range is a ValueError, not a bare OverflowError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "check", *argv) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Warning" not in err and "(34," not in err
+
+
 def test_hilbert_missing_operator_file_exits_2(tmp_path, capsys):
     assert main(["hilbert", "--n-max", "4", "--operator",
                  str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 2

@@ -127,6 +127,17 @@ def test_operator_powers_are_read_only_through_blocks():
     assert callers == ["operators.py:LinearOperator.blocks"]
 
 
+def test_checks_do_not_read_the_prefix_memo():
+    """Every admissibility check is one chunked pass that evaluates and
+    audits its weights per chunk; the whole-range ``prefix`` memo serves
+    transforms, stochastics and the twisted weight only."""
+    tree = ast.parse((PACKAGE_DIR / "admissibility.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "prefix"]
+    assert calls == []
+
+
 def _importers(banned: set[str]) -> list[str]:
     """The package modules that import a top-level package in ``banned``."""
     importers = []
