@@ -14,9 +14,24 @@ so that its two work arrays stay in cache.  For a chunk r of m terms, let
 and r - q are exact, every q is a multiple of ulp(sigma)/2 and their total
 stays below sigma in magnitude, so ``q.sum()`` is exact in any order; the
 pass repeats on r - q until r is all zero.  The pass sums are thus exact,
-and ``math.fsum`` of them is the correctly rounded total.  ``math.fsum``
-takes a memoryview of the whole buffer instead (iterating an ndarray would
-box every element as a ``numpy.float64``) when the buffer has
+and ``math.fsum`` of them is the correctly rounded total.  The first pass
+reads the buffer itself, with no copy.
+
+A caller that knows bounds least <= r <= most of its terms (the checks'
+term audit has them) takes the bounded path when least is a positive normal
+float and most is finite.  Then e comes from most with no abs/max sweep,
+and every term, so every q and every remainder, is a multiple of 2^s with
+s = exponent(least) - 53.  After a pass |r - q| <= ulp(sigma)/2, so e + k - 52
+bounds the next pass without a sweep; once e + k - s <= 53, every partial
+sum of the remainder is a multiple of 2^s below 2^(e+k) in magnitude, hence
+a float, so the plain ``r.sum()`` is exact in any order and is the chunk's
+last part, with no sigma step and no zero test.  A smooth chunk (terms over
+at most about 20 binades) is thus one sigma pass and one plain sum.  Should
+the bound not yet allow the plain sum, the pass measures max|r| as above.
+Buffers with a zero, negative, subnormal or non-finite term take the
+measured loop throughout.  ``math.fsum`` takes a memoryview of the whole
+buffer instead (iterating an ndarray would box every element as a
+``numpy.float64``) when the buffer has
 
 - fewer than 1,024 terms (below about that many a pass of a few numpy
   calls costs more than Shewchuk's partials on the whole buffer);
@@ -36,7 +51,8 @@ within 2^-52 relative of the exact value (one rounding in the pieces, one
 in the total).  ``PieceSums`` sums the pieces of a series that arrives in
 chunks, so that no caller holds the whole series: a chunk is cut at the
 piece bounds, and each segment goes through the same extraction, with the
-overflow bound taken on its piece's whole count.  A segment that would go
+overflow bound taken on its piece's whole count and the chunk's bounds,
+which hold for every segment cut from it.  A segment that would go
 to ``math.fsum`` whole is kept as its terms instead, and a piece sum is
 ``math.fsum`` of its parts and kept terms in feeding order.  Each part is
 exact, so that is the piece's correctly rounded sum, bit-equal to ``fsum``
@@ -56,6 +72,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -75,45 +92,60 @@ def fsum(xs) -> float:
     return math.fsum(memoryview(buf) if parts is None else parts)
 
 
-def _extracted_parts(buf, count: int | None = None, work=None) -> list | None:
+def _extracted_parts(buf, count: int | None = None, work=None,
+                     bounds=None) -> list | None:
     """Pass sums of ``buf`` by error-free extraction, whose exact total is
     the exact sum of ``buf``; None when ``buf`` must go to math.fsum whole.
     ``count`` (``buf.size`` by default) is the number of terms of the sum
     that ``buf`` belongs to, on which the overflow bound is taken; ``work``
-    is a pair of scratch arrays of at least min(buf.size, _CHUNK) floats."""
+    is a pair of scratch arrays of at least min(buf.size, _CHUNK) floats;
+    ``bounds`` is an optional pair (least, most) with least <= every term
+    <= most, which takes the bounded path when least is a positive normal
+    float and most is finite."""
     n = buf.size
     if n < _MIN_TERMS:
         return None
     n_bits = ((n if count is None else count) + 2).bit_length()
+    s = None          # with bounds: every term is a multiple of 2^s
+    if bounds is not None:
+        least, most = float(bounds[0]), float(bounds[1])
+        if least >= sys.float_info.min and most < math.inf:
+            s, e_most = math.frexp(least)[1] - 53, math.frexp(most)[1]
     r, q = work or (np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK)))
     parts = []
     for lo in range(0, n, _CHUNK):
-        chunk = buf[lo:lo + _CHUNK]
-        rc, qc = r[:chunk.size], q[:chunk.size]
-        rc[...] = chunk
-        k = (chunk.size + 2).bit_length()
+        rc = buf[lo:lo + _CHUNK]
+        qc = q[:rc.size]
+        k = (rc.size + 2).bit_length()
+        e = None if s is None else e_most       # 2^e > max|rc|
         for passes in itertools.count():
-            top = float(np.abs(rc, out=qc).max())
-            if top == 0.0:
+            if s is not None and e + k - s <= 53:
+                parts.append(float(rc.sum()))   # every partial sum is exact
                 break
-            if not math.isfinite(top) or passes == _MAX_PASSES:
-                return None
-            e = math.frexp(top)[1]
+            if passes or s is None:
+                top = float(np.abs(rc, out=qc).max())
+                if top == 0.0:
+                    break
+                if not math.isfinite(top) or passes == _MAX_PASSES:
+                    return None
+                e = math.frexp(top)[1]
             if e + n_bits > 1023 or e + k - 52 < -1022:
                 return None
             sigma = math.ldexp(1.0, e + k)
             np.add(rc, sigma, out=qc)
             qc -= sigma
             parts.append(float(qc.sum()))
-            rc -= qc
+            rc = np.subtract(rc, qc, out=r[:rc.size])
+            e += k - 52                         # |rc| <= ulp(sigma) / 2
     return parts or None          # no nonzero term
 
 
 class PieceSums:
     """fsum of each piece xs[cuts[i]:cuts[i+1]] of a series fed in chunks.
 
-    ``add(lo, chunk)`` takes the terms xs[lo:lo + len(chunk)]; the chunks
-    must come in order and cover the cut range once.  ``sums()`` then gives
+    ``add(lo, chunk, bounds)`` takes the terms xs[lo:lo + len(chunk)],
+    with an optional pair (least, most) that bounds them; the chunks must
+    come in order and cover the cut range once.  ``sums()`` then gives
     every piece sum, bit-equal to ``fsum`` of the piece (and raising as it
     does).  A chunk's buffer may be reused once ``add`` returns."""
 
@@ -122,7 +154,7 @@ class PieceSums:
         self._parts = [[] for _ in self._cuts[1:]]      # per piece, in feeding order
         self._work = None       # the extraction's scratch, kept across chunks
 
-    def add(self, lo: int, chunk) -> None:
+    def add(self, lo: int, chunk, bounds=None) -> None:
         chunk = np.ascontiguousarray(chunk, dtype=float).ravel()
         hi = lo + chunk.size
         cuts = self._cuts
@@ -134,7 +166,7 @@ class PieceSums:
                 seg = chunk[a - lo:b - lo]
                 if self._work is None and seg.size >= _MIN_TERMS:
                     self._work = np.empty(_CHUNK), np.empty(_CHUNK)
-                parts = _extracted_parts(seg, cuts[i + 1] - cuts[i], self._work)
+                parts = _extracted_parts(seg, cuts[i + 1] - cuts[i], self._work, bounds)
                 self._parts[i].append(memoryview(seg.copy()) if parts is None else parts)
 
     def sums(self) -> list:
@@ -143,9 +175,10 @@ class PieceSums:
 
 def block_sums(xs, cuts) -> list:
     """fsum of xs[cuts[i]:cuts[i+1]] for each pair of consecutive cut points:
-    the one-chunk case of ``PieceSums``."""
+    the one-chunk case of ``PieceSums``, bounded by the slice's min/max."""
     pieces = PieceSums(cuts)
-    pieces.add(cuts[0], np.asarray(xs, dtype=float)[cuts[0]:cuts[-1]])
+    xs = np.asarray(xs, dtype=float)[cuts[0]:cuts[-1]]
+    pieces.add(cuts[0], xs, (xs.min(), xs.max()) if xs.size else None)
     return pieces.sums()
 
 

@@ -131,7 +131,7 @@ class _Series:
             return
         least, most = terms.min(), terms.max()
         if least >= 0.0 and most < math.inf:     # false for any nan, too
-            self.pieces.add(k - self.k_start, terms)
+            self.pieces.add(k - self.k_start, terms, (least, most))
         else:
             self.fault = ArithmeticError("series terms must be finite and nonnegative")
 

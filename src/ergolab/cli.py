@@ -86,14 +86,23 @@ def parse_schedule(text: str) -> Schedule:
         return Schedule.superexp()
     if ":" in text:
         kind, arg = text.split(":", 1)
+
+        def number(tok: str, cast=float):
+            try:
+                return cast(tok)
+            except ValueError:
+                raise ValueError(f"schedule spec {text!r}: {tok!r} is not "
+                                 f"{'a number' if cast is float else 'an integer'}"
+                                 ) from None
+
         if kind == "power":
-            return Schedule.power(float(arg))
+            return Schedule.power(number(arg))
         if kind == "monomial":
-            return Schedule.monomial(int(arg))
+            return Schedule.monomial(number(arg, int))
         if kind == "geometric":
-            return Schedule.geometric(float(arg))
+            return Schedule.geometric(number(arg))
         if kind == "explicit":
-            return Schedule.explicit([int(t) for t in arg.split(",")])
+            return Schedule.explicit([number(t, int) for t in arg.split(",")])
     raise ValueError(f"unknown schedule spec {text!r}")
 
 

@@ -673,7 +673,9 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
     tail_top = max(tail_N, n_max)
     pieces = PieceSums([j - k_start for j in ladder] + [tail_top - k_start + 1])
     for i, m, (g, w) in _index_chunks((G, W), k_start, tail_top, ahead=True):
-        pieces.add(i - k_start, _t21_terms(g[:m], w[:m + 1]))
+        terms = _t21_terms(g[:m], w[:m + 1])
+        pieces.add(i - k_start, terms, (terms.min(), terms.max()))
+    del terms                   # not held through the operator powers below
 
     n_ints, coefs = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]

@@ -267,3 +267,122 @@ def test_piece_sums_keep_short_pieces_zeros_and_overflow():
     for splits in ([], [2**15, 2**16 + 5, 3 * 2**15]):
         with pytest.raises(OverflowError):
             _fed(big, [0, big.size], splits)
+
+
+def _bounded(xs, bounds=None):
+    """fsum of xs through the bounded path, with xs's own bounds by default."""
+    bounds = (xs.min(), xs.max()) if bounds is None else bounds
+    parts = accum._extracted_parts(xs, bounds=bounds)
+    return math.fsum(memoryview(xs) if parts is None else parts)
+
+
+def _smooth_chunks():
+    """n^-1.3 and (T21) terms (G_n/W_n)(1 - W_n/W_{n+1}) with G = n^0.5 ln(n)^2
+    and W = n^0.9 lnln(n), in chunks of 2^15 and in odd lengths."""
+    n = np.arange(16, 16 + 3 * 2**15 + 1, dtype=float)
+    g, w = n**0.5 * np.log(n)**2, n**0.9 * np.log(np.log(n))
+    t21 = g[:-1] / w[:-1] * (1.0 - w[:-1] / w[1:])
+    power = n[:-1] ** -1.3
+    return [xs[lo:hi] for xs in (power, t21)
+            for lo, hi in ((0, 2**15), (2**15, 2**16), (0, 3 * 2**15), (5, 1029), (7, 40_000))]
+
+
+def _positive_ties():
+    """Positive terms whose total lies at, just above or just below the
+    midpoint between two floats: 2^17 terms of 2^-70 after the head add up
+    to exactly 2^-53."""
+    cases = []
+    for head in (1.0, 1.0 + 2.0**-52):
+        for nudge in (0.0, 2.0**-200, -2.0**-71):
+            xs = np.full(2**17 + 1, 2.0**-70)
+            xs[0], xs[1] = head, 2.0**-70 + nudge
+            cases.append(xs)
+        xs = np.full(2**17, 2.0**-1000)
+        xs[0], xs[2**16] = head, 2.0**-53                  # 1,000 binades apart
+        cases.append(xs)
+    return cases
+
+
+@pytest.mark.parametrize("xs", _smooth_chunks() + _positive_ties())
+def test_bounded_extraction_is_math_fsum(xs):
+    want = math.fsum(xs.tolist()).hex()
+    assert _bounded(xs).hex() == want
+    assert _bounded(xs, (xs.min() / 3.0, xs.max() * 5.0)).hex() == want    # looser
+    assert fsum(xs).hex() == want
+
+
+@pytest.mark.parametrize("width", [0, 5, 20, 21, 25, 29, 40, 60])
+def test_bounded_parts_are_exact(width):
+    """Each part is exact: the parts and the negated terms sum to exactly 0.
+    Random mantissas over ``width`` binades leave remainders that need every
+    bit down to 2^s, so a plain sum taken too early rounds."""
+    rng = np.random.Generator(np.random.Philox(key=width))
+    for n in (1024, 2**15, 2**15 + 999, 3 * 2**15):
+        xs = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-width, 1, n, endpoint=True))
+        parts = accum._extracted_parts(xs, bounds=(xs.min(), xs.max()))
+        assert math.fsum([*parts, *(-xs).tolist()]) == 0.0
+        assert math.fsum(parts).hex() == math.fsum(xs.tolist()).hex()
+
+
+def test_bounded_smooth_chunk_is_one_sigma_pass_and_one_plain_sum():
+    xs = np.arange(2**15, 2**16, dtype=float) ** -1.3
+    parts = accum._extracted_parts(xs, bounds=(xs.min(), xs.max()))
+    assert len(parts) == 2
+    assert math.fsum(parts).hex() == math.fsum(xs.tolist()).hex()
+
+
+@pytest.mark.parametrize("xs", _smooth_chunks()[:5] + _positive_ties()[:4])
+def test_piece_sums_with_chunk_bounds_on_cut_segments(xs):
+    """Each chunk's bounds hold for every segment cut from it at a piece
+    bound, so they are looser than the segment's own."""
+    rng = np.random.Generator(np.random.Philox(key=xs.size))
+    cuts = _random_cuts(xs.size, rng, 6)
+    ends = _random_cuts(xs.size, rng, 5)
+    pieces = accum.PieceSums(cuts)
+    for lo, hi in zip(ends, ends[1:]):
+        pieces.add(lo, xs[lo:hi], (xs[lo:hi].min(), xs[lo:hi].max()))
+    want = [math.fsum(xs[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:])]
+    assert _bits(pieces.sums()) == _bits(want)
+
+
+def _general_minimum(n):
+    """Buffers whose least term is zero, subnormal or negative."""
+    smooth = np.arange(1, n + 1, dtype=float) ** -1.3
+    zero, subnormal, negative = smooth.copy(), smooth.copy(), smooth.copy()
+    zero[n // 3] = 0.0
+    subnormal[n // 3] = 2.0**-1070
+    negative[n // 3] = -0.25
+    return [zero, subnormal, negative, _modulated(n)[0]]
+
+
+@pytest.mark.parametrize("xs", _general_minimum(3 * 2**15 + 7))
+def test_zero_subnormal_or_negative_minimum_takes_the_general_loop(xs):
+    bounded = accum._extracted_parts(xs, bounds=(xs.min(), xs.max()))
+    assert bounded == accum._extracted_parts(xs)
+    assert _bounded(xs).hex() == math.fsum(xs.tolist()).hex()
+
+
+def test_bounded_spread_past_eight_passes_goes_to_math_fsum():
+    wide = np.ldexp(1.0, np.resize(np.arange(-300, 300), 4096))      # 600 binades
+    assert accum._extracted_parts(wide, bounds=(wide.min(), wide.max())) is None
+    assert _bounded(wide).hex() == math.fsum(wide.tolist()).hex()
+    pieces = accum.PieceSums([0, 1500, wide.size])
+    pieces.add(0, wide, (wide.min(), wide.max()))
+    assert _bits(pieces.sums()) == _bits([math.fsum(wide[:1500].tolist()),
+                                          math.fsum(wide[1500:].tolist())])
+
+
+def test_bounded_overflow_bound_is_taken_on_the_piece_count():
+    """1,024 terms of 2^1007 extract alone, but 2^17 of them reach 2^1024:
+    the piece's count refuses every segment, and sums() raises."""
+    xs = np.full(2**17, 2.0**1007)
+    bounds = (2.0**1007, 2.0**1007)
+    assert accum._extracted_parts(xs[:1024], bounds=bounds) is not None
+    assert accum._extracted_parts(xs[:1024], xs.size, bounds=bounds) is None
+    pieces = accum.PieceSums([0, xs.size])
+    for lo in range(0, xs.size, 1024):
+        pieces.add(lo, xs[lo:lo + 1024], bounds)
+    with pytest.raises(OverflowError):
+        math.fsum(xs.tolist())
+    with pytest.raises(OverflowError):
+        pieces.sums()

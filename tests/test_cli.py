@@ -137,6 +137,18 @@ def test_bad_schedule_parameters_exit_2_without_a_run_dir(tmp_path, capsys, argv
     assert list(tmp_path.glob("run-*")) == []
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("explicit:1,,2", "schedule spec 'explicit:1,,2': '' is not an integer"),
+    ("explicit:", "schedule spec 'explicit:': '' is not an integer"),
+    ("power:", "schedule spec 'power:': '' is not a number"),
+])
+def test_malformed_schedule_spec_names_the_bad_token(tmp_path, capsys, spec, message):
+    assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", "--schedule", spec) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
 def test_unknown_subcommand_returns_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

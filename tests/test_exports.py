@@ -87,6 +87,14 @@ def test_math_fsum_is_called_only_in_accum():
     assert callers == []
 
 
+def test_extraction_is_reached_only_in_accum():
+    """One extraction rule: ``accum._extracted_parts`` is reached through
+    ``fsum``, ``PieceSums`` and ``block_sums``, never called directly."""
+    callers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "accum.py" and "_extracted_parts" in path.read_text()]
+    assert callers == []
+
+
 def test_every_phase_goes_through_the_circle_kernel():
     """One phase kernel: circle values come from ``circle_prefix_rows`` on
     exact residues, never from sines or cosines of rounded products t n_k."""
