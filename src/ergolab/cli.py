@@ -327,6 +327,8 @@ def cmd_random(args) -> int:
     require_size("--n-lambda", args.n_lambda, MAX_GRID)
     if args.samples < 1:
         raise ValueError("sample count must be >= 1")
+    if args.stat == "sup" and args.n_lambda < 1:
+        raise ValueError(f"grid size must be >= 1, got {args.n_lambda}")
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
               "ladder": list(ladder), "n_lambda": args.n_lambda,

@@ -2,10 +2,14 @@
 
 Random streams are counter-based (Philox keyed by (seed, sample id)), so the
 draw for index k never depends on how many indices were materialized:
-extending a ladder never perturbs earlier draws.  Samples run in ordered
-groups, and no bit depends on the grouping, so reruns are bit-identical:
-``random_hilbert`` takes a group as one series over the samples' stacked
-coefficients, each sample with its own products and sequential sums.
+extending a ladder never perturbs earlier draws.  Both statistics run their
+samples in ordered groups of max(1, 2^14 // n) for n series terms, each group
+one stacked kernel call, and no bit depends on the grouping, so reruns are
+bit-identical: ``random_sup_stat`` takes a group's draws and normalized series
+as the rows of one ``circle_column_sups`` call (one ``circle_prefix_rows``
+call, each row with its own bins and sums), and ``random_hilbert`` takes a
+group as one series over the samples' stacked coefficients, each sample with
+its own products and sequential sums.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ __all__ = [
 ]
 
 _LAWS = ("rademacher", "gaussian", "complex-gaussian", "zero")
-_GROUP_TERMS = 1 << 14  # series terms times samples in one group of random_hilbert
+_GROUP_TERMS = 1 << 14  # series terms times samples in one Monte Carlo group
 
 
 def canonical_hash(obj) -> str:
@@ -151,7 +155,13 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
                     no_regime_check: bool = False) -> MCEstimate:
     """Per-sample sup over the ladder and lambda grid of
     |(1/G_n) sum_{k<=n} f_k(y) lam^{n_k}|, with the normalized series
-    sum f_k lam^{n_k}/G_k traced alongside."""
+    sum f_k lam^{n_k}/G_k traced alongside.
+
+    The samples run in ordered groups of max(1, _GROUP_TERMS // n) for n
+    terms: one ``circle_column_sups`` over a group's stacked draws and
+    normalized series gives every row the sups it would have alone, bit for
+    bit, and the schedule, residues and hit residues are found once per
+    group."""
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     regime, hashes = _gate_regime(regime_reports, no_regime_check)
@@ -162,22 +172,23 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     cols = np.asarray(ladder, dtype=np.int64)
     g_at = g[cols - k_start]
 
-    def one_sample(y: int):
-        draws = mod.draws(y, n_max)
-        a = ModulationSeq.explicit(draws)
-        sups, _ = circle_column_sups(a, sched, n_max, n_lambda, cols, k_start)
-        sup_stat = float((sups / g_at).max(initial=0.0))
-        # normalized series sum f_k lam^{n_k}/G_k, traced on the same grid
-        normalized = np.zeros(n_max, dtype=complex)
-        normalized[k_start - 1:] = draws[k_start - 1:] / g
-        shifted = ModulationSeq.explicit(normalized)
-        series_sups, _ = circle_column_sups(shifted, sched, n_max, n_lambda,
-                                            cols, k_start)
-        return sup_stat, series_sups
+    def one_group(ys):
+        # the first len(ys) rows are the samples' draws f_k, the others their
+        # normalized series f_k/G_k traced on the same grid: one kernel call
+        rows = np.zeros((2 * len(ys), n_max), dtype=complex)
+        for row, y in zip(rows, ys):
+            row[:] = mod.draws(y, n_max)
+        np.divide(rows[:len(ys), k_start - 1:], g, out=rows[len(ys):, k_start - 1:])
+        sups, _ = circle_column_sups(ModulationSeq.explicit(rows), sched, n_max,
+                                     n_lambda, cols, k_start)
+        return [(float((s / g_at).max(initial=0.0)), list(map(float, t)))
+                for s, t in zip(sups[:len(ys)], sups[len(ys):])]
 
-    results = [one_sample(y) for y in range(samples)]
+    size = max(1, _GROUP_TERMS // len(g))
+    results = [r for y0 in range(0, samples, size)
+               for r in one_group(range(y0, min(y0 + size, samples)))]
     per_sample = [r[0] for r in results]
-    series_trace = [list(map(float, r[1])) for r in results]
+    series_trace = [r[1] for r in results]
     config = {"statistic": "sup-circle-ladder", "law": mod.describe(),
               "G": G.label, "schedule": sched.describe(),
               "ladder": ladder, "n_lambda": n_lambda, "samples": samples}

@@ -11,6 +11,7 @@ value at lam = 1.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,8 +56,8 @@ class ModulationSeq:
     """Bounded coefficient sequence {a_k}.
 
     kinds: constant c; rotation (a_k = lam^{n_k}, |lam| = 1); twist
-    (a_k = k^{ir}); explicit list (used for random streams); product of two
-    modulations.
+    (a_k = k^{ir}); explicit list (used for random streams, one row per
+    sample when stacked as (S, n)); product of two modulations.
     """
 
     def __init__(self, kind: str, *, c=None, lam=None, r=None, values=None,
@@ -76,12 +77,16 @@ class ModulationSeq:
             self.sup_bound = 1.0
         elif kind == "twist":
             self.sup_bound = 1.0
-        elif kind == "explicit":
-            self.sup_bound = float(np.abs(self._values).max(initial=0.0))
         elif kind == "product":
             self.sup_bound = parts[0].sup_bound * parts[1].sup_bound
-        else:
+        elif kind != "explicit":
             raise ValueError(f"unknown modulation kind {kind!r}")
+
+    @functools.cached_property
+    def sup_bound(self) -> float:
+        """max |a_k| of an explicit list, taken when first read; the other
+        kinds set their bound at construction."""
+        return float(np.abs(self._values).max(initial=0.0))
 
     @classmethod
     def constant(cls, c) -> "ModulationSeq":
@@ -122,9 +127,10 @@ class ModulationSeq:
         if self.kind == "twist":
             return np.exp(1j * self.r * np.log(ks.astype(float)))
         if self.kind == "explicit":
-            if ks.max(initial=0) > len(self._values):
+            if ks.max(initial=0) > self._values.shape[-1]:
                 raise IndexError("explicit modulation is too short")
-            return self._values[ks - 1]
+            # take, not [..., ks - 1]: stacked rows stay C-contiguous
+            return np.take(self._values, ks - 1, axis=-1)
         left = self.parts[0].values(ks, n_vals)
         right = self.parts[1].values(ks, n_vals)
         return left * right
@@ -298,8 +304,8 @@ def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
 _BLOCK_ENTRIES = 1 << 18  # complex grid values per block of prefix rows
 
 
-def _block_rows(M: int, n_cols: int) -> int:
-    return min(n_cols, max(1, _BLOCK_ENTRIES // M))
+def _block_rows(M: int, n_cols: int, S: int) -> int:
+    return min(n_cols, max(1, _BLOCK_ENTRIES // (M * S)))
 
 
 def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
@@ -315,46 +321,59 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
     carries into the next block, so memory stays O(B M + n).  X is one
     reused buffer, valid until the next block is drawn.
 
+    Coefficients with a leading sample axis, shape (S, K), share the
+    residues: each block is then X[s, i], (S, B, M) with B = max(1,
+    2^18 // (M S)), from one ``bincount`` whose bins hold one sample's
+    terms in k order, one ``cumsum`` and one FFT, so row s is the 1-D row
+    of coefs[s] bit for bit.
+
     The dtype of ``coefs`` is the one switch.  Complex coefficients give
-    full rows, X[:, 0..M-1].  Real coefficients (``np.isrealobj``) give
-    Hermitian rows, so only the half rows X[:, 0..M//2] are yielded, from
+    full rows, X[..., 0..M-1].  Real coefficients (``np.isrealobj``) give
+    Hermitian rows, so only the half rows X[..., 0..M//2] are yielded, from
     ``np.fft.rfft`` of a real prefix; the value at j > M//2 is
-    conj(X[M - j]).
+    conj(X[..., M - j]).
     """
+    C = np.asarray(coefs)
+    stacked = C.ndim == 2
+    C = C.reshape(-1, C.shape[-1])
+    S = len(C)
     cols = np.asarray(cols, dtype=np.int64)
-    B = _block_rows(M, cols.size)
-    real = np.isrealobj(coefs)
+    B = _block_rows(M, cols.size, S)
+    real = np.isrealobj(C)
     if real:
         # rfft sums against omega^{-j r}: scattered at -r, it gives omega^{+j r}
         residues = -residues % M
-    prefix = np.zeros(M, dtype=float if real else complex)
-    X_buf = np.empty((B, M), dtype=prefix.dtype)
-    Y_buf = np.empty((B, M // 2 + 1), dtype=complex) if real else None
+    prefix = np.zeros((S, M), dtype=float if real else complex)
+    X_buf = np.empty(S * B * M, dtype=prefix.dtype)
+    Y_buf = np.empty(S * B * (M // 2 + 1), dtype=complex) if real else None
     lo = k_start
     for b0 in range(0, cols.size, B):
         block = cols[b0:b0 + B]
-        X = X_buf[:block.size]
+        X = X_buf[:S * block.size * M].reshape(S, block.size, M)
         hi = int(block[-1])
         sl = slice(lo - k_start, hi - k_start + 1)
         rows = np.searchsorted(block, np.arange(lo, hi + 1), side="left")
         # only the residues hit in this block change between rows
         hit, where = np.unique(residues[sl], return_inverse=True)
-        flat = rows * hit.size + where
         size = block.size * hit.size
-        D = np.bincount(flat, coefs[sl].real, size)
+        # sample s owns bins s*size.., each filled in k order; a block without
+        # terms (a repeated column) counts into int64, hence the astype
+        flat = (rows * hit.size + where + size * np.arange(S)[:, None]).ravel()
+        D = np.bincount(flat, C[:, sl].real.ravel(), S * size).astype(float, copy=False)
         if not real:
-            D = D + 1j * np.bincount(flat, coefs[sl].imag, size)
-        D = D.reshape(block.size, hit.size)
-        D[0] += prefix[hit]
-        np.cumsum(D, axis=0, out=D)
-        X[:] = prefix
-        X[:, hit] = D
-        prefix = X[-1].copy()
+            D = D + 1j * np.bincount(flat, C[:, sl].imag.ravel(), S * size)
+        D = D.reshape(S, block.size, hit.size)
+        D[:, 0] += prefix[:, hit]
+        np.cumsum(D, axis=1, out=D)
+        X[:] = prefix[:, None]
+        X[:, :, hit] = D
+        prefix = X[:, -1].copy()
         if real:
-            Y = np.fft.rfft(X, axis=1, out=Y_buf[:block.size])
+            Y = np.fft.rfft(X, axis=-1, out=Y_buf[:S * block.size * (M // 2 + 1)]
+                            .reshape(S, block.size, M // 2 + 1))
         else:
-            Y = np.fft.ifft(X, axis=1, norm="forward", out=X)
-        yield b0, Y
+            Y = np.fft.ifft(X, axis=-1, norm="forward", out=X)
+        yield b0, (Y if stacked else Y[0])
         lo = hi + 1
 
 
@@ -368,15 +387,17 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
     the running sum sum_{k_start<=k<=m} c_k (``accum.running_sums``, exactly
     rounded), attained first at j = 0, and no row is evaluated.  Any other
     coefficients (signed, complex, nan or infinite) take the rows of
-    ``circle_prefix_rows`` at the residues n_k mod M.
+    ``circle_prefix_rows`` at the residues n_k mod M.  An explicit
+    modulation of stacked rows (S, n) gives (S, len(cols)) sups, each row
+    its own closed form or grid rows, from one stacked kernel call.
     """
     return _column_sups(a, sched, n, M, cols, k_start)[:2]
 
 
 def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
                  k_start: int):
-    """circle_column_sups, plus whether the sups are the exact circle sups
-    of the closed form rather than grid values."""
+    """circle_column_sups, plus whether the sups of each row are the exact
+    circle sups of the closed form rather than grid values."""
     if M < 1:
         raise ValueError(f"grid size must be >= 1, got {M}")
     cols = np.asarray(cols, dtype=np.int64)
@@ -385,21 +406,30 @@ def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
     if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
     n_ints, coefs = _terms(a, sched, n, k_start)
+    lead = coefs.shape[:-1]
+    coefs = coefs.reshape(-1, coefs.shape[-1])
     c = coefs.real
-    # real, finite and >= 0: a nan imaginary part counts as nonzero and a
-    # nan real part makes min() nan; reductions, so the FFT path pays little
-    if not coefs.imag.any() and c.min() >= 0 and c.max() < np.inf:
-        sums = np.asarray(running_sums(c))
-        return sums[cols - k_start], np.zeros(cols.size, dtype=np.int64), True
-    sups = np.empty(cols.size)
-    argj = np.empty(cols.size, dtype=np.int64)
-    mags_buf = np.empty((_block_rows(M, cols.size), M))
-    for b0, X in circle_prefix_rows(coefs, n_ints % M, M, cols, k_start):
-        mags = mags_buf[:len(X)]
-        np.abs(X, out=mags)
-        argj[b0:b0 + len(X)] = mags.argmax(axis=1)
-        sups[b0:b0 + len(X)] = mags.max(axis=1)
-    return sups, argj, False
+    # real, finite and >= 0 per row: a nan real part makes min() nan and a
+    # nan imaginary part counts as nonzero; reductions, and only the rows
+    # with min() >= 0 take the other two, so the FFT path pays little
+    closed = c.min(axis=1) >= 0
+    if closed.any():
+        closed[closed] = ~coefs[closed].imag.any(axis=1) & (c[closed].max(axis=1) < np.inf)
+    sups = np.empty((len(coefs), cols.size))
+    argj = np.zeros(sups.shape, dtype=np.int64)
+    for i in np.flatnonzero(closed):
+        sups[i] = np.asarray(running_sums(c[i]))[cols - k_start]
+    grid = np.flatnonzero(~closed)
+    if grid.size:
+        rows = coefs if grid.size == len(coefs) else coefs[grid]
+        B = _block_rows(M, cols.size, grid.size)
+        mags_buf = np.empty(grid.size * B * M)
+        for b0, X in circle_prefix_rows(rows, n_ints % M, M, cols, k_start):
+            mags = np.abs(X, out=mags_buf[:X.size].reshape(X.shape))
+            argj[grid, b0:b0 + X.shape[1]] = mags.argmax(axis=2)
+            sups[grid, b0:b0 + X.shape[1]] = mags.max(axis=2)
+    shape = lead + (cols.size,)
+    return sups.reshape(shape), argj.reshape(shape), closed.reshape(lead)
 
 
 def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:

@@ -549,7 +549,8 @@ class WeightSeq:
     searched below 2^20.  The search scans blocks of candidates, doubling
     from 256 to 2^16: one evaluation per block, and prefix sums of the
     decreasing-or-NaN steps and of the non-finite values test every window
-    of the block at once.  Every evaluation, the memoized ``prefix`` and the
+    of the block at once; a constant expression is its scale at every n and
+    is not scanned.  Every evaluation, the memoized ``prefix`` and the
     n0 search included, goes through ``values``, 2^15 indices at a time.
     Every audit that the values from n0 on are finite and nondecreasing is
     an ``audit()``, fed the values in index order in chunks.
@@ -614,6 +615,14 @@ class WeightSeq:
     def _default_n0(self) -> int:
         L = self.LOOKAHEAD
         n, size = self._search_from, self._N0_BLOCK_MIN
+        e = self.expr
+        if e is not None and not (e.n_exp or e.log_exp or e.loglog_exp
+                                  or e.superexp_coeff):
+            # a constant is its scale at every n: the scan would start it at
+            # search_from or refuse it, so skip to its answer
+            if e.scale >= 1.0 and n < self._N0_SEARCH_LIMIT:
+                return n
+            n = self._N0_SEARCH_LIMIT
         while n < self._N0_SEARCH_LIMIT:
             hi = min(n + size, self._N0_SEARCH_LIMIT)
             m = hi - n

@@ -732,6 +732,22 @@ def test_random_samples_below_one_exit_2_before_any_series(tmp_path, capsys, mon
     assert list(tmp_path.glob("run-*")) == []
 
 
+@pytest.mark.parametrize("n_lambda", ["0", "-3"])
+def test_random_sup_grid_below_one_exits_2_before_any_series(tmp_path, capsys,
+                                                             monkeypatch, n_lambda):
+    # the weight's n0 search and the 10^6-term (1RT1) gate used to run before
+    # the circle kernel refused the grid
+    def never(*args, **kwargs):
+        raise AssertionError("a precondition series ran")
+
+    monkeypatch.setattr(cli, "check_1RT1", never)
+    monkeypatch.setattr(cli.WeightSeq, "from_text", never)
+    assert _run(tmp_path, "random", "--stat", "sup", "--n-lambda", n_lambda) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: grid size must be >= 1, got {n_lambda}\n" and out == ""
+    assert list(tmp_path.glob("run-*")) == []
+
+
 def test_random_sup_ladder_entry_below_n0_exits_2(tmp_path, capsys):
     # lnln(n) starts at n0 = 16; the entry 8 used to be dropped silently
     assert _run(tmp_path, "random", "--stat", "sup", "--G", "lnln(n)",

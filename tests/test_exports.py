@@ -104,6 +104,15 @@ def test_every_phase_goes_through_the_circle_kernel():
     assert callers == []
 
 
+def test_only_the_circle_kernel_calls_the_fft():
+    """One sampled kernel: every FFT is in ``transforms.circle_prefix_rows``;
+    a stacked group of Monte Carlo samples is one call of it, not a second
+    FFT path in ``stochastics.py`` or elsewhere."""
+    callers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "transforms.py" and "np.fft." in path.read_text()]
+    assert callers == []
+
+
 def test_pointwise_norms_go_through_operators():
     """One pointwise-norm rule: |v(w)|_H is ``operators.pointwise_norms``,
     bit-equal to ``np.linalg.norm`` along the last axis but without its

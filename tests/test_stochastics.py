@@ -112,6 +112,44 @@ def test_sup_stat_zero_law_is_zero():
     assert est.regime == "unchecked"
 
 
+@pytest.mark.parametrize("law", ["rademacher", "gaussian", "complex-gaussian", "zero"])
+def test_sup_sample_groups_do_not_change_results(monkeypatch, law):
+    # the samples run in ordered groups, each group one kernel call over its
+    # stacked draws and normalized series; no group size may move a bit
+    mod = RandomModulation(law, seed=5)
+    G = WeightSeq.from_text("ln(n)", search_from=1)          # n0 = 3
+    ladder = (64, 256, 1000)
+    n_terms = ladder[-1] - G.n0 + 1
+
+    def run():
+        return random_sup_stat(mod, G, Schedule.power(2.0), ladder, 48, 7).digest()
+
+    base = run()
+    for size in (1, 2, 3, 64):
+        monkeypatch.setattr(stochastics, "_GROUP_TERMS", size * n_terms)
+        assert run() == base, f"results moved at groups of {size}"
+
+
+def test_sup_sample_groups_bound_peak_memory():
+    # 1.75 MiB at the default groups of 4 samples, 0.55 MiB one sample at a
+    # time and 25.8 MiB with all 64 samples in one stack
+    mod = RandomModulation("gaussian", seed=1)
+    G = WeightSeq.from_text("n", search_from=1)
+
+    def run(samples):
+        return random_sup_stat(mod, G, Schedule.identity(),
+                               tuple(2**j for j in range(8, 13)), 64, samples)
+
+    run(1)                    # first calls of numpy kernels allocate once
+    tracemalloc.start()
+    try:
+        run(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # random hilbert transforms over a cocycle
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import operators
+from ergolab import operators, transforms
 from ergolab.operators import (LinearOperator, SampleSpace, Transformation,
                                VectorField, lp_norms, random_field)
 from ergolab.registry import example_instance
@@ -443,6 +443,73 @@ def test_half_row_max_ties_the_full_row_max(coefs, residues, M):
     assert half.max(axis=1).tolist() == full.max(axis=1).tolist()
     # the lowest maximizing j lies in the half row
     assert half.argmax(axis=1).tolist() == full.argmax(axis=1).tolist()
+
+
+def _stacked_rows(coefs, residues, M, cols, k_start=1):
+    """Every (S, B, M) block of a stacked circle_prefix_rows call, joined
+    along the row axis."""
+    return np.concatenate([X.copy() for _, X in circle_prefix_rows(
+        coefs, residues, M, cols, k_start)], axis=1)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("sched, n, M, k_start, S", [
+    (Schedule.identity(), 300, 64, 1, 5),
+    (Schedule.identity(), 300, 65, 7, 3),        # odd M: no Nyquist point
+    (Schedule.power(2.0), 40, 24, 3, 4),         # coarse, residues collide
+    (Schedule.power(3.0), 11, 1 << 16, 1, 2),    # 1-D blocks of 4 rows, stacked of 2
+    (Schedule.geometric(1.5), 14, 1023, 2, 1),
+])
+def test_stacked_prefix_rows_are_the_1d_rows(monkeypatch, real, sched, n, M,
+                                             k_start, S):
+    # blocks of 7 rows one sample at a time and of 7 // S rows stacked: each
+    # sample's bins, carried prefixes and FFT rows match bit for bit
+    monkeypatch.setattr(transforms, "_BLOCK_ENTRIES",
+                        7 * M if M < 1 << 16 else transforms._BLOCK_ENTRIES)
+    rng = np.random.Generator(np.random.Philox(key=n + M + S))
+    coefs = rng.standard_normal((S, n - k_start + 1))
+    if not real:
+        coefs = coefs + 1j * rng.standard_normal(coefs.shape)
+    coefs[0, ::5] = 0.0
+    residues = sched.values(n)[k_start - 1:] % M
+    # a repeated last column leaves the last stacked block without terms
+    cols = [k_start, k_start + 1, *range(k_start + 2, n, 3), n, n]
+    stacked = _stacked_rows(coefs, residues, M, cols, k_start)
+    assert stacked.shape == (S, len(cols), M // 2 + 1 if real else M)
+    for row, c in zip(stacked, coefs):
+        assert row.tobytes() == _kernel_rows(c, residues, M, cols, k_start).tobytes()
+
+
+def test_stacked_sups_mix_closed_form_and_grid_rows(monkeypatch):
+    # a nonnegative row takes the closed form; the signed, complex and nan
+    # rows share one stacked kernel call; every row is its 1-D call's
+    sched, n, M, k_start = Schedule.power(2.0), 60, 48, 3
+    rng = np.random.Generator(np.random.Philox(key=17))
+    rows = rng.standard_normal((6, n)).astype(complex)
+    rows[1] = np.abs(rows[1])
+    rows[3] += 1j * rng.standard_normal(n)
+    rows[4] = 0.0
+    rows[5, 9] = math.nan
+    cols = [k_start, 10, 33, 33, n]
+    with np.errstate(invalid="ignore"):
+        alone = [transforms._column_sups(ModulationSeq.explicit(r), sched, n, M,
+                                         cols, k_start) for r in rows]
+    calls = []
+    kernel = transforms.circle_prefix_rows
+
+    def counted(coefs, *args):
+        calls.append(np.shape(coefs))
+        return kernel(coefs, *args)
+
+    monkeypatch.setattr(transforms, "circle_prefix_rows", counted)
+    with np.errstate(invalid="ignore"):
+        sups, argj, closed = transforms._column_sups(ModulationSeq.explicit(rows),
+                                                     sched, n, M, cols, k_start)
+    assert calls == [(4, n - k_start + 1)]
+    assert closed.tolist() == [False, True, False, False, True, False]
+    for i, (s1, a1, c1) in enumerate(alone):
+        assert sups[i].tobytes() == s1.tobytes()
+        assert argj[i].tolist() == a1.tolist() and closed[i] == c1
 
 
 # ---------------------------------------------------------------------------

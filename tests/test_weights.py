@@ -473,6 +473,35 @@ def test_n0_rejection_evaluates_few_blocks(monkeypatch):
     assert sum(calls) >= WeightSeq._N0_SEARCH_LIMIT - 3
 
 
+@pytest.mark.parametrize("text, scale", [
+    ("1", 1.0), ("2.5", 2.5), ("3*n^0", 3.0), ("n^0*ln(n)^0*lnln(n)^0", 1.0),
+    ("0.5", 0.5), ("0.999", 0.999)])
+@pytest.mark.parametrize("search_from", [1, 3, 40])
+def test_constant_weight_takes_the_scans_n0_unscanned(monkeypatch, text, scale,
+                                                      search_from):
+    # a constant is its scale at every n: the scan starts it at search_from
+    # when the scale is >= 1 and refuses it otherwise, so nothing is evaluated
+    def scanned(fill):
+        try:
+            return WeightSeq(fn=lambda n: np.full(n.shape, fill),
+                             search_from=search_from).n0
+        except ValueError as e:
+            return str(e)
+
+    want = scanned(scale)
+
+    def never(self, n, out=None):
+        raise AssertionError("a constant weight was evaluated")
+
+    monkeypatch.setattr(WeightSeq, "values", never)
+    try:
+        got = WeightSeq.from_text(text, search_from=search_from).n0
+    except ValueError as e:
+        got = str(e).replace(repr(parse_weight(text).canonical()), "'callable'")
+    assert got == want
+    assert (got == search_from) == (scale >= 1.0)
+
+
 @pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("past", [0, 1])
 @pytest.mark.parametrize("below", ["decreasing", "nan"])
