@@ -11,7 +11,6 @@ value at lam = 1.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,16 +76,12 @@ class ModulationSeq:
             self.sup_bound = 1.0
         elif kind == "twist":
             self.sup_bound = 1.0
+        elif kind == "explicit":
+            self.sup_bound = float(np.abs(self._values).max(initial=0.0))
         elif kind == "product":
             self.sup_bound = parts[0].sup_bound * parts[1].sup_bound
-        elif kind != "explicit":
+        else:
             raise ValueError(f"unknown modulation kind {kind!r}")
-
-    @functools.cached_property
-    def sup_bound(self) -> float:
-        """max |a_k| of an explicit list, taken when first read; the other
-        kinds set their bound at construction."""
-        return float(np.abs(self._values).max(initial=0.0))
 
     @classmethod
     def constant(cls, c) -> "ModulationSeq":
@@ -325,7 +320,9 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
     residues: each block is then X[s, i], (S, B, M) with B = max(1,
     2^18 // (M S)), from one ``bincount`` whose bins hold one sample's
     terms in k order, one ``cumsum`` and one FFT, so row s is the 1-D row
-    of coefs[s] bit for bit.
+    of coefs[s] bit for bit.  A block holds S B M <= max(2^18, S M)
+    entries, so callers keep S <= max(1, 2^18 // M) to stay within
+    max(2^18, M), as ``circle_column_sups`` does.
 
     The dtype of ``coefs`` is the one switch.  Complex coefficients give
     full rows, X[..., 0..M-1].  Real coefficients (``np.isrealobj``) give
@@ -367,7 +364,7 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         np.cumsum(D, axis=1, out=D)
         X[:] = prefix[:, None]
         X[:, :, hit] = D
-        prefix = X[:, -1].copy()
+        prefix[:] = X[:, -1]
         if real:
             Y = np.fft.rfft(X, axis=-1, out=Y_buf[:S * block.size * (M // 2 + 1)]
                             .reshape(S, block.size, M // 2 + 1))
@@ -389,7 +386,8 @@ def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
     coefficients (signed, complex, nan or infinite) take the rows of
     ``circle_prefix_rows`` at the residues n_k mod M.  An explicit
     modulation of stacked rows (S, n) gives (S, len(cols)) sups, each row
-    its own closed form or grid rows, from one stacked kernel call.
+    its own closed form or grid rows; the grid rows go to the kernel in
+    stacks of at most max(1, 2^18 // M) rows, one call per stack.
     """
     return _column_sups(a, sched, n, M, cols, k_start)[:2]
 
@@ -420,14 +418,19 @@ def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
     for i in np.flatnonzero(closed):
         sups[i] = np.asarray(running_sums(c[i]))[cols - k_start]
     grid = np.flatnonzero(~closed)
-    if grid.size:
-        rows = coefs if grid.size == len(coefs) else coefs[grid]
-        B = _block_rows(M, cols.size, grid.size)
-        mags_buf = np.empty(grid.size * B * M)
-        for b0, X in circle_prefix_rows(rows, n_ints % M, M, cols, k_start):
+    residues = n_ints % M
+    # at most 2^18 // M rows per kernel call, so every block holds at most
+    # max(2^18, M) entries, as with one row at a time
+    step = max(1, _BLOCK_ENTRIES // M)
+    mags_buf = np.empty(min(grid.size * cols.size, step) * M)
+    for g0 in range(0, grid.size, step):
+        part = grid[g0:g0 + step]
+        rows = coefs if part.size == len(coefs) else coefs[part]
+        for b0, X in circle_prefix_rows(rows, residues, M, cols, k_start):
             mags = np.abs(X, out=mags_buf[:X.size].reshape(X.shape))
-            argj[grid, b0:b0 + X.shape[1]] = mags.argmax(axis=2)
-            sups[grid, b0:b0 + X.shape[1]] = mags.max(axis=2)
+            argj[part, b0:b0 + X.shape[1]] = mags.argmax(axis=2)
+            sups[part, b0:b0 + X.shape[1]] = mags.max(axis=2)
+        del X  # the stack's last block, freed before the next stack's
     shape = lead + (cols.size,)
     return sups.reshape(shape), argj.reshape(shape), closed.reshape(lead)
 

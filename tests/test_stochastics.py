@@ -150,6 +150,28 @@ def test_sup_sample_groups_bound_peak_memory():
     assert peak < 2 * 2**20
 
 
+def test_sup_sample_groups_bound_peak_memory_on_a_fine_grid():
+    # 64 terms make groups of 256 samples, so 8 samples are one group of 16
+    # stacked rows; at M = 2^16 the kernel takes them 4 rows at a time, and
+    # the peak is 10.1 MiB (56.1 MiB with all 16 rows in one kernel call,
+    # 6.5 MiB one sample at a time through the 1-D kernel)
+    mod = RandomModulation("gaussian", seed=1)
+    G = WeightSeq.from_text("n", search_from=1)
+
+    def run(samples):
+        return random_sup_stat(mod, G, Schedule.identity(), (16, 32, 64),
+                               1 << 16, samples)
+
+    run(1)
+    tracemalloc.start()
+    try:
+        run(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # random hilbert transforms over a cocycle
 

@@ -512,6 +512,36 @@ def test_stacked_sups_mix_closed_form_and_grid_rows(monkeypatch):
         assert argj[i].tolist() == a1.tolist() and closed[i] == c1
 
 
+def test_stacked_sups_feed_the_kernel_at_most_2_18_over_m_rows(monkeypatch):
+    # with 3 M entries per block, the 7 grid rows go to the kernel as stacks
+    # of 3, 3 and 1 rows (closed-form rows between them take no stack), so a
+    # block never holds more than max(2^18, M) entries at the real constant;
+    # every row is its 1-D call's
+    sched, n, M, k_start = Schedule.identity(), 90, 40, 2
+    monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 3 * M)
+    rng = np.random.Generator(np.random.Philox(key=23))
+    rows = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    rows[[2, 6]] = np.abs(rows[[2, 6]].real)
+    cols = [k_start, 5, 17, 17, 60, n]
+    alone = [transforms._column_sups(ModulationSeq.explicit(r), sched, n, M,
+                                     cols, k_start) for r in rows]
+    calls = []
+    kernel = transforms.circle_prefix_rows
+
+    def counted(coefs, *args):
+        calls.append(np.shape(coefs))
+        return kernel(coefs, *args)
+
+    monkeypatch.setattr(transforms, "circle_prefix_rows", counted)
+    sups, argj, closed = transforms._column_sups(ModulationSeq.explicit(rows),
+                                                 sched, n, M, cols, k_start)
+    assert calls == [(3, n - k_start + 1)] * 2 + [(1, n - k_start + 1)]
+    assert np.flatnonzero(closed).tolist() == [2, 6]
+    for i, (s1, a1, c1) in enumerate(alone):
+        assert sups[i].tobytes() == s1.tobytes()
+        assert argj[i].tolist() == a1.tolist() and closed[i] == c1
+
+
 # ---------------------------------------------------------------------------
 # hilbert transforms
 
