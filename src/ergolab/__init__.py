@@ -11,7 +11,7 @@ from .weights import (INDEX_CAP, GapSeq, Schedule, WeightExpr, WeightSeq,
 from .admissibility import (LADDER, AdmissibilityReport, bertrand_converges,
                             check_1RT1, check_admissible, check_index_series,
                             check_rrr, check_T21, check_weak_admissible,
-                            series_report)
+                            class_1RT1, series_report)
 from .operators import (Cocycle, LinearOperator, SampleSpace, Transformation,
                         VectorField, character_field, lp_norms,
                         operator_from_json, operator_norm, random_field,
@@ -26,7 +26,8 @@ from .transforms import (BoundReport, KMeasurement, ModulationSeq,
                          twisted_bound_check, weighted_series)
 from .stochastics import (AEDiagnosis, MCEstimate, RandomModulation,
                           ae_convergence_diag, canonical_hash, random_hilbert,
-                          random_sup_stat, slln_chain, slln_diagnosis)
+                          random_sup_1rt1, random_sup_stat, slln_chain,
+                          slln_diagnosis)
 from .registry import (EXAMPLE_IDS, ExampleInstance, check_t8, check_t41,
                        check_t44, example_instance, random_hilbert_e5)
 
@@ -36,7 +37,7 @@ __all__ = [
     "WeightSyntaxError", "asymptotic_class", "parse_weight", "twisted_weight",
     "LADDER", "AdmissibilityReport", "bertrand_converges", "check_1RT1",
     "check_admissible", "check_index_series", "check_rrr", "check_T21",
-    "check_weak_admissible", "series_report",
+    "check_weak_admissible", "class_1RT1", "series_report",
     "Cocycle", "LinearOperator", "SampleSpace", "Transformation",
     "VectorField", "character_field", "lp_norms", "operator_from_json",
     "operator_norm", "random_field", "skew_operator",
@@ -48,8 +49,8 @@ __all__ = [
     "opnorm_series", "rearrangement_and_I", "series_rows", "sigma_grid",
     "twisted_bound_check", "weighted_series",
     "AEDiagnosis", "MCEstimate", "RandomModulation", "ae_convergence_diag",
-    "canonical_hash", "random_hilbert", "random_sup_stat", "slln_chain",
-    "slln_diagnosis",
+    "canonical_hash", "random_hilbert", "random_sup_1rt1", "random_sup_stat",
+    "slln_chain", "slln_diagnosis",
     "EXAMPLE_IDS", "ExampleInstance", "check_t8", "check_t41", "check_t44",
     "example_instance", "random_hilbert_e5",
 ]

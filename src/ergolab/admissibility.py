@@ -38,6 +38,7 @@ __all__ = [
     "check_T21",
     "check_rrr",
     "check_index_series",
+    "class_1RT1",
     "check_1RT1",
 ]
 
@@ -494,16 +495,29 @@ def _gamma_class(G: WeightSeq, sched: Schedule, alpha: float) -> WeightExpr | No
     return None if composed is None else composed * G.expr**-2.0
 
 
+def _gamma_range(G: WeightSeq, sched: Schedule, alpha: float, ladder):
+    """The input validation of (1RT1) and its summation range [k_start, kmax]."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return G.n0, _summation_end(ladder, G.n0, sched)
+
+
+def class_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
+               ladder=LADDER) -> WeightExpr | None:
+    """The class of the gamma series of ``check_1RT1``, when symbolic, after
+    the same input validation and without its pass: the report's verdict is
+    then ``bertrand_converges`` of it."""
+    _gamma_range(G, sched, alpha, ladder)
+    return _gamma_class(G, sched, alpha)
+
+
 def check_1RT1(G: WeightSeq, sched: Schedule, alpha: float,
                ladder=LADDER) -> AdmissibilityReport:
     """gamma = sum_k n_k^alpha / G_k^2; returns gamma on convergence.
 
     Here G is indexed by k directly (not through the schedule).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    k_start = G.n0
-    kmax = _summation_end(ladder, k_start, sched)
+    k_start, kmax = _gamma_range(G, sched, alpha, ladder)
     series = _Series(k_start, kmax, ladder)
     (terms,) = _buffers(1, kmax - k_start + 1)
     for a, m, (g,) in _index_chunks((G,), k_start, kmax):

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissibility import LADDER, MAX_TERMS, AdmissibilityReport, check_1RT1
+from .admissibility import LADDER, MAX_TERMS, AdmissibilityReport
 from .registry import (EXAMPLE_IDS, ExampleInstance, check_t8, check_t41,
                        check_t44, example_instance, random_hilbert_e5)
 from .stochastics import (AEDiagnosis, RandomModulation, canonical_hash,
-                          random_sup_stat, slln_chain, slln_diagnosis)
+                          random_sup_1rt1, slln_chain, slln_diagnosis)
 from .transforms import hilbert_trace
 from .weights import INDEX_CAP, GapSeq, Schedule, WeightSeq, WeightSyntaxError
 
@@ -343,9 +343,7 @@ def cmd_random(args) -> int:
         # starts at its own n0
         G = WeightSeq.from_text(args.G or "n", search_from=1)
         sched = parse_schedule(args.schedule or "identity")
-        gamma_rep = check_1RT1(G, sched, alpha=0.5)
-        est = random_sup_stat(mod, G, sched, ladder, args.n_lambda,
-                              args.samples, regime_reports=[gamma_rep],
+        est = random_sup_1rt1(mod, G, sched, ladder, args.n_lambda, args.samples,
                               no_regime_check=args.no_regime_check)
     else:
         est = random_hilbert_e5(mod, ladder, args.samples,

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accum import block_sums, running_sums
-from .admissibility import LADDER, AdmissibilityReport, check_rrr
+from .admissibility import (LADDER, AdmissibilityReport, bertrand_converges,
+                            check_1RT1, check_rrr, class_1RT1)
 from .operators import Cocycle, VectorField, pointwise_norms, skew_operator
 from .transforms import (ModulationSeq, TransformTrace, circle_column_sups,
                          circle_prefix_rows, ladder_rows, series_rows)
@@ -32,6 +33,7 @@ __all__ = [
     "RandomModulation",
     "MCEstimate",
     "random_sup_stat",
+    "random_sup_1rt1",
     "random_hilbert",
     "ae_convergence_diag",
     "slln_chain",
@@ -133,8 +135,24 @@ class MCEstimate:
         return canonical_hash(self.to_json())
 
 
-def _gate_regime(reports, no_regime_check: bool):
-    """All precondition reports must converge for the theorem-regime label."""
+def _gate_regime(reports, no_regime_check: bool, classes=None):
+    """The regime label and the digests of the precondition ``reports``:
+    "theorem" when every report converges, else "unchecked", which refuses
+    the run unless ``no_regime_check``.
+
+    Before any series is summed, the gate takes ``classes`` instead: the
+    report kind of each precondition and its symbolic class, or None.  When
+    every class is symbolic, each report's verdict is ``bertrand_converges``
+    of its class, so with the regime check on a class that does not converge
+    refuses the run at once, with the message its report would give.  In
+    every other case this call passes, and the summed reports are gated.
+    """
+    if classes is not None:
+        if not no_regime_check and None not in classes.values():
+            bad = [kind for kind, cls in classes.items() if not bertrand_converges(cls)]
+            if bad:
+                raise _refusal(bad)
+        return None
     hashes = []
     ok = reports is not None and len(reports) > 0
     for rep in reports or ():
@@ -142,11 +160,13 @@ def _gate_regime(reports, no_regime_check: bool):
         if rep.verdict != "converges":
             ok = False
     if not ok and not no_regime_check and reports is not None:
-        bad = [r.kind for r in reports if r.verdict != "converges"]
-        raise ValueError(
-            f"precondition checks failed ({bad}); rerun with the regime "
-            "check disabled to proceed unlabeled")
+        raise _refusal([r.kind for r in reports if r.verdict != "converges"])
     return ("theorem" if ok else "unchecked"), hashes
+
+
+def _refusal(kinds) -> ValueError:
+    return ValueError(f"precondition checks failed ({kinds}); rerun with the "
+                      "regime check disabled to proceed unlabeled")
 
 
 def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
@@ -161,7 +181,12 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     terms: one ``circle_column_sups`` over a group's stacked draws and
     normalized series gives every row the sups it would have alone, bit for
     bit, and the schedule, residues and hit residues are found once per
-    group."""
+    group.
+
+    ``regime_reports`` are the summed precondition reports that
+    ``_gate_regime`` labels the run by; without them the run is "unchecked".
+    ``random_sup_1rt1`` gives the (1RT1) report, and refuses a symbolically
+    divergent class before its series is summed."""
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     regime, hashes = _gate_regime(regime_reports, no_regime_check)
@@ -195,6 +220,25 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     return MCEstimate("sup-circle-ladder", per_sample, mod.seed, config, regime,
                       hashes, extra={"ladder": ladder,
                                      "series_sup_trace": series_trace})
+
+
+def random_sup_1rt1(mod: RandomModulation, G: WeightSeq, sched: Schedule,
+                    n_ladder, n_lambda: int, samples: int,
+                    no_regime_check: bool = False) -> MCEstimate:
+    """``random_sup_stat`` gated on its precondition (1RT1), the series
+    gamma = sum_k n_k^{1/2} / G_k^2 of ``check_1RT1`` at alpha = 1/2.
+
+    The gate first takes the series' class from ``class_1RT1``, after the
+    check's own input validation: with the regime check on, a symbolic class
+    that does not converge refuses the run before any series is summed.
+    Every other run sums the series and gates on its report.
+    """
+    if samples < 1:
+        raise ValueError("sample count must be >= 1")
+    _gate_regime(None, no_regime_check, {"RT1gamma": class_1RT1(G, sched, 0.5)})
+    return random_sup_stat(mod, G, sched, n_ladder, n_lambda, samples,
+                           regime_reports=[check_1RT1(G, sched, 0.5)],
+                           no_regime_check=no_regime_check)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,11 @@ class ModulationSeq:
         if self.kind == "explicit":
             if ks.max(initial=0) > self._values.shape[-1]:
                 raise IndexError("explicit modulation is too short")
-            # take, not [..., ks - 1]: stacked rows stay C-contiguous
+            lo = int(ks.flat[0]) if ks.size else 0
+            if lo >= 1 and np.array_equal(ks, np.arange(lo, lo + ks.size)):
+                # a contiguous range, as ``_terms`` asks for, is a view of the
+                # stored rows, not a copy; no caller writes into it
+                return self._values[..., lo - 1:lo - 1 + ks.size]
             return np.take(self._values, ks - 1, axis=-1)
         left = self.parts[0].values(ks, n_vals)
         right = self.parts[1].values(ks, n_vals)
@@ -400,7 +404,10 @@ def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
         raise ValueError(f"grid size must be >= 1, got {M}")
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), False
+        # the coefficients of no terms (cols is empty) keep only the sample axis
+        lead = a.values(cols, cols).shape[:-1]
+        return (np.zeros(lead + (0,)), np.zeros(lead + (0,), dtype=np.int64),
+                np.zeros(lead, dtype=bool))
     if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
     n_ints, coefs = _terms(a, sched, n, k_start)

@@ -14,7 +14,7 @@ from ergolab.admissibility import (LADDER, _class_integral,
                                    _heuristic_claim, _schedule_start,
                                    _tail_estimate,
                                    bertrand_converges, check_1RT1,
-                                   check_admissible, check_index_series, check_rrr,
+                                   check_admissible, class_1RT1, check_index_series, check_rrr,
                                    check_T21, check_weak_admissible, series_report)
 from ergolab import admissibility
 from ergolab.registry import EXAMPLE_IDS, check_t8, example_instance
@@ -230,6 +230,35 @@ def test_check_1RT1_gamma_value():
     assert rep.verdict == "converges"
     brute = math.fsum(k**0.5 / k**2 for k in range(1, 10**4 + 1))
     assert rep.value == pytest.approx(brute, rel=1e-13)
+
+
+@pytest.mark.parametrize("sched", [
+    Schedule.identity(), Schedule.power(2.0), Schedule.monomial(3),
+    Schedule.superexp(), Schedule.geometric(2.0),
+    Schedule.explicit([k * k for k in range(1, 200)]),
+], ids=["identity", "power:2", "monomial:3", "superexp", "geometric:2", "explicit"])
+@pytest.mark.parametrize("text", ["n^0.1", "n", "n^0.5*ln(n)^2"])
+def test_class_1RT1_is_the_report_class(sched, text):
+    # the class the Monte Carlo gate decides from, before any pass, is the
+    # report's, and so is its verdict; geometric and explicit have none
+    G = WeightSeq.from_text(text, search_from=1)
+    cls = class_1RT1(G, sched, 0.5, SHORT_LADDER)
+    rep = check_1RT1(G, sched, 0.5, SHORT_LADDER)
+    symbolic = sched.describe()["kind"] not in ("geometric", "explicit")
+    assert (cls is not None) == symbolic == (rep.verdict_source == "symbolic")
+    if symbolic:
+        assert (cls.exponents, cls.superexp_coeff) == \
+            (rep.comparison_class, rep.superexp_coeff)
+        assert bertrand_converges(cls) == (rep.verdict == "converges")
+
+
+def test_class_1RT1_validates_as_check_1RT1():
+    G = WeightSeq.from_text("lnln(n)")
+    for args, message in (((Schedule.identity(), 1.5), "alpha must lie in"),
+                          ((Schedule.superexp(), 0.5), "empty summation range")):
+        for check in (class_1RT1, check_1RT1):
+            with pytest.raises(ValueError, match=message):
+                check(G, *args)
 
 
 def test_truncated_top_block_does_not_fake_decay():

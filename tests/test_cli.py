@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ergolab import cli, registry
+from ergolab import cli, registry, stochastics
 from ergolab.cli import (main, parse_int_token, parse_ladder, parse_schedule,
                          run_dir_for)
 from ergolab.registry import EXAMPLE_IDS, example_instance
@@ -725,7 +725,7 @@ def test_random_samples_below_one_exit_2_before_any_series(tmp_path, capsys, mon
         raise AssertionError("a precondition series ran")
 
     monkeypatch.setattr(registry, "check_admissible", never)
-    monkeypatch.setattr(cli, "check_1RT1", never)
+    monkeypatch.setattr(stochastics, "check_1RT1", never)
     assert _run(tmp_path, "random", "--stat", stat, "--samples", samples) == 2
     out, err = capsys.readouterr()
     assert err == "error: sample count must be >= 1\n" and out == ""
@@ -740,12 +740,62 @@ def test_random_sup_grid_below_one_exits_2_before_any_series(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("a precondition series ran")
 
-    monkeypatch.setattr(cli, "check_1RT1", never)
+    monkeypatch.setattr(stochastics, "check_1RT1", never)
     monkeypatch.setattr(cli.WeightSeq, "from_text", never)
     assert _run(tmp_path, "random", "--stat", "sup", "--n-lambda", n_lambda) == 2
     out, err = capsys.readouterr()
     assert err == f"error: grid size must be >= 1, got {n_lambda}\n" and out == ""
     assert list(tmp_path.glob("run-*")) == []
+
+
+_REGIME_REFUSAL = ("error: precondition checks failed (['RT1gamma']); rerun with "
+                   "the regime check disabled to proceed unlabeled\n")
+
+
+@pytest.mark.parametrize("G", ["n^0.1", "lnln(n)"])
+@pytest.mark.parametrize("schedule", ["identity", "power:2", "monomial:3", "superexp"])
+def test_random_sup_symbolic_refusal_sums_no_series(tmp_path, capsys, monkeypatch,
+                                                    G, schedule):
+    # both classes diverge along every symbolic schedule, so the gate refuses
+    # before the (1RT1) pass; superexp ends before lnln(n) starts at 16, and
+    # the check's own range error comes first, as before
+    def never(*args, **kwargs):
+        raise AssertionError("the (1RT1) series ran")
+
+    monkeypatch.setattr(stochastics, "check_1RT1", never)
+    assert _run(tmp_path, "random", "--stat", "sup", "--G", G, "--schedule", schedule,
+                "--samples", "2") == 2
+    out, err = capsys.readouterr()
+    if (G, schedule) == ("lnln(n)", "superexp"):
+        assert err == "error: empty summation range [16, 15]\n"
+    else:
+        assert err == _REGIME_REFUSAL
+    assert out == "" and list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("G, schedule, ladder, extra, regime", [
+    ("n^0.1", "identity", "64,128", ("--no-regime-check",), "unchecked"),
+    ("n", "identity", "64,128", (), "theorem"),
+    ("n", "geometric:2", "8,16", (), "theorem"),
+])
+def test_random_sup_sums_its_precondition_when_the_run_proceeds(
+        tmp_path, monkeypatch, G, schedule, ladder, extra, regime):
+    # an unchecked run, a converging class and a numeric (geometric) class
+    # each sum the (1RT1) series once and record its report's digest
+    reports = []
+    check = stochastics.check_1RT1
+
+    def counted(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(stochastics, "check_1RT1", counted)
+    assert _run(tmp_path, "random", "--stat", "sup", "--samples", "2", "--G", G,
+                "--schedule", schedule, "--ladder", ladder, *extra) == 0
+    doc = json.loads((_only_run_dir(tmp_path) / "estimate.json").read_text())
+    assert len(reports) == 1 and doc["regime"] == regime
+    expected = check(WeightSeq.from_text(G, search_from=1), parse_schedule(schedule), 0.5)
+    assert doc["admissibility_hashes"] == [expected.digest()] == [reports[0].digest()]
 
 
 def test_random_sup_ladder_entry_below_n0_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from ergolab.stochastics import (MCEstimate, RandomModulation,
                                  ae_convergence_diag, canonical_hash,
                                  random_hilbert, random_sup_stat, slln_chain)
 from ergolab.transforms import ModulationSeq, hilbert_trace, weighted_series
-from ergolab.weights import Schedule, WeightSeq
+from ergolab.weights import Schedule, WeightExpr, WeightSeq
 
 LADDER = (10**2, 10**3, 10**4)
 
@@ -104,6 +104,22 @@ def test_regime_gate_raises_on_divergent_precondition():
     assert len(good.admissibility_hashes) == 1
 
 
+def test_regime_gate_decides_from_symbolic_classes_with_the_reports_message():
+    diverging, converging = WeightExpr(n_exp=-0.5), WeightExpr(n_exp=-1.5)
+    report = _diverging()
+    with pytest.raises(ValueError) as summed:
+        stochastics._gate_regime([report], False)
+    with pytest.raises(ValueError) as symbolic:
+        stochastics._gate_regime(None, False, {report.kind: diverging})
+    assert str(symbolic.value) == str(summed.value)
+    # a converging class, a class that is not symbolic, or an unchecked run
+    # leaves the decision to the summed reports
+    for classes, unchecked in (({"a": converging}, False),
+                               ({"a": diverging, "b": None}, False),
+                               ({"a": diverging}, True)):
+        assert stochastics._gate_regime(None, unchecked, classes) is None
+
+
 def test_sup_stat_zero_law_is_zero():
     est = random_sup_stat(RandomModulation("zero", seed=0),
                           WeightSeq.from_text("n", n0=1), Schedule.identity(),
@@ -131,7 +147,7 @@ def test_sup_sample_groups_do_not_change_results(monkeypatch, law):
 
 
 def test_sup_sample_groups_bound_peak_memory():
-    # 1.75 MiB at the default groups of 4 samples, 0.55 MiB one sample at a
+    # 1.25 MiB at the default groups of 4 samples, 0.55 MiB one sample at a
     # time and 25.8 MiB with all 64 samples in one stack
     mod = RandomModulation("gaussian", seed=1)
     G = WeightSeq.from_text("n", search_from=1)

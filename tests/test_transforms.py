@@ -220,6 +220,43 @@ def test_circle_column_sups_rejects_bad_input():
     assert sups.size == 0 and argj.size == 0
 
 
+def test_explicit_values_slice_a_contiguous_range():
+    # the contiguous range k_start..n that _terms asks for is a view of the
+    # stored rows; any other index set is np.take's copy
+    rows = np.arange(30.0).reshape(3, 10) + 1j
+    for values in (rows, rows[1]):
+        a = ModulationSeq.explicit(values)
+        view = a.values(np.arange(3, 9))
+        assert np.shares_memory(view, values)
+        assert np.array_equal(view, values[..., 2:8])
+        ks = np.array([3, 5, 4, 9])
+        assert np.array_equal(a.values(ks), np.take(values, ks - 1, axis=-1))
+        assert not np.shares_memory(a.values(ks), values)
+
+
+@pytest.mark.parametrize("closed_row", [False, True])
+def test_circle_column_sups_leave_the_stored_rows_unchanged(closed_row):
+    # the kernel reads the explicit rows through a view, as one stack or, with
+    # a closed-form row among them, through a copy of the grid rows; it
+    # writes into none
+    rng = np.random.Generator(np.random.Philox(key=29))
+    rows = rng.standard_normal((4, 80)) + 1j * rng.standard_normal((4, 80))
+    if closed_row:
+        rows[1] = np.abs(rows[1])
+    kept = rows.copy()
+    circle_column_sups(ModulationSeq.explicit(rows), Schedule.power(2.0), 80, 64,
+                       [5, 40, 80], 5)
+    assert rows.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_empty_columns_keep_the_sample_axis(lead):
+    a = ModulationSeq.explicit(np.ones(lead + (16,), dtype=complex))
+    sups, argj, closed = transforms._column_sups(a, Schedule.identity(), 16, 8, [], 1)
+    assert sups.shape == argj.shape == lead + (0,) and closed.shape == lead
+    assert argj.dtype == np.int64 and closed.dtype == bool
+
+
 def test_circle_column_sups_find_the_schedule_reach_once(monkeypatch):
     # the reach bisection calls Schedule.value; the identity's values() does not
     value = Schedule.value
