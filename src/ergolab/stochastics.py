@@ -135,24 +135,10 @@ class MCEstimate:
         return canonical_hash(self.to_json())
 
 
-def _gate_regime(reports, no_regime_check: bool, classes=None):
-    """The regime label and the digests of the precondition ``reports``:
-    "theorem" when every report converges, else "unchecked", which refuses
-    the run unless ``no_regime_check``.
-
-    Before any series is summed, the gate takes ``classes`` instead: the
-    report kind of each precondition and its symbolic class, or None.  When
-    every class is symbolic, each report's verdict is ``bertrand_converges``
-    of its class, so with the regime check on a class that does not converge
-    refuses the run at once, with the message its report would give.  In
-    every other case this call passes, and the summed reports are gated.
-    """
-    if classes is not None:
-        if not no_regime_check and None not in classes.values():
-            bad = [kind for kind, cls in classes.items() if not bertrand_converges(cls)]
-            if bad:
-                raise _refusal(bad)
-        return None
+def _gate_regime(reports, no_regime_check: bool):
+    """The regime label and the digests of the summed precondition
+    ``reports``: "theorem" when every report converges, else "unchecked",
+    which refuses the run unless ``no_regime_check``."""
     hashes = []
     ok = reports is not None and len(reports) > 0
     for rep in reports or ():
@@ -185,15 +171,14 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
 
     ``regime_reports`` are the summed precondition reports that
     ``_gate_regime`` labels the run by; without them the run is "unchecked".
-    ``random_sup_1rt1`` gives the (1RT1) report, and refuses a symbolically
-    divergent class before its series is summed."""
+    ``random_sup_1rt1`` gives the (1RT1) report."""
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     regime, hashes = _gate_regime(regime_reports, no_regime_check)
     k_start = G.n0
     ladder = ladder_rows(n_ladder, k_start)
     n_max = ladder[-1]
-    g = G.prefix(n_max)[k_start - G.n0:]
+    g = G.prefix(n_max)
     cols = np.asarray(ladder, dtype=np.int64)
     g_at = g[cols - k_start]
 
@@ -228,14 +213,19 @@ def random_sup_1rt1(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     """``random_sup_stat`` gated on its precondition (1RT1), the series
     gamma = sum_k n_k^{1/2} / G_k^2 of ``check_1RT1`` at alpha = 1/2.
 
-    The gate first takes the series' class from ``class_1RT1``, after the
-    check's own input validation: with the regime check on, a symbolic class
-    that does not converge refuses the run before any series is summed.
-    Every other run sums the series and gates on its report.
+    The series' class comes first from ``class_1RT1``, after the check's own
+    input validation.  With the regime check on, a G whose exponents are all
+    nonnegative is nondecreasing from n = 3 on, so the pass's weight audit
+    cannot refuse it and a symbolic class that does not converge refuses the
+    run, with its report's message, before any series is summed.  Every
+    other run sums the series and gates on its report.
     """
     if samples < 1:
         raise ValueError("sample count must be >= 1")
-    _gate_regime(None, no_regime_check, {"RT1gamma": class_1RT1(G, sched, 0.5)})
+    cls = class_1RT1(G, sched, 0.5)
+    if (not no_regime_check and cls is not None and min(G.expr.exponents) >= 0
+            and not bertrand_converges(cls)):
+        raise _refusal(["RT1gamma"])
     return random_sup_stat(mod, G, sched, n_ladder, n_lambda, samples,
                            regime_reports=[check_1RT1(G, sched, 0.5)],
                            no_regime_check=no_regime_check)
@@ -280,7 +270,7 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     # blocks of V_k(w) = (T^{n_k} f)(w) = T_w ... T_{alpha^{n_k - 1} w} g h(alpha^{n_k} w)
     # for the skew operator T of C, shared across Monte Carlo samples
     blocks = list(skew_operator(C).blocks(n_vals[k_start - 1:], f))
-    w = W.prefix(kmax)[k_start - W.n0:]
+    w = W.prefix(kmax)
     mu = C.space.weights
     rows = np.asarray(ladder) - k_start
 

@@ -248,16 +248,14 @@ def ladder_rows(ladder, k_start: int) -> list:
     return rows
 
 
-def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
+def weighted_series(fseq, W: WeightSeq, n: int):
     """Partial sum sum_{k<=n} f_k/W_k computed two ways.
 
     Returns (direct, abel) where the Abel form is
     S_n/W_n + sum_{k<n} (1/W_k - 1/W_{k+1}) S_k; the two agree algebraically.
     Both are ``series_rows``, the Abel form over the running sums S_k.
     """
-    if k_start is None:
-        k_start = W.n0
-    if n < max(k_start, W.n0):
+    if n < W.n0:
         raise ValueError(f"n={n} is below the start index")
 
     def values(k):
@@ -266,14 +264,14 @@ def weighted_series(fseq, W: WeightSeq, n: int, k_start: int | None = None):
             raise ValueError(f"field f_{k} is undefined")
         return f.values
 
-    inv_w = 1.0 / W.prefix(n + 1)[k_start - W.n0:]       # k = k_start..n+1
-    plain, scaled = itertools.tee(_stacks(map(values, range(k_start, n + 1))))
-    sums = (S for _, S in series_rows(plain, np.ones(n - k_start + 1)))
+    inv_w = 1.0 / W.prefix(n + 1)                        # k = n0..n+1
+    plain, scaled = itertools.tee(_stacks(map(values, range(W.n0, n + 1))))
+    sums = (S for _, S in series_rows(plain, np.ones(n - W.n0 + 1)))
     abel_coefs = np.append(inv_w[:-2] - inv_w[1:-1], inv_w[-2])
     for (_, direct), (_, abel) in zip(series_rows(scaled, inv_w[:-1]),
                                       series_rows(sums, abel_coefs)):
         pass
-    space = fseq(k_start).space
+    space = fseq(W.n0).space
     return VectorField(space, direct[-1]), VectorField(space, abel[-1])
 
 
@@ -533,16 +531,14 @@ def _require_contraction(T: LinearOperator):
 
 def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
                     W: WeightSeq, f: VectorField, n: int,
-                    trace: TransformTrace | None = None,
-                    k_start: int | None = None) -> VectorField:
+                    trace: TransformTrace | None = None) -> VectorField:
     """sum_{k<=n} a_k T^{n_k} f / W_k."""
     _require_contraction(T)
-    if k_start is None:
-        k_start = W.n0
+    k_start = W.n0
     if n < k_start:
         raise ValueError(f"n={n} is below the start index {k_start}")
     n_ints, coeffs = _terms(a, sched, n, k_start)
-    coeffs = coeffs / W.prefix(n)[k_start - W.n0:]
+    coeffs = coeffs / W.prefix(n)
     for i0, S in series_rows(T.blocks(n_ints, f), coeffs):
         if trace is not None:
             norms = pointwise_norms(S)
@@ -641,18 +637,17 @@ def interpolation_bound(n: int, a_bound: float, K: float, G_n: float, p: float) 
 
 def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedule,
                               G: WeightSeq, K: float, p: float, fields,
-                              n_ladder, k_start: int | None = None) -> BoundReport:
+                              n_ladder) -> BoundReport:
     """||sum_{k<=n} a_k T^{n_k} f||_p <= bound(n) ||f||_p for each field.
 
     Each block of powers T^{n_k} is drawn once and applied to every field."""
     if not T.dunford_schwartz:
         raise ValueError("interpolation bound needs a Dunford-Schwartz operator")
-    if k_start is None:
-        k_start = G.n0
+    k_start = G.n0
     rows = np.asarray(ladder_rows(n_ladder, k_start)) - k_start
     n_max = k_start + int(rows[-1])
     n_ints, coefs = _terms(a, sched, n_max, k_start)
-    g_vals = G.prefix(n_max)[k_start - G.n0:]
+    g_vals = G.prefix(n_max)
     fields = list(fields)
     sums = [series_rows(map(T.act, powers, itertools.repeat(f)), coefs) for f, powers
             in zip(fields, itertools.tee(T.blocks(n_ints), len(fields)))]

@@ -550,8 +550,8 @@ class WeightSeq:
     from 256 to 2^16: one evaluation per block, and prefix sums of the
     decreasing-or-NaN steps and of the non-finite values test every window
     of the block at once; a constant expression is its scale at every n and
-    is not scanned.  Every evaluation, the memoized ``prefix`` and the
-    n0 search included, goes through ``values``, 2^15 indices at a time.
+    is not scanned.  Every evaluation, ``prefix`` and the n0 search
+    included, goes through ``values``, 2^15 indices at a time.
     Every audit that the values from n0 on are finite and nondecreasing is
     an ``audit()``, fed the values in index order in chunks.
     """
@@ -568,7 +568,6 @@ class WeightSeq:
         self.expr = expr
         self.fn = fn
         self.label = label or (expr.canonical() if expr is not None else "callable")
-        self._memo = np.empty(0)
         self._search_from = int(search_from)
         if n0 is None:
             n0 = self._default_n0()
@@ -591,7 +590,7 @@ class WeightSeq:
     def from_callable(cls, fn, n0: int, label: str = "") -> "WeightSeq":
         return cls(fn=fn, n0=n0, label=label)
 
-    # -- raw evaluation (no memo, safe for sparse huge indices) -------------
+    # -- evaluation ---------------------------------------------------------
 
     def value(self, n) -> float:
         return float(self.values(np.asarray([n], dtype=float))[0])
@@ -643,24 +642,16 @@ class WeightSeq:
         """A new audit of the values from n0 on (see ``_Audit``)."""
         return _Audit(self.label)
 
-    # -- memoized prefix ----------------------------------------------------
-
     def prefix(self, N: int) -> np.ndarray:
-        """Values at n0..N (inclusive), memoized and audited: finite and
-        nondecreasing."""
+        """Values at n0..N (inclusive), audited: finite and nondecreasing."""
         if N < self.n0:
             raise IndexError(f"index {N} below start index n0={self.n0}")
-        need = N - self.n0 + 1
-        m = len(self._memo)
-        if need > m:
-            ns = np.arange(self.n0 + m, N + 1, dtype=float)
-            with np.errstate(all="ignore"):   # overflow is refused below
-                new = self.values(ns)
-            audit = _Audit(self.label, self._memo[-1] if m else None)
-            audit.add(self.n0 + m, new)
-            audit.check()
-            self._memo = np.concatenate((self._memo, new)) if m else new
-        return self._memo[:need]
+        with np.errstate(all="ignore"):   # overflow is refused below
+            v = self.values(np.arange(self.n0, N + 1, dtype=float))
+        audit = self.audit()
+        audit.add(self.n0, v)
+        audit.check()
+        return v
 
     def __repr__(self):
         return f"WeightSeq({self.label!r}, n0={self.n0})"
@@ -671,9 +662,9 @@ class _Audit:
     are finite and nondecreasing.  ``check`` then refuses the weight at its
     first non-finite value, or else at its first decrease."""
 
-    def __init__(self, label: str, last: float | None = None):
+    def __init__(self, label: str):
         self.label = label
-        self.last = last            # the value before the next chunk
+        self.last = None            # the value before the next chunk
         self.not_finite = self.drop = None      # first index of each fault
 
     def add(self, n: int, v) -> None:

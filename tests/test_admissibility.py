@@ -216,6 +216,20 @@ def test_check_T21_symbolic_class():
     assert np.all(terms <= env * 1.01)
 
 
+@pytest.mark.parametrize("G, W, shift, cls", [
+    ("ln(n)^0.5", "ln(n)^2", (-1.0, -1.0, 0.0), (-1.0, -2.5, 0.0)),
+    ("lnln(n)^0.5", "lnln(n)^2", (-1.0, -1.0, -1.0), (-1.0, -1.0, -2.5)),
+])
+def test_check_T21_symbolic_class_of_log_weights(G, W, shift, cls):
+    # 1 - W_n/W_{n+1} ~ 2 / (n ln n) for ln(n)^2, 2 / (n ln n lnln n) for lnln(n)^2
+    G, W = WeightSeq.from_text(G), WeightSeq.from_text(W)
+    d = admissibility.log_derivative_shift(W.expr)
+    assert (d.exponents, d.scale) == (shift, 2.0)
+    rep = check_T21(G, W, SHORT_LADDER)
+    assert rep.verdict_source == "symbolic" and rep.verdict == "converges"
+    assert rep.comparison_class == cls
+    assert rep.class_scale == pytest.approx(2.0)
+
 def test_check_rrr_meaningful_flag():
     G = WeightSeq.from_text("n^0.5", n0=1)
     div = check_rrr(G, WeightSeq.from_text("n^0.8", n0=1), SHORT_LADDER)

@@ -86,6 +86,14 @@ def test_check_expect_mismatch_returns_1(tmp_path):
     assert rc == 1
 
 
+def test_check_expect_not_admissible_fails_when_both_conditions_converge(tmp_path, capsys):
+    rc = _run(tmp_path, "check", "--G", "n^0.25", "--W", "n^1.5",
+              "--expect", "not-admissible")
+    assert rc == 1
+    assert "expect not-admissible: FAILED (both conditions converge)\n" \
+        in capsys.readouterr().out
+
+
 def test_check_parse_error_returns_2(tmp_path):
     rc = _run(tmp_path, "check", "--G", "n^", "--W", "n", "--ladder", "100")
     assert rc == 2
@@ -770,6 +778,18 @@ def test_random_sup_symbolic_refusal_sums_no_series(tmp_path, capsys, monkeypatc
         assert err == "error: empty summation range [16, 15]\n"
     else:
         assert err == _REGIME_REFUSAL
+    assert out == "" and list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-regime-check",)])
+def test_random_sup_late_decreasing_G_is_refused_as_not_a_weight(tmp_path, capsys, extra):
+    # n^-1 ln(n)^5 rises over its n0 window and falls from n = 149 on: its
+    # negative exponent sends it to the (1RT1) pass, whose audit names the drop
+    assert _run(tmp_path, "random", "--stat", "sup", "--G", "n^-1*ln(n)^5",
+                "--samples", "2", *extra) == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: weight '1 * n^-1 * ln(n)^5' decreases near index 149: "
+                   "not a weight\n")
     assert out == "" and list(tmp_path.glob("run-*")) == []
 
 

@@ -400,3 +400,13 @@ def test_operator_from_json_koopman_rotation():
     with pytest.raises(ValueError):
         operator_from_json({"kind": "koopman", "theta": 0.3,
                             "space": {"kind": "circle", "M": 8}})
+
+
+def test_operator_from_json_skew_over_a_rotation_base():
+    desc = {"kind": "skew", "space": {"kind": "circle", "M": 8}, "shift": 3,
+            "fibers": [[[0.5]]] * 8}
+    op = operator_from_json(desc)
+    assert (op.cocycle.base.kind, op.cocycle.base.shift) == ("rotation", 3)
+    assert op.cocycle.fibers.shape == (8, 1, 1)
+    with pytest.raises(ValueError, match="integer shift"):
+        operator_from_json({**desc, "shift": 1.5})

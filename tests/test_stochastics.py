@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from ergolab import operators, registry, stochastics
-from ergolab.admissibility import series_report
+from ergolab.admissibility import check_1RT1, series_report
 from ergolab.operators import Cocycle, SampleSpace, Transformation, VectorField
 from ergolab.registry import check_t8, check_t44, example_instance
 from ergolab.stochastics import (MCEstimate, RandomModulation,
                                  ae_convergence_diag, canonical_hash,
-                                 random_hilbert, random_sup_stat, slln_chain)
+                                 random_hilbert, random_sup_1rt1, random_sup_stat,
+                                 slln_chain)
 from ergolab.transforms import ModulationSeq, hilbert_trace, weighted_series
-from ergolab.weights import Schedule, WeightExpr, WeightSeq
+from ergolab.weights import Schedule, WeightSeq
 
 LADDER = (10**2, 10**3, 10**4)
 
@@ -104,20 +105,28 @@ def test_regime_gate_raises_on_divergent_precondition():
     assert len(good.admissibility_hashes) == 1
 
 
-def test_regime_gate_decides_from_symbolic_classes_with_the_reports_message():
-    diverging, converging = WeightExpr(n_exp=-0.5), WeightExpr(n_exp=-1.5)
-    report = _diverging()
+def test_sup_1rt1_refuses_a_symbolic_divergent_class_with_the_reports_message(monkeypatch):
+    mod, ident = RandomModulation("rademacher", seed=0), Schedule.identity()
+    G = WeightSeq.from_text("n^0.1", search_from=1)
     with pytest.raises(ValueError) as summed:
-        stochastics._gate_regime([report], False)
+        stochastics._gate_regime([check_1RT1(G, ident, 0.5)], False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the (1RT1) series ran")
+
+    monkeypatch.setattr(stochastics, "check_1RT1", never)
     with pytest.raises(ValueError) as symbolic:
-        stochastics._gate_regime(None, False, {report.kind: diverging})
+        random_sup_1rt1(mod, G, ident, (32, 64), 32, 2)
     assert str(symbolic.value) == str(summed.value)
-    # a converging class, a class that is not symbolic, or an unchecked run
-    # leaves the decision to the summed reports
-    for classes, unchecked in (({"a": converging}, False),
-                               ({"a": diverging, "b": None}, False),
-                               ({"a": diverging}, True)):
-        assert stochastics._gate_regime(None, unchecked, classes) is None
+    # a converging class, a geometric schedule (no symbolic class), a G with
+    # a negative exponent or an unchecked run reaches the pass
+    for text, sched, unchecked in (("n", ident, False),
+                                   ("n^0.1", Schedule.geometric(2.0), False),
+                                   ("n^-1*ln(n)^5", ident, False),
+                                   ("n^0.1", ident, True)):
+        with pytest.raises(AssertionError, match="series ran"):
+            random_sup_1rt1(mod, WeightSeq.from_text(text, search_from=1), sched,
+                            (8, 16), 32, 2, no_regime_check=unchecked)
 
 
 def test_sup_stat_zero_law_is_zero():

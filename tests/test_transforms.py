@@ -432,6 +432,13 @@ def test_measure_K_nonnegative_is_exact_without_refinement(monkeypatch):
     assert (m.K, m.n_at_max, m.lam) == (60 / 64, 64, 1)
 
 
+def test_zero_modulation_has_K_zero_and_psi_zero():
+    zero, ident = ModulationSeq.constant(0), Schedule.identity()
+    m = measure_K(zero, ident, WeightSeq.from_text("n", n0=1), 64)
+    assert m.K == 0.0
+    assert modulated_poly(zero, ident, 64, np.exp(0.3j)) == 0j
+
+
 def _kernel_rows(coefs, residues, M, cols, k_start=1):
     """Every row of circle_prefix_rows, stacked: full rows for complex
     coefficients, half rows for real ones."""
