@@ -209,8 +209,7 @@ def cmd_check(args) -> int:
             raise ValueError("check needs --example or both --G and --W")
         G, W = WeightSeq.from_text(args.G), WeightSeq.from_text(args.W)
         sched = parse_schedule(args.schedule or "identity")
-        inst = ExampleInstance("ad-hoc", args.p, G, W, sched, GapSeq.derived(sched),
-                               {}, {})
+        inst = ExampleInstance("ad-hoc", args.p, G, W, sched, GapSeq.derived(sched), {})
     reports = inst.run_checks(ladder, args.full_sequence)
 
     run_dir = run_dir_for(args.out, config)
@@ -312,7 +311,11 @@ def cmd_hilbert(args) -> int:
     WeightSeq.from_text(args.G or "n", n0=None)
     W = WeightSeq.from_text(args.W or "n", n0=None)
     sched = parse_schedule(args.schedule or "identity")
-    operator = json.loads(Path(args.operator).read_text()) if args.operator else None
+    operator = None
+    if args.operator:
+        operator = json.loads(Path(args.operator).read_text())
+        # the run is named by the operator's content, not by its path
+        config["operator"] = canonical_hash(operator)
     trace = hilbert_trace(W, sched, args.n_max, args.seed, args.lam, operator)
     run_dir = run_dir_for(args.out, config)
     trace.to_csv(run_dir / "trace.csv")
@@ -332,6 +335,7 @@ def cmd_random(args) -> int:
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
               "ladder": list(ladder), "n_lambda": args.n_lambda,
+              "G": args.G, "schedule": args.schedule,
               # --threads changes nothing; the key stays so that run-dir
               # hashes do not move
               "threads": None,
@@ -348,7 +352,6 @@ def cmd_random(args) -> int:
     else:
         est = random_hilbert_e5(mod, ladder, args.samples,
                                 no_regime_check=args.no_regime_check)
-    est.config = config
     run_dir = run_dir_for(args.out, config)
     write_json(run_dir / "estimate.json", est.to_json(), config)
     print(f"{est.statistic}: mean {est.mean:.6g}, max {est.max:.6g} "

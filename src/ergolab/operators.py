@@ -61,9 +61,6 @@ class SampleSpace:
     def finite(cls, m: int) -> "SampleSpace":
         return cls("finite", m)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "M" if self.kind == "circle" else "m": self.size}
-
     def __eq__(self, other):
         return (isinstance(other, SampleSpace) and self.kind == other.kind
                 and self.size == other.size)

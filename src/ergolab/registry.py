@@ -40,7 +40,6 @@ class ExampleInstance:
     W: WeightSeq
     sched: Schedule
     xi: GapSeq
-    params: dict
     expected: dict                      # check kind -> set of allowed verdicts
     weak_only: bool = False             # E0/EwA claim weak admissibility only
     notes: str = ""
@@ -105,7 +104,6 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
         xi = GapSeq.of_schedule_expr(WeightExpr(n_exp=1.0 / p), sched)
         return ExampleInstance(
             "E0", p, G, W, sched, xi,
-            {"p": p, "beta": beta, "gamma": gamma},
             {"W1": {"converges"}, "W2": {"converges"}},
             weak_only=True,
             notes="weak admissibility along n_k = k^k; the full-index ratio "
@@ -137,13 +135,7 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
         if ex_id in ("E5", "E6"):
             expected["T21"] = {"converges"}
             expected["rrr"] = {"diverges"}
-        params = {"p": p, "beta": beta, "delta": delta}
-        if ex_id == "E2":
-            params["gamma"] = gamma
-        if ex_id in ("E3", "E6"):
-            params["alpha"] = alpha
-        return ExampleInstance(ex_id, p, G, W, sched, GapSeq.derived(sched),
-                               params, expected)
+        return ExampleInstance(ex_id, p, G, W, sched, GapSeq.derived(sched), expected)
 
     if ex_id == "E4":
         if not eps > 0.0:
@@ -163,7 +155,6 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
         sched = Schedule.explicit(vals)
         return ExampleInstance(
             "E4", p, G, W, sched, GapSeq.derived(sched),
-            {"p": p, "eps": eps},
             {"W3": {"converges"}, "W4": {"converges"}},
             notes="recursive schedule n_{k+1} = floor(G_{n_k}) + n_k + 1; "
                   "verdicts are numeric (no power-log class for the schedule)")
@@ -181,7 +172,6 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
         sched = Schedule.power(1.0 / E7_ALPHA)
         return ExampleInstance(
             "E7", p, G, W, sched, GapSeq.derived(sched),
-            {"p": p, "beta": beta, "gamma": gamma, "delta": delta},
             {"W3": {"converges"}, "W4": {"converges"},
              "T21": {"converges"}, "rrr": {"diverges"}})
 
@@ -204,7 +194,6 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
     xi = GapSeq.explicit(np.diff(g_at))   # xi_m = G_{n_{m+1}} - G_{n_m}
     return ExampleInstance(
         "EwA", p, G, W, sched, xi,
-        {"p": p, "eps": eps},
         # callable weights give numeric-only verdicts; the slow 1/m^{1+eps}
         # decay of (W1) is honestly indeterminate at desk-scale truncation
         {"W1": {"converges", "unknown"}, "W2": {"converges"},

@@ -82,9 +82,6 @@ class RandomModulation:
         return (rng.standard_normal(kmax)
                 + 1j * rng.standard_normal(kmax)) / math.sqrt(2.0)
 
-    def describe(self) -> dict:
-        return {"law": self.law, "seed": self.seed}
-
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates
@@ -95,7 +92,6 @@ class MCEstimate:
     statistic: str
     per_sample: list
     seed: int
-    config: dict
     regime: str                    # "theorem" | "unchecked"
     admissibility_hashes: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
@@ -125,14 +121,10 @@ class MCEstimate:
             "mean": self.mean,
             "max": self.max,
             "moment2": self.moment(2.0),
-            "config_hash": canonical_hash(self.config),
             "regime": self.regime,
             "admissibility_hashes": list(self.admissibility_hashes),
             "extra": self.extra,
         }
-
-    def digest(self) -> str:
-        return canonical_hash(self.to_json())
 
 
 def _gate_regime(reports, no_regime_check: bool):
@@ -199,12 +191,8 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
                for r in one_group(range(y0, min(y0 + size, samples)))]
     per_sample = [r[0] for r in results]
     series_trace = [r[1] for r in results]
-    config = {"statistic": "sup-circle-ladder", "law": mod.describe(),
-              "G": G.label, "schedule": sched.describe(),
-              "ladder": ladder, "n_lambda": n_lambda, "samples": samples}
-    return MCEstimate("sup-circle-ladder", per_sample, mod.seed, config, regime,
-                      hashes, extra={"ladder": ladder,
-                                     "series_sup_trace": series_trace})
+    return MCEstimate("sup-circle-ladder", per_sample, mod.seed, regime, hashes,
+                      extra={"ladder": ladder, "series_sup_trace": series_trace})
 
 
 def random_sup_1rt1(mod: RandomModulation, G: WeightSeq, sched: Schedule,
@@ -303,13 +291,8 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
                for r in one_group(range(y0, min(y0 + size, samples)))]
     per_sample = [r[0] for r in results]
     gaps = [r[1] for r in results]
-    config = {"statistic": "hilbert-maximal-L2",
-              "law": mod.describe(),
-              "W": W.label, "schedule": sched.describe(),
-              "ladder": ladder, "samples": samples,
-              "space": C.space.describe()}
     est = MCEstimate("hilbert-maximal-L2", per_sample,
-                     getattr(mod, "seed", 0), config, regime, hashes,
+                     getattr(mod, "seed", 0), regime, hashes,
                      extra={"ladder": ladder, "cauchy_gaps": gaps})
     est.final_fields = [r[2] for r in results]
     return est

@@ -56,95 +56,66 @@ class ModulationSeq:
 
     kinds: constant c; rotation (a_k = lam^{n_k}, |lam| = 1); twist
     (a_k = k^{ir}); explicit list (used for random streams, one row per
-    sample when stacked as (S, n)); product of two modulations.
+    sample when stacked as (S, n)); product of two modulations.  Each
+    constructor builds the sequence's values function once; ``sup_bound``
+    bounds every |a_k|.
     """
 
-    def __init__(self, kind: str, *, c=None, lam=None, r=None, values=None,
-                 parts=None):
-        self.kind = kind
-        self.c = c
-        self.r = r
-        self.parts = parts
-        self._values = None if values is None else np.asarray(values, dtype=complex)
-        if kind == "constant":
-            self.sup_bound = abs(c)
-        elif kind == "rotation":
-            if abs(abs(lam) - 1.0) > 1e-12:
-                raise ValueError("rotation modulation needs |lam| = 1")
-            self.lam = lam / abs(lam)
-            self.angle = math.atan2(self.lam.imag, self.lam.real)
-            self.sup_bound = 1.0
-        elif kind == "twist":
-            self.sup_bound = 1.0
-        elif kind == "explicit":
-            self.sup_bound = float(np.abs(self._values).max(initial=0.0))
-        elif kind == "product":
-            self.sup_bound = parts[0].sup_bound * parts[1].sup_bound
-        else:
-            raise ValueError(f"unknown modulation kind {kind!r}")
+    def __init__(self, values, sup_bound: float):
+        self._at = values               # (ks, n_vals) -> a_k
+        self.sup_bound = sup_bound
 
     @classmethod
     def constant(cls, c) -> "ModulationSeq":
-        return cls("constant", c=complex(c))
+        c = complex(c)
+        return cls(lambda ks, n_vals: np.full(ks.shape, c, dtype=complex), abs(c))
 
     @classmethod
     def rotation(cls, lam) -> "ModulationSeq":
-        return cls("rotation", lam=complex(lam))
+        lam = complex(lam)
+        if abs(abs(lam) - 1.0) > 1e-12:
+            raise ValueError("rotation modulation needs |lam| = 1")
+        lam = lam / abs(lam)
+        angle = math.atan2(lam.imag, lam.real)
+
+        def at(ks, n_vals):
+            if n_vals is None:
+                raise ValueError("rotation modulation needs schedule values n_k")
+            return np.exp(1j * angle * np.asarray(n_vals, dtype=float))
+        return cls(at, 1.0)
 
     @classmethod
     def power_twist(cls, r: float) -> "ModulationSeq":
-        return cls("twist", r=float(r))
+        r = float(r)
+        return cls(lambda ks, n_vals: np.exp(1j * r * np.log(ks.astype(float))), 1.0)
 
     @classmethod
     def explicit(cls, values) -> "ModulationSeq":
-        return cls("explicit", values=values)
+        stored = np.asarray(values, dtype=complex)
 
-    def compose(self, other: "ModulationSeq") -> "ModulationSeq":
-        """Termwise product a_k * b_k."""
-        return ModulationSeq("product", parts=(self, other))
-
-    def is_zero(self) -> bool:
-        if self.kind == "constant":
-            return self.c == 0
-        if self.kind == "product":
-            return self.parts[0].is_zero() or self.parts[1].is_zero()
-        return self.sup_bound == 0.0
-
-    def values(self, ks, n_vals=None) -> np.ndarray:
-        """a_k for the given k indices; rotation kinds need the n_k values."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if self.kind == "constant":
-            return np.full(ks.shape, self.c, dtype=complex)
-        if self.kind == "rotation":
-            if n_vals is None:
-                raise ValueError("rotation modulation needs schedule values n_k")
-            return np.exp(1j * self.angle * np.asarray(n_vals, dtype=float))
-        if self.kind == "twist":
-            return np.exp(1j * self.r * np.log(ks.astype(float)))
-        if self.kind == "explicit":
-            if ks.max(initial=0) > self._values.shape[-1]:
+        def at(ks, n_vals):
+            if ks.max(initial=0) > stored.shape[-1]:
                 raise IndexError("explicit modulation is too short")
             lo = int(ks.flat[0]) if ks.size else 0
             if lo >= 1 and np.array_equal(ks, np.arange(lo, lo + ks.size)):
                 # a contiguous range, as ``_terms`` asks for, is a view of the
                 # stored rows, not a copy; no caller writes into it
-                return self._values[..., lo - 1:lo - 1 + ks.size]
-            return np.take(self._values, ks - 1, axis=-1)
-        left = self.parts[0].values(ks, n_vals)
-        right = self.parts[1].values(ks, n_vals)
-        return left * right
+                return stored[..., lo - 1:lo - 1 + ks.size]
+            return np.take(stored, ks - 1, axis=-1)
+        return cls(at, float(np.abs(stored).max(initial=0.0)))
 
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "bound": self.sup_bound}
-        if self.kind == "constant":
-            d["c"] = [self.c.real, self.c.imag]
-        elif self.kind == "rotation":
-            d["lam"] = [self.lam.real, self.lam.imag]
-        elif self.kind == "twist":
-            d["r"] = self.r
-        elif self.kind == "product":
-            d["parts"] = [p.describe() for p in self.parts]
-        return d
+    def compose(self, other: "ModulationSeq") -> "ModulationSeq":
+        """Termwise product a_k * b_k."""
+        def at(ks, n_vals):
+            return self._at(ks, n_vals) * other._at(ks, n_vals)
+        return ModulationSeq(at, self.sup_bound * other.sup_bound)
+
+    def is_zero(self) -> bool:
+        return self.sup_bound == 0.0
+
+    def values(self, ks, n_vals=None) -> np.ndarray:
+        """a_k for the given k indices; rotation kinds need the n_k values."""
+        return self._at(np.asarray(ks, dtype=np.int64), n_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +460,7 @@ class KMeasurement:
 
 
 def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
-              M_grid: int | None = None, allow_coarse: bool = False,
-              k_start: int | None = None) -> KMeasurement:
+              M_grid: int | None = None, allow_coarse: bool = False) -> KMeasurement:
     """Measured sup over n <= n_max and the lambda grid of |psi_n|/G_n.
 
     The sup runs over every n (not just a ladder) so downstream Abel-type
@@ -499,10 +469,9 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
     take the closed form of ``circle_column_sups``: K is the circle sup
     itself, at lam = 1, with no refinement.
     """
-    if k_start is None:
-        k_start = G.n0
+    k_start = G.n0
     M_grid = _grid_guard(M_grid, sched.value(n_max), allow_coarse)
-    g = G.prefix(n_max)[k_start - G.n0:]
+    g = G.prefix(n_max)
     if a.is_zero():
         return KMeasurement(0.0, k_start, 1 + 0j, M_grid, n_max)
     cols = np.arange(k_start, n_max + 1)
@@ -609,9 +578,10 @@ def twisted_bound_check(a: ModulationSeq, sched: Schedule, G: WeightSeq, K: floa
     for r in rs:
         twisted = a.compose(ModulationSeq.power_twist(r))
         lhs, _ = circle_column_sups(twisted, sched, n_max, n_lambda, cols, k_start)
+        rhss = abs(r) * K * twisted_weight(G, r, cols)
         per_r = 0.0
         for ci, nn in enumerate(cols):
-            rhs = abs(r) * K * twisted_weight(G, r, int(nn))
+            rhs = float(rhss[ci])
             ratio = float(lhs[ci] / rhs) if rhs > 0 else math.inf
             entries.append({"r": r, "n": int(nn), "lhs": float(lhs[ci]),
                             "rhs": rhs, "ratio": ratio})
@@ -678,7 +648,6 @@ class OpNormReport:
     gaps: list                   # [(j, n, gap, bound), ...] consecutive pairs
     all_pairs_ok: bool
     gaps_monotone: bool
-    entries: list = field(default_factory=list, repr=False)
 
 
 def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
@@ -752,7 +721,7 @@ def _opnorm_report(A: LinearOperator, n_ints, coefs, w, ladder,
     consecutive = [(e["j"], e["n"], e["gap"], e["bound"]) for e in entries
                    if (e["j"], e["n"]) in adjacent]
     gaps_mono = all(a2[2] <= a1[2] for a1, a2 in zip(consecutive, consecutive[1:]))
-    return OpNormReport(consecutive, all_ok, gaps_mono, entries)
+    return OpNormReport(consecutive, all_ok, gaps_mono)
 
 
 # ---------------------------------------------------------------------------

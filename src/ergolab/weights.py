@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import fsum
+from .accum import running_sums
 
 __all__ = [
     "WeightExpr",
@@ -700,12 +700,21 @@ class _Audit:
 # derived weights
 
 
-def twisted_weight(G: WeightSeq, r: float, n: int) -> float:
-    """G_{n,r} = G_n/|r| + sum_{k=n0}^{n-1} G_k/k (Abel-summation weight)."""
+def twisted_weight(G: WeightSeq, r: float, n):
+    """G_{n,r} = G_n/|r| + sum_{k=n0}^{n-1} G_k/k (Abel-summation weight), a
+    float for an integer n and an array for an array of them: every G_{n,r}
+    from one ``prefix`` to the largest n and one ``running_sums`` of G_k/k,
+    whose prefix sums are each bit-equal to their fsum."""
     if r == 0:
         raise ValueError("twist parameter r must be nonzero")
-    g = G.prefix(n)
-    return float(g[-1]) / abs(r) + fsum(g[:-1] / np.arange(G.n0, n, dtype=float))
+    ns = np.asarray(n, dtype=np.int64)
+    if ns.min() < G.n0:
+        raise IndexError(f"index {int(ns.min())} below start index n0={G.n0}")
+    top = int(ns.max())
+    g = G.prefix(top)
+    sums = np.array([0.0] + running_sums(g[:-1] / np.arange(G.n0, top, dtype=float)))
+    out = g[ns - G.n0] / abs(r) + sums[ns - G.n0]
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +724,11 @@ def twisted_weight(G: WeightSeq, r: float, n: int) -> float:
 def asymptotic_class(expr: WeightExpr, sched: Schedule) -> WeightExpr | None:
     """Power-log class of k -> expr(n_k), or None for numeric-only schedules.
 
-    power(r)/monomial(r): (a, b, c) -> (r*a, b, c), scale *= r^b; the floor
-    "+1" of power schedules and additive lnln corrections are dropped (they
-    do not move the convergence class; the numeric ratio audit guards this).
+    power(r)/monomial(r): (a, b, c) -> (r*a, b, c), scale *= r^b.  The floor
+    "+1" of power schedules and the additive ln r of lnln n_k are dropped:
+    n_k/k^r -> 1 gives ln n_k = r ln k + o(1) and lnln n_k = lnln k + ln r
+    + o(1), so expr(n_k) divided by the class tends to 1, and by limit
+    comparison a series of either converges exactly when the other does.
 
     superexp (n_k = k^k): ln n_k ~ k ln k and lnln n_k ~ ln k, giving the
     class  k^(a*k) * k^b * (ln k)^(b+c)  marked with superexp_coeff = a.

@@ -230,6 +230,26 @@ def test_random_thread_count_does_not_change_bytes(tmp_path):
     assert (run_dir / "estimate.json").read_bytes() == first
 
 
+def test_random_sup_dir_names_its_weight_and_schedule(tmp_path):
+    # --G and --schedule used to be left out of the config, so these three
+    # runs shared one dir and each overwrote the estimate before it
+    args = ["random", "--stat", "sup", "--ladder", "32,64", "--samples", "2",
+            "--n-lambda", "32"]
+    for extra in (("--G", "n"), ("--G", "n^2"), ("--G", "n^2", "--schedule", "power:2")):
+        assert _run(tmp_path, *args, *extra) == 0
+    estimates = {p.read_bytes() for p in tmp_path.glob("run-*/estimate.json")}
+    assert len(list(tmp_path.iterdir())) == len(estimates) == 3
+
+
+@pytest.mark.parametrize("stat", ["sup", "hilbert"])
+def test_random_estimate_config_hash_names_its_dir(tmp_path, stat):
+    assert _run(tmp_path, "random", "--stat", stat, "--ladder", "32,64",
+                "--samples", "2", "--n-lambda", "32") == 0
+    run_dir = _only_run_dir(tmp_path)
+    doc = json.loads((run_dir / "estimate.json").read_text())
+    assert run_dir.name == f"run-{doc['config_hash'][:16]}"
+
+
 def test_run_dir_is_config_keyed(tmp_path):
     a = run_dir_for(tmp_path, {"x": 1})
     b = run_dir_for(tmp_path, {"x": 2})
@@ -314,6 +334,28 @@ def test_hilbert_trace_with_markov_operator(tmp_path):
     # one row per index from the start index of the default W = n
     assert ns == list(range(WeightSeq.from_text("n").n0, 17))
     assert all(v > 0.0 for v in norms)
+
+
+def test_hilbert_trace_dirs_of_two_operators_at_one_path_differ(tmp_path):
+    # the dir used to be named by the --operator path, so the second trace
+    # replaced the first
+    op, out = tmp_path / "op.json", tmp_path / "out"
+    for shift in (0, 1):
+        P = np.roll(np.eye(8), shift, axis=0)
+        op.write_text(json.dumps({"kind": "markov", "matrix": P.tolist()}))
+        assert main(["hilbert", "--n-max", "16", "--operator", str(op),
+                     "--out", str(out)]) == 0
+    traces = {p.read_bytes() for p in out.glob("run-*/trace.csv")}
+    assert len(list(out.iterdir())) == len(traces) == 2
+
+
+def test_hilbert_trace_dir_of_one_operator_at_two_paths_is_one(tmp_path):
+    out = tmp_path / "out"
+    for name in ("a.json", "b.json"):
+        op = _markov_json(tmp_path / name)
+        assert main(["hilbert", "--n-max", "16", "--operator", op,
+                     "--out", str(out)]) == 0
+    _only_run_dir(out)
 
 
 def test_hilbert_rejects_operator_without_power_bound(tmp_path, capsys):

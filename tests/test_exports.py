@@ -5,7 +5,7 @@ name lives on for its unit tests alone.
 
 The guards match by name: a method counts as reached when its name is
 loaded anywhere outside its own definition, so they cannot see an unreached
-method whose name another class also uses (``describe``)."""
+method whose name another class also uses (``values``)."""
 
 import ast
 import collections
@@ -144,9 +144,9 @@ def test_operator_powers_are_read_only_through_blocks():
     assert callers == ["operators.py:LinearOperator.blocks"]
 
 
-def test_checks_do_not_read_the_prefix_memo():
+def test_admissibility_makes_no_prefix_call():
     """Every admissibility check is one chunked pass that evaluates and
-    audits its weights per chunk; the whole-range ``prefix`` memo serves
+    audits its weights per chunk; the whole-range ``prefix`` serves
     transforms, stochastics and the twisted weight only."""
     tree = ast.parse((PACKAGE_DIR / "admissibility.py").read_text())
     calls = [node.lineno for node in ast.walk(tree)

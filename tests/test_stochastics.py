@@ -82,12 +82,11 @@ def test_zero_law_and_bad_law():
 
 
 def test_mc_estimate_summaries():
-    est = MCEstimate("s", [1.0, 2.0, 3.0, 4.0], 0, {"a": 1}, "unchecked")
+    est = MCEstimate("s", [1.0, 2.0, 3.0, 4.0], 0, "unchecked")
     assert est.samples == 4
     assert est.mean == pytest.approx(2.5)
     assert est.max == 4.0
     assert est.moment(2.0) == pytest.approx(np.sqrt(30.0 / 4.0))
-    assert est.to_json()["config_hash"] == canonical_hash({"a": 1})
 
 
 def test_regime_gate_raises_on_divergent_precondition():
@@ -147,7 +146,8 @@ def test_sup_sample_groups_do_not_change_results(monkeypatch, law):
     n_terms = ladder[-1] - G.n0 + 1
 
     def run():
-        return random_sup_stat(mod, G, Schedule.power(2.0), ladder, 48, 7).digest()
+        return canonical_hash(random_sup_stat(mod, G, Schedule.power(2.0), ladder,
+                                              48, 7).to_json())
 
     base = run()
     for size in (1, 2, 3, 64):
@@ -266,7 +266,7 @@ def test_hilbert_block_size_does_not_change_results(monkeypatch):
     def random_run():
         est = random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(), W,
                              (5, 9, 30), samples=3, no_regime_check=True)
-        return est.digest(), [f.tolist() for f in est.final_fields]
+        return canonical_hash(est.to_json()), [f.tolist() for f in est.final_fields]
 
     def abel_run():
         pair = weighted_series(lambda k: VectorField(space, vals[k]), W, 40)
@@ -318,7 +318,7 @@ def test_hilbert_sample_groups_do_not_change_results(monkeypatch, law):
 
     def run():
         est = hilbert(mod, 7)
-        return est.digest(), [f.tobytes() for f in est.final_fields]
+        return canonical_hash(est.to_json()), [f.tobytes() for f in est.final_fields]
 
     base = run()
     for size in (1, 2, 3):

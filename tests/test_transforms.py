@@ -427,7 +427,8 @@ def test_measure_K_nonnegative_is_exact_without_refinement(monkeypatch):
     assert m.K == 1.0
     assert m.lam == 1
     assert m.n_at_max == 1
-    m = measure_K(ModulationSeq.constant(1.0), Schedule.identity(), G, 64, k_start=5)
+    m = measure_K(ModulationSeq.constant(1.0), Schedule.identity(),
+                  WeightSeq.from_text("n", n0=5), 64)
     # sum_{5<=k<=n} 1 / n peaks at n = 64
     assert (m.K, m.n_at_max, m.lam) == (60 / 64, 64, 1)
 

@@ -286,7 +286,7 @@ def test_weightseq_rejects_decreasing():
         W.prefix(20)
 
 
-def test_weightseq_prefix_memo_is_stable():
+def test_weightseq_prefix_does_not_depend_on_earlier_calls():
     W = WeightSeq.from_text("n^0.5", n0=1)
     a = W.prefix(100).copy()
     W.prefix(1000)
