@@ -92,6 +92,10 @@ def example_instance(ex_id: str, p: float = 2.0, beta: float = 0.5,
     fixed ``E7_ALPHA``."""
     if ex_id not in EXAMPLE_IDS:
         raise KeyError(f"unknown example {ex_id!r}; known: {EXAMPLE_IDS}")
+    for name, v in (("p", p), ("beta", beta), ("gamma", gamma), ("alpha", alpha),
+                    ("delta", delta), ("eps", eps)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if not p > 1.0:
         raise ValueError("p must exceed 1")
 

@@ -10,6 +10,7 @@ supported numerically through callable-backed sequences.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,8 +176,7 @@ class WeightExpr:
 
 
 def _fmt(x: float) -> str:
-    s = f"{x:.17g}"
-    return s
+    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -195,95 +195,46 @@ class WeightSyntaxError(ValueError):
         self.offset = offset
 
 
-_BASES = ("lnln(n)", "ln(n)", "n")  # longest first
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def accept(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def number(self, signed: bool) -> float:
-        self.skip_ws()
-        start = self.pos
-        i = self.pos
-        t = self.text
-        if signed and i < len(t) and t[i] in "+-":
-            i += 1
-        digits = 0
-        while i < len(t) and t[i] in "0123456789":
-            i += 1
-            digits += 1
-        if i < len(t) and t[i] == ".":
-            i += 1
-            while i < len(t) and t[i] in "0123456789":
-                i += 1
-                digits += 1
-        if digits == 0:
-            raise WeightSyntaxError("expected number", start)
-        if i < len(t) and t[i] in "eE":
-            j = i + 1
-            if j < len(t) and t[j] in "+-":
-                j += 1
-            edigits = 0
-            while j < len(t) and t[j] in "0123456789":
-                j += 1
-                edigits += 1
-            if edigits:
-                i = j
-        self.pos = i
-        return float(t[start:i])
+# One pattern reads a factor, its power and the separator after it; each part
+# is optional, so the first missing group names the fault.  [0-9] refuses
+# non-ASCII digits; \Z, unlike $, does not match before a final newline.
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_FACTOR = re.compile(rf"\s*(?:(?:(lnln\(n\)|ln\(n\)|n)|({_NUM}))"  # longest base first
+                     rf"\s*(?:(\^)\s*([+-]?{_NUM})?)?)?\s*(\*|\Z)?")
 
 
 def parse_weight(text: str) -> WeightExpr:
-    """Parse the weight grammar into a normalized :class:`WeightExpr`."""
-    sc = _Scanner(text)
-    scale = 1.0
-    exps = {"n": 0.0, "ln(n)": 0.0, "lnln(n)": 0.0}
+    """Parse the weight grammar into a normalized :class:`WeightExpr`; a
+    number or numeric factor outside the float range is a syntax error."""
+    def fail(message, pos):     # at the next non-space, as a UTF-8 offset
+        pos = len(text) - len(text[pos:].lstrip())
+        raise WeightSyntaxError(message, len(text[:pos].encode()))
 
-    def factor():
-        nonlocal scale
-        sc.skip_ws()
-        start = sc.pos
-        base = None
-        for cand in _BASES:
-            if sc.accept(cand):
-                base = cand
-                break
-        if base is None:
-            value = sc.number(signed=False)
-        exp = 1.0
-        if sc.accept("^"):
-            exp = sc.number(signed=True)
-        if base is None:
-            if value <= 0.0:
-                raise WeightSyntaxError("numeric factor must be positive", start)
-            scale *= value**exp
-        else:
+    scale, exps = 1.0, {"n": 0.0, "ln(n)": 0.0, "lnln(n)": 0.0}
+    pos, sep = 0, "*"
+    while sep:
+        m = _FACTOR.match(text, pos)
+        base, literal, caret, exponent, sep = m.groups()
+        if not (base or literal) or caret and not exponent:
+            fail("expected number", m.end(3) if caret else pos)
+        value, exp = float(literal or 1.0), float(exponent or 1.0)
+        if value <= 0.0:
+            fail("numeric factor must be positive", pos)
+        if not math.isfinite(exp):
+            fail("number outside the float range", m.start(4))
+        if base:
             exps[base] += exp
-
-    factor()
-    while True:
-        if sc.eof():
-            break
-        if not sc.accept("*"):
-            raise WeightSyntaxError("expected '*' or end of input", sc.pos)
-        factor()
+        else:
+            try:
+                factor = value**exp
+            except OverflowError:
+                factor = math.inf
+            if not (value < math.inf and 0.0 < factor < math.inf):
+                fail("numeric factor outside the float range", pos)
+            scale *= factor
+        if sep is None:
+            fail("expected '*' or end of input", m.end())
+        pos = m.end()
     return WeightExpr(scale, exps["n"], exps["ln(n)"], exps["lnln(n)"])
 
 

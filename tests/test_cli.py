@@ -99,6 +99,17 @@ def test_check_parse_error_returns_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("example, name, value", [
+    ("E1", "p", "inf"), ("E0", "beta", "inf"), ("E3", "alpha", "inf"),
+    ("E2", "gamma", "nan"), ("E1", "delta", "nan"), ("E4", "eps", "inf"),
+])
+def test_check_example_refuses_non_finite_parameter(tmp_path, capsys, example, name, value):
+    # refused before any weight text is formatted, so the error names the flag
+    assert _run(tmp_path, "check", "--example", example, f"--{name}", value) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+    assert list(tmp_path.glob("run-*")) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("random", "--stat", "sup", "--schedule", "explicit:1,2,3",
      "--ladder", "8,16", "--no-regime-check"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab.weights import (FLOAT_EXACT_CAP, INDEX_CAP, GapSeq, Schedule,
@@ -40,6 +40,7 @@ def test_parse_signed_exponent_and_scale_power():
 
 def test_parse_whitespace_tolerant():
     assert parse_weight("  n ^ 2  *  3 ") == parse_weight("3*n^2")
+    assert parse_weight(" \t n ^ -2 ") == WeightExpr(n_exp=-2.0)
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -52,6 +53,20 @@ def test_parse_whitespace_tolerant():
     ("-2", 0),            # unsigned position
     ("n^2*^3", 4),
     ("log(n)", 0),
+    ("n^1.2.3", 5),
+    ("1e*n", 1),          # an exponent needs digits, so the literal is "1"
+    ("n^- 2", 2),         # no space after the sign
+    ("2..5*n", 2),
+    ("nn", 1),
+    ("n^ 1 e5", 5),
+    ("n^\u00b2", 2),      # only ASCII digits
+    (".", 0),
+    ("\xa0n^x", 4),       # offsets count UTF-8 bytes
+    ("n^2 \u2003 n", 8),
+    ("10^400", 0),        # numbers and numeric factors outside the float range
+    ("1e400", 0),
+    ("2^-2000", 0),
+    ("n^1e400", 2),
 ])
 def test_parse_errors_are_positioned(text, offset):
     with pytest.raises(WeightSyntaxError) as exc:
@@ -79,6 +94,7 @@ def test_roundtrip_fuzzed(scale, a, b, c):
 
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=30))
+@example("10^400")
 def test_parser_never_crashes(text):
     try:
         parse_weight(text)
@@ -372,7 +388,8 @@ def _reference_n0(seq):
 
 
 @pytest.mark.parametrize("text, n0", [
-    ("n", 1), ("n^0.1", 1), ("ln(n)", 3), ("lnln(n)", 16), ("n^2", 1)])
+    ("n", 1), ("n^0.1", 1), ("ln(n)", 3), ("lnln(n)", 16), ("n^2", 1),
+    ("1.e5*n", 1), (".5*n", 2), ("5.*n", 1), ("n^+.5", 1)])
 def test_n0_search_can_start_below_3(text, n0):
     G = WeightSeq.from_text(text, search_from=1)
     assert G.n0 == n0
