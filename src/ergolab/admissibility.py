@@ -333,6 +333,8 @@ def check_weak_admissible(W: WeightSeq, G: WeightSeq, sched: Schedule,
                           xi: GapSeq, p: float, ladder=LADDER):
     """(W1)/(W2) reports for the pair (W, G) along the schedule, from one
     pass over k that evaluates G and W once at each chunk of n_k."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     if not p > 1.0:
         raise ValueError("weak admissibility requires p > 1")
     k_start = _schedule_start(sched, W, G)
@@ -445,6 +447,8 @@ def check_index_series(G: WeightSeq, W: WeightSeq, kinds, p: float = 1.0,
     """
     if not set(kinds) <= {"T21", "rrr", "full-W1"}:
         raise ValueError(f"unknown index series in {kinds}")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     n_start = max(G.n0, W.n0)
     n_end = _summation_end(ladder, n_start)
     series = {kind: _Series(n_start, n_end, ladder) for kind in kinds}

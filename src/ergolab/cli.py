@@ -278,13 +278,15 @@ def cmd_slln(args) -> int:
     return 0
 
 
-def cmd_hilbert(args) -> int:
-    config = {"command": "hilbert", "check": args.check, "p": args.p,
-              "seed": args.seed, "n_max": args.n_max, "G": args.G,
-              "W": args.W, "schedule": args.schedule, "lam": args.lam,
-              "ladder": args.ladder, "operator": args.operator}
+#: the flags each bound check reads, and so the only ones that name its run
+_CHECK_FLAGS = {"t41": ("ladder",), "t44": ("p", "seed", "ladder"),
+                "t8": ("seed", "ladder")}
 
+
+def cmd_hilbert(args) -> int:
     if args.check:
+        config = {"command": "hilbert", "check": args.check,
+                  **{flag: getattr(args, flag) for flag in _CHECK_FLAGS[args.check]}}
         kwargs = {}
         if args.ladder:
             kwargs["ladder"] = parse_ladder(args.ladder)
@@ -306,6 +308,10 @@ def cmd_hilbert(args) -> int:
         write_json(run_dir_for(args.out, config) / f"{args.check}.json", doc, config)
         return 0 if passed else 1
 
+    config = {"command": "hilbert", "check": None, "p": args.p,
+              "seed": args.seed, "n_max": args.n_max, "G": args.G,
+              "W": args.W, "schedule": args.schedule, "lam": args.lam,
+              "ladder": args.ladder, "operator": args.operator}
     # trace mode: one transform run; --G is validated, the transform uses W
     require_size("--n-max", args.n_max)
     WeightSeq.from_text(args.G or "n", n0=None)
@@ -334,8 +340,7 @@ def cmd_random(args) -> int:
         raise ValueError(f"grid size must be >= 1, got {args.n_lambda}")
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
-              "ladder": list(ladder), "n_lambda": args.n_lambda,
-              "G": args.G, "schedule": args.schedule,
+              "ladder": list(ladder),
               # --threads changes nothing; the key stays so that run-dir
               # hashes do not move
               "threads": None,
@@ -343,6 +348,7 @@ def cmd_random(args) -> int:
     mod = RandomModulation(args.law, args.seed)
 
     if args.stat == "sup":
+        config.update(n_lambda=args.n_lambda, G=args.G, schedule=args.schedule)
         # a weight from 1 starts there, as random always has; a later one
         # starts at its own n0
         G = WeightSeq.from_text(args.G or "n", search_from=1)

@@ -158,8 +158,8 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     The samples run in ordered groups of max(1, _GROUP_TERMS // n) for n
     terms: one ``circle_column_sups`` over a group's stacked draws and
     normalized series gives every row the sups it would have alone, bit for
-    bit, and the schedule, residues and hit residues are found once per
-    group.
+    bit.  The schedule is read once per run; the residues and hit residues
+    are found once per group.
 
     ``regime_reports`` are the summed precondition reports that
     ``_gate_regime`` labels the run by; without them the run is "unchecked".
@@ -173,6 +173,7 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
     g = G.prefix(n_max)
     cols = np.asarray(ladder, dtype=np.int64)
     g_at = g[cols - k_start]
+    n_ints = sched.values(n_max)[k_start - 1:]
 
     def one_group(ys):
         # the first len(ys) rows are the samples' draws f_k, the others their
@@ -181,8 +182,8 @@ def random_sup_stat(mod: RandomModulation, G: WeightSeq, sched: Schedule,
         for row, y in zip(rows, ys):
             row[:] = mod.draws(y, n_max)
         np.divide(rows[:len(ys), k_start - 1:], g, out=rows[len(ys):, k_start - 1:])
-        sups, _ = circle_column_sups(ModulationSeq.explicit(rows), sched, n_max,
-                                     n_lambda, cols, k_start)
+        sups = circle_column_sups(rows[:, k_start - 1:], n_ints, n_lambda, cols,
+                                  k_start)[0]
         return [(float((s / g_at).max(initial=0.0)), list(map(float, t)))
                 for s, t in zip(sups[:len(ys)], sups[len(ys):])]
 

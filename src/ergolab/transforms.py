@@ -55,8 +55,8 @@ class ModulationSeq:
     """Bounded coefficient sequence {a_k}.
 
     kinds: constant c; rotation (a_k = lam^{n_k}, |lam| = 1); twist
-    (a_k = k^{ir}); explicit list (used for random streams, one row per
-    sample when stacked as (S, n)); product of two modulations.  Each
+    (a_k = k^{ir}); explicit list (any bounded a_k, one row per sample when
+    stacked as (S, n)); product of two modulations.  Each
     constructor builds the sequence's values function once; ``sup_bound``
     bounds every |a_k|.
     """
@@ -96,11 +96,6 @@ class ModulationSeq:
         def at(ks, n_vals):
             if ks.max(initial=0) > stored.shape[-1]:
                 raise IndexError("explicit modulation is too short")
-            lo = int(ks.flat[0]) if ks.size else 0
-            if lo >= 1 and np.array_equal(ks, np.arange(lo, lo + ks.size)):
-                # a contiguous range, as ``_terms`` asks for, is a view of the
-                # stored rows, not a copy; no caller writes into it
-                return stored[..., lo - 1:lo - 1 + ks.size]
             return np.take(stored, ks - 1, axis=-1)
         return cls(at, float(np.abs(stored).max(initial=0.0)))
 
@@ -173,15 +168,7 @@ class TransformTrace:
             writer = csv.writer(fh)
             writer.writerow(present)
             for row in self.rows:
-                writer.writerow([_csv_cell(row.get(c)) for c in present])
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
+                writer.writerow([row.get(c) for c in present])
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +238,16 @@ def weighted_series(fseq, W: WeightSeq, n: int):
 
 
 def _terms(a: ModulationSeq, sched: Schedule, n: int, k_start: int):
-    """(n_k, a_k) for k = k_start..n: the exact int64 indices and the
-    coefficients evaluated at them, the one source of both for every series."""
+    """(a_k, n_k) for k = k_start..n: the coefficients and the exact int64
+    indices they are evaluated at, the one source of both for every series."""
     n_ints = sched.values(n)[k_start - 1:]
     ks = np.arange(k_start, n + 1, dtype=np.int64)
-    return n_ints, a.values(ks, n_ints.astype(float))
+    return a.values(ks, n_ints.astype(float)), n_ints
 
 
-def modulated_poly(a: ModulationSeq, sched: Schedule, n: int, lam: complex,
-                   k_start: int = 1) -> complex:
-    """psi_n(lam) = sum_{k<=n} a_k lam^{n_k}; real and imaginary parts fsum'd."""
-    if a.is_zero() or n < k_start:
-        return 0j
-    n_ints, coefs = _terms(a, sched, n, k_start)
+def modulated_poly(coefs, n_ints, lam: complex) -> complex:
+    """psi(lam) = sum_k c_k lam^{n_k} over the terms of ``_terms``' arrays
+    (or any slice of them); real and imaginary parts fsum'd."""
     ang = math.atan2(complex(lam).imag, complex(lam).real)
     terms = coefs * np.exp(1j * ang * n_ints.astype(float))
     return complex(fsum(terms.real), fsum(terms.imag))
@@ -347,40 +331,36 @@ def circle_prefix_rows(coefs, residues, M: int, cols, k_start: int = 1):
         lo = hi + 1
 
 
-def circle_column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
-                       k_start: int = 1):
-    """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, and the
-    lowest j attaining it, for each m in the nondecreasing ``cols``.
+def circle_column_sups(coefs, n_ints, M: int, cols, k_start: int = 1):
+    """max_j |psi_m(omega^j)| over the M-th roots of unity omega^j, the
+    lowest j attaining it, for each m in the nondecreasing ``cols``, and
+    whether those sups are the exact closed form rather than grid values.
 
-    When every c_k is finite, real and >= 0, the triangle inequality gives
+    ``coefs`` and ``n_ints`` are what ``_terms`` returns for k = k_start..n:
+    the coefficients c_k, with any leading sample axis (S, K) giving
+    (S, len(cols)) sups and (S,) flags, and the exact int64 n_k.  When every
+    c_k of a row is finite, real and >= 0, the triangle inequality gives
     |psi_m(lam)| <= psi_m(1) on the whole circle, so the sup of column m is
     the running sum sum_{k_start<=k<=m} c_k (``accum.running_sums``, exactly
     rounded), attained first at j = 0, and no row is evaluated.  Any other
-    coefficients (signed, complex, nan or infinite) take the rows of
-    ``circle_prefix_rows`` at the residues n_k mod M.  An explicit
-    modulation of stacked rows (S, n) gives (S, len(cols)) sups, each row
-    its own closed form or grid rows; the grid rows go to the kernel in
-    stacks of at most max(1, 2^18 // M) rows, one call per stack.
+    row (signed, complex, nan or infinite) takes the rows of
+    ``circle_prefix_rows`` at the residues n_k mod M, in stacks of at most
+    max(1, 2^18 // M) rows, one call per stack.  A real ``coefs`` gives half
+    rows j = 0..M//2: the max is the same and so is the lowest maximizing j,
+    since |psi(omega^j)| = |psi(omega^{M-j})|.
     """
-    return _column_sups(a, sched, n, M, cols, k_start)[:2]
-
-
-def _column_sups(a: ModulationSeq, sched: Schedule, n: int, M: int, cols,
-                 k_start: int):
-    """circle_column_sups, plus whether the sups of each row are the exact
-    circle sups of the closed form rather than grid values."""
     if M < 1:
         raise ValueError(f"grid size must be >= 1, got {M}")
+    coefs = np.asarray(coefs)
+    lead, n = coefs.shape[:-1], k_start + len(n_ints) - 1
+    if coefs.shape[-1] != len(n_ints):
+        raise ValueError(f"{coefs.shape[-1]} coefficients for {len(n_ints)} indices n_k")
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:
-        # the coefficients of no terms (cols is empty) keep only the sample axis
-        lead = a.values(cols, cols).shape[:-1]
         return (np.zeros(lead + (0,)), np.zeros(lead + (0,), dtype=np.int64),
                 np.zeros(lead, dtype=bool))
     if cols[0] < k_start or cols[-1] > n or np.any(np.diff(cols) < 0):
         raise ValueError(f"columns must be nondecreasing within [{k_start}, {n}]")
-    n_ints, coefs = _terms(a, sched, n, k_start)
-    lead = coefs.shape[:-1]
     coefs = coefs.reshape(-1, coefs.shape[-1])
     c = coefs.real
     # real, finite and >= 0 per row: a nan real part makes min() nan and a
@@ -424,13 +404,12 @@ def _grid_guard(M_grid: int | None, degree: int, allow_coarse: bool) -> int:
     return M_grid
 
 
-def _refine(a: ModulationSeq, sched: Schedule, n: int, M_grid: int, j: int,
-            k_start: int):
-    """Golden-section maximization of |psi_n| on the grid cells next to
-    omega^j, to a bracket of width 1e-12; returns (value, its angle, the
-    angle of omega^j)."""
+def _refine(coefs, n_ints, M_grid: int, j: int):
+    """Golden-section maximization of |psi_n| = |sum_k c_k lam^{n_k}| over
+    the given terms on the grid cells next to omega^j, to a bracket of width
+    1e-12; returns (value, its angle, the angle of omega^j)."""
     def mod(theta):
-        return abs(modulated_poly(a, sched, n, np.exp(1j * theta), k_start))
+        return abs(modulated_poly(coefs, n_ints, np.exp(1j * theta)))
 
     theta_j = 2.0 * np.pi * j / M_grid
     h = 2.0 * np.pi / M_grid
@@ -467,7 +446,8 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
     bounds can rely on |psi_k| <= K G_k for all k.  Exact grid ties go to
     the lowest grid index, then to the lowest n.  Nonnegative coefficients
     take the closed form of ``circle_column_sups``: K is the circle sup
-    itself, at lam = 1, with no refinement.
+    itself, at lam = 1, with no refinement.  The series is evaluated once,
+    and the refinement reads the first terms of its arrays.
     """
     k_start = G.n0
     M_grid = _grid_guard(M_grid, sched.value(n_max), allow_coarse)
@@ -475,15 +455,18 @@ def measure_K(a: ModulationSeq, sched: Schedule, G: WeightSeq, n_max: int,
     if a.is_zero():
         return KMeasurement(0.0, k_start, 1 + 0j, M_grid, n_max)
     cols = np.arange(k_start, n_max + 1)
-    sups, argj, exact = _column_sups(a, sched, n_max, M_grid, cols, k_start)
-    ratios = sups / g
+    coefs, n_ints = _terms(a, sched, n_max, k_start)
+    ratios, argj, exact = circle_column_sups(coefs, n_ints, M_grid, cols, k_start)
+    ratios /= g
     K_grid = float(ratios.max())
     tied = np.flatnonzero(ratios == K_grid)
     ni = int(tied[np.argmin(argj[tied])])
     n_star = int(cols[ni])
     if exact:
         return KMeasurement(K_grid, n_star, 1 + 0j, M_grid, n_max)
-    value, theta_x, theta_j = _refine(a, sched, n_star, M_grid, int(argj[ni]), k_start)
+    # psi_{n_star} is the series' first ni + 1 terms
+    value, theta_x, theta_j = _refine(coefs[:ni + 1], n_ints[:ni + 1], M_grid,
+                                      int(argj[ni]))
     K = max(K_grid, value / g[ni])
     theta = theta_x if value / g[ni] >= K_grid else theta_j
     return KMeasurement(K, n_star, complex(np.exp(1j * theta)), M_grid, n_max)
@@ -506,7 +489,7 @@ def hilbert_partial(a: ModulationSeq, T: LinearOperator, sched: Schedule,
     k_start = W.n0
     if n < k_start:
         raise ValueError(f"n={n} is below the start index {k_start}")
-    n_ints, coeffs = _terms(a, sched, n, k_start)
+    coeffs, n_ints = _terms(a, sched, n, k_start)
     coeffs = coeffs / W.prefix(n)
     for i0, S in series_rows(T.blocks(n_ints, f), coeffs):
         if trace is not None:
@@ -577,7 +560,8 @@ def twisted_bound_check(a: ModulationSeq, sched: Schedule, G: WeightSeq, K: floa
     worst = {}
     for r in rs:
         twisted = a.compose(ModulationSeq.power_twist(r))
-        lhs, _ = circle_column_sups(twisted, sched, n_max, n_lambda, cols, k_start)
+        lhs = circle_column_sups(*_terms(twisted, sched, n_max, k_start), n_lambda,
+                                 cols, k_start)[0]
         rhss = abs(r) * K * twisted_weight(G, r, cols)
         per_r = 0.0
         for ci, nn in enumerate(cols):
@@ -616,7 +600,7 @@ def interpolation_bound_check(a: ModulationSeq, T: LinearOperator, sched: Schedu
     k_start = G.n0
     rows = np.asarray(ladder_rows(n_ladder, k_start)) - k_start
     n_max = k_start + int(rows[-1])
-    n_ints, coefs = _terms(a, sched, n_max, k_start)
+    coefs, n_ints = _terms(a, sched, n_max, k_start)
     g_vals = G.prefix(n_max)
     fields = list(fields)
     sums = [series_rows(map(T.act, powers, itertools.repeat(f)), coefs) for f, powers
@@ -681,7 +665,7 @@ def opnorm_series(a: ModulationSeq, ops, sched: Schedule,
         pieces.add(i - k_start, terms, (terms.min(), terms.max()))
     del terms                   # not held through the operator powers below
 
-    n_ints, coefs = _terms(a, sched, n_max, k_start)
+    coefs, n_ints = _terms(a, sched, n_max, k_start)
     w = W.prefix(n_max)[k_start - W.n0:]
 
     cls = _t21_class(G, W)

@@ -410,25 +410,64 @@ def test_hilbert_skew_operator_on_fast_schedules(tmp_path, argv):
                  "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("desc", [
-    {"kind": "koopman", "theta": 0.25},
-    {"kind": "skew", "pi": [1, 0], "fibers": [[[1.0]], [[1.0]]]},
-    [{"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 8}}],
-    {"kind": "koopman", "theta": "0.25", "space": {"kind": "circle", "M": 8}},
-    {"kind": "koopman", "theta": 0.25, "space": {"kind": "circle", "M": 10**12}},
-    {"kind": "matrix", "matrix": [[0.5, 0.0], [0.0, float("nan")]]},
-    {"kind": "skew", "space": {"kind": "finite", "m": 2}, "pi": [1, 0],
-     "fibers": [[[0.5]], [[float("inf")]]]},
-    _NAN_FIBER_SKEW,
-], ids=["koopman-no-space", "skew-no-space", "top-level-list", "string-theta",
-        "huge-space", "nan-matrix", "inf-skew-fiber", "nan-skew-fiber"])
-def test_hilbert_malformed_operator_json_exits_2(tmp_path, capsys, desc):
+_FINITE_2 = {"kind": "finite", "m": 2}
+
+#: malformed operator descriptions and the start of the message each is refused with
+_OPERATOR_REFUSALS = {
+    "koopman-no-space": ({"kind": "koopman", "theta": 0.25},
+                         "koopman operators need a space"),
+    "skew-no-space": ({"kind": "skew", "pi": [1, 0], "fibers": [[[1.0]], [[1.0]]]},
+                      "skew operators need a space"),
+    "top-level-list": ([{"kind": "koopman", "theta": 0.25,
+                         "space": {"kind": "circle", "M": 8}}],
+                       "an operator description must be a JSON object"),
+    "string-theta": ({"kind": "koopman", "theta": "0.25",
+                      "space": {"kind": "circle", "M": 8}},
+                     "theta must be a finite number, got '0.25'"),
+    "huge-space": ({"kind": "koopman", "theta": 0.25,
+                    "space": {"kind": "circle", "M": 10**12}},
+                   "space size must be an integer in [1, "),
+    "nan-matrix": ({"kind": "matrix", "matrix": [[0.5, 0.0], [0.0, float("nan")]]},
+                   "matrix entries must be finite"),
+    "inf-skew-fiber": ({"kind": "skew", "space": _FINITE_2, "pi": [1, 0],
+                        "fibers": [[[0.5]], [[float("inf")]]]},
+                       "matrix entries must be finite"),
+    "nan-skew-fiber": (_NAN_FIBER_SKEW, "matrix entries must be finite"),
+    "non-square-matrix": ({"kind": "matrix", "matrix": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]},
+                          "square matrix required"),
+    "non-numeric-matrix": ({"kind": "matrix", "matrix": [["a", "b"], ["c", "d"]]},
+                           "matrix entries must be numbers"),
+    "pi-not-a-list": ({"kind": "koopman", "space": _FINITE_2, "pi": 1},
+                      "pi must be a list of atom indices"),
+    "pi-not-a-permutation": ({"kind": "koopman", "space": {"kind": "finite", "m": 3},
+                              "pi": [0, 0, 1]},
+                             "pi must be a permutation of 0..m-1"),
+    "doubling-on-finite": ({"kind": "koopman", "space": {"kind": "finite", "m": 4},
+                            "map": "doubling"},
+                           "doubling needs a circle grid"),
+    "doubling-on-6-points": ({"kind": "koopman", "space": {"kind": "circle", "M": 6},
+                              "map": "doubling"},
+                             "doubling grid size must be a power of two"),
+    "circle-of-one-point": ({"kind": "koopman", "space": {"kind": "circle", "M": 1},
+                             "theta": 0.0},
+                            "circle grid needs M >= 2"),
+    "fibers-not-a-list": ({"kind": "skew", "space": _FINITE_2, "pi": [1, 0], "fibers": 1.0},
+                          "fibers must be a list of matrices"),
+    "fibers-wrong-shape": ({"kind": "skew", "space": _FINITE_2, "pi": [1, 0],
+                            "fibers": [[[1.0]], [[1.0]], [[1.0]]]},
+                           "fibers must be (space.size, d, d)"),
+}
+
+
+@pytest.mark.parametrize("desc, message", _OPERATOR_REFUSALS.values(),
+                         ids=_OPERATOR_REFUSALS.keys())
+def test_hilbert_malformed_operator_json_exits_2(tmp_path, capsys, desc, message):
     op = tmp_path / "op.json"
     op.write_text(json.dumps(desc))
     assert main(["hilbert", "--n-max", "4", "--operator", str(op),
                  "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err and out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -579,6 +618,48 @@ def test_check_unknown_expectation_exits_2_before_any_check(tmp_path, capsys, ex
     out, err = capsys.readouterr()
     assert err.startswith("error: unknown expectation") and out == ""
     assert list(tmp_path.glob("run-*")) == []
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_check_non_finite_p_is_refused_by_name(tmp_path, capsys, value):
+    # refused before any class arithmetic, so the error names the flag and
+    # not an expression the user never typed
+    assert _run(tmp_path, "check", "--G", "n^0.5", "--W", "n", f"--p={value}") == 2
+    assert capsys.readouterr().err == f"error: p must be finite, got {value}\n"
+    assert list(tmp_path.glob("run-*")) == []
+
+
+def test_check_failed_registry_expectation_exits_1(tmp_path, capsys, monkeypatch):
+    # E1's W3 converges; an instance that expects it to diverge fails the run
+    # after its reports are written
+    inst = example_instance("E1")
+    inst.expected = {**inst.expected, "W3": {"diverges"}}
+    monkeypatch.setattr(cli, "example_instance", lambda ex_id, **kwargs: inst)
+    assert _run(tmp_path, "check", "--example", "E1", "--ladder", "100,1000") == 1
+    out = capsys.readouterr().out
+    assert "W3: converges" in out
+    assert "registry expectations for E1: FAILED\n" in out
+    assert len(list(tmp_path.glob("run-*/W3.json"))) == 1
+
+
+@pytest.mark.parametrize("argv, ignored, read", [
+    (("hilbert", "--check", "t41", "--ladder", "32,64"),
+     [("--p", "1.25"), ("--seed", "3"), ("--G", "n^2")], ("--ladder", "32,128")),
+    (("hilbert", "--check", "t44", "--ladder", "16,32"),
+     [("--G", "n^2"), ("--lam", "0.3"), ("--operator", "nowhere.json")], ("--seed", "1")),
+    (("hilbert", "--check", "t8", "--ladder", "32,64"),
+     [("--p", "1.25"), ("--schedule", "power:2")], ("--seed", "1")),
+    (("random", "--stat", "hilbert", "--ladder", "16,32", "--samples", "2"),
+     [("--G", "n^2"), ("--schedule", "power:2"), ("--n-lambda", "32")], ("--seed", "1")),
+], ids=["t41", "t44", "t8", "random-hilbert"])
+def test_runs_are_named_by_the_flags_they_read(tmp_path, argv, ignored, read):
+    # a flag the mode ignores leaves the run dir where it was; a flag it
+    # reads names a new one
+    for extra in [(), *ignored]:
+        assert _run(tmp_path, *argv, *extra) == 0
+    assert len(list(tmp_path.glob("run-*"))) == 1
+    assert _run(tmp_path, *argv, *read) == 0
+    assert len(list(tmp_path.glob("run-*"))) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -155,6 +155,18 @@ def test_sup_sample_groups_do_not_change_results(monkeypatch, law):
         assert run() == base, f"results moved at groups of {size}"
 
 
+def test_sup_stat_reads_the_schedule_once(monkeypatch):
+    # 64 default samples run in 16 groups of 4; the n_k are read once per run
+    values = Schedule.values
+    calls = []
+    monkeypatch.setattr(Schedule, "values",
+                        lambda self, *args: calls.append(args) or values(self, *args))
+    random_sup_stat(RandomModulation("rademacher", seed=0),
+                    WeightSeq.from_text("n", search_from=1), Schedule.identity(),
+                    tuple(2**j for j in range(8, 13)), 64, 64)
+    assert calls == [(4096,)]
+
+
 def test_sup_sample_groups_bound_peak_memory():
     # 1.25 MiB at the default groups of 4 samples, 0.55 MiB one sample at a
     # time and 25.8 MiB with all 64 samples in one stack

@@ -37,6 +37,9 @@ def test_modulation_values():
     prod = rot.compose(ModulationSeq.constant(3.0))
     assert prod.sup_bound == 3.0
     assert np.allclose(prod.values(ks, ks.astype(float)), 3.0 * lam**ks)
+    rows = np.arange(30.0).reshape(3, 10) + 1j
+    picked = np.array([3, 5, 4, 9])
+    assert np.array_equal(ModulationSeq.explicit(rows).values(picked), rows[:, picked - 1])
 
 
 def test_modulation_rejects_non_unimodular_rotation():
@@ -123,22 +126,35 @@ def test_abel_identity_small():
 # modulated polynomials and circle suprema
 
 
+def _psi(a, sched, n, lam, k_start=1):
+    """psi_n(lam) of the modulation's series, from the arrays of ``_terms``."""
+    return modulated_poly(*transforms._terms(a, sched, n, k_start), lam)
+
+
 def test_modulated_poly_oracles():
     ident = Schedule.identity()
     ones = ModulationSeq.constant(1.0)
-    assert modulated_poly(ones, ident, 17, 1.0 + 0j) == pytest.approx(17.0)
+    assert _psi(ones, ident, 17, 1.0 + 0j) == pytest.approx(17.0)
     w = np.exp(2j * np.pi / 3.0)
-    assert abs(modulated_poly(ones, ident, 3, w)) == pytest.approx(0.0, abs=1e-14)
+    assert abs(_psi(ones, ident, 3, w)) == pytest.approx(0.0, abs=1e-14)
     alt = ModulationSeq.explicit([(-1.0) ** k for k in range(1, 6)])
-    assert modulated_poly(alt, ident, 5, -1.0 + 0j) == pytest.approx(5.0)
+    assert _psi(alt, ident, 5, -1.0 + 0j) == pytest.approx(5.0)
+    # lam - lam^3 at lam = i
+    assert modulated_poly(np.array([1.0, -1.0]), np.array([1, 3]), 1j) == pytest.approx(2j)
 
 
 def _dense_column_mags(a, sched, M, cols, k_start=1):
     """|psi_m(omega^j)| for each m in cols and every j, one fsum per point."""
     return np.asarray([
-        [abs(modulated_poly(a, sched, m, np.exp(2j * np.pi * j / M), k_start))
+        [abs(_psi(a, sched, m, np.exp(2j * np.pi * j / M), k_start))
          for j in range(M)]
         for m in cols])
+
+
+def _sups(a, sched, n, M, cols, k_start=1):
+    """circle_column_sups of the modulation's series, fed as its callers feed
+    it: the arrays of ``_terms``."""
+    return circle_column_sups(*transforms._terms(a, sched, n, k_start), M, cols, k_start)
 
 
 def _random_coefs(n, seed):
@@ -158,7 +174,7 @@ def _random_coefs(n, seed):
 def test_circle_column_sups_match_dense_fsum(sched, n, M, k_start):
     a = ModulationSeq.explicit(_random_coefs(n, seed=n + M))
     cols = sorted({k_start, (k_start + n) // 2, n - 1, n})
-    sups, argj = circle_column_sups(a, sched, n, M, cols, k_start)
+    sups, argj, _ = _sups(a, sched, n, M, cols, k_start)
     mags = _dense_column_mags(a, sched, M, cols, k_start)
     ref = mags.max(axis=1)
     assert np.allclose(sups, ref, rtol=1e-12, atol=0.0)
@@ -176,8 +192,7 @@ def test_circle_column_sups_many_blocks_carry_prefix(sched):
     # M = 2^16 gives blocks of 4 columns; every prefix must carry across
     coefs = _random_coefs(11, seed=7)
     M = 1 << 16
-    sups, _ = circle_column_sups(ModulationSeq.explicit(coefs), sched, 11, M,
-                                 range(1, 12))
+    sups = _sups(ModulationSeq.explicit(coefs), sched, 11, M, range(1, 12))[0]
     for m in (1, 4, 5, 9, 11):
         # exact residues keep this dense reference exact in the phase
         phases = np.exp(2j * np.pi * np.outer(np.arange(M), sched.values(m) % M) / M)
@@ -187,7 +202,7 @@ def test_circle_column_sups_many_blocks_carry_prefix(sched):
 def test_circle_column_sups_ties_take_lowest_index():
     # psi(lam) = lam - lam^3 on the 4th roots of unity is 0, 2, 0, 2
     a = ModulationSeq.explicit([1.0, -1.0])
-    sups, argj = circle_column_sups(a, Schedule.explicit([1, 3]), 2, 4, [1, 2])
+    sups, argj, _ = _sups(a, Schedule.explicit([1, 3]), 2, 4, [1, 2])
     assert sups.tolist() == [1.0, 2.0]
     assert argj.tolist() == [0, 1]
 
@@ -196,7 +211,7 @@ def test_measure_K_tie_prefers_lowest_grid_index_then_n():
     # |psi_2| and |psi_3| both peak at exactly 5: at j = 2 and at j = 1
     a = ModulationSeq.explicit([2 - 2j, -1 + 2j, 1 + 1j])
     sched = Schedule.explicit([3, 6, 7])
-    sups, argj = circle_column_sups(a, sched, 3, 4, [1, 2, 3])
+    sups, argj, _ = _sups(a, sched, 3, 4, [1, 2, 3])
     assert sups[1] == sups[2] == 5.0
     assert argj.tolist() == [0, 2, 1]
     G = WeightSeq.from_callable(lambda n: np.ones_like(np.asarray(n, float)),
@@ -209,50 +224,38 @@ def test_measure_K_tie_prefers_lowest_grid_index_then_n():
 def test_circle_column_sups_rejects_bad_input():
     a = ModulationSeq.constant(1.0)
     with pytest.raises(ValueError):
-        circle_column_sups(a, Schedule.explicit([1, 2, 3]), 16, 64, [8, 16])
+        _sups(a, Schedule.explicit([1, 2, 3]), 16, 64, [8, 16])
     with pytest.raises(ValueError):
-        circle_column_sups(a, Schedule.superexp(), 40, 64, [40])
+        _sups(a, Schedule.superexp(), 40, 64, [40])
     with pytest.raises(ValueError):
-        circle_column_sups(a, Schedule.identity(), 16, 64, [16, 8])
+        _sups(a, Schedule.identity(), 16, 64, [16, 8])
     with pytest.raises(ValueError):
-        circle_column_sups(a, Schedule.identity(), 16, 0, [16])
-    sups, argj = circle_column_sups(a, Schedule.identity(), 16, 64, [])
+        _sups(a, Schedule.identity(), 16, 0, [16])
+    with pytest.raises(ValueError, match="15 coefficients for 16 indices n_k"):
+        circle_column_sups(np.ones(15), np.arange(1, 17), 64, [16])
+    sups, argj, _ = _sups(a, Schedule.identity(), 16, 64, [])
     assert sups.size == 0 and argj.size == 0
-
-
-def test_explicit_values_slice_a_contiguous_range():
-    # the contiguous range k_start..n that _terms asks for is a view of the
-    # stored rows; any other index set is np.take's copy
-    rows = np.arange(30.0).reshape(3, 10) + 1j
-    for values in (rows, rows[1]):
-        a = ModulationSeq.explicit(values)
-        view = a.values(np.arange(3, 9))
-        assert np.shares_memory(view, values)
-        assert np.array_equal(view, values[..., 2:8])
-        ks = np.array([3, 5, 4, 9])
-        assert np.array_equal(a.values(ks), np.take(values, ks - 1, axis=-1))
-        assert not np.shares_memory(a.values(ks), values)
 
 
 @pytest.mark.parametrize("closed_row", [False, True])
 def test_circle_column_sups_leave_the_stored_rows_unchanged(closed_row):
-    # the kernel reads the explicit rows through a view, as one stack or, with
-    # a closed-form row among them, through a copy of the grid rows; it
-    # writes into none
+    # the kernel reads the rows as given (a view of k = 5..80 here), as one
+    # stack or, with a closed-form row among them, through a copy of the grid
+    # rows; it writes into none
     rng = np.random.Generator(np.random.Philox(key=29))
     rows = rng.standard_normal((4, 80)) + 1j * rng.standard_normal((4, 80))
     if closed_row:
         rows[1] = np.abs(rows[1])
     kept = rows.copy()
-    circle_column_sups(ModulationSeq.explicit(rows), Schedule.power(2.0), 80, 64,
+    circle_column_sups(rows[:, 4:], Schedule.power(2.0).values(80)[4:], 64,
                        [5, 40, 80], 5)
     assert rows.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_empty_columns_keep_the_sample_axis(lead):
-    a = ModulationSeq.explicit(np.ones(lead + (16,), dtype=complex))
-    sups, argj, closed = transforms._column_sups(a, Schedule.identity(), 16, 8, [], 1)
+    sups, argj, closed = circle_column_sups(np.ones(lead + (16,), dtype=complex),
+                                            np.arange(1, 17), 8, [], 1)
     assert sups.shape == argj.shape == lead + (0,) and closed.shape == lead
     assert argj.dtype == np.int64 and closed.dtype == bool
 
@@ -265,12 +268,44 @@ def test_circle_column_sups_find_the_schedule_reach_once(monkeypatch):
                         lambda self, k: calls.append(k) or value(self, k))
     sched = Schedule.identity()
     a = ModulationSeq.explicit(np.exp(2j * np.pi * 0.3 * np.arange(1, 65) ** 2))
-    first = circle_column_sups(a, sched, 64, 16, [32, 64])
+    first = _sups(a, sched, 64, 16, [32, 64])
     searched = len(calls)
     for _ in range(3):
-        again = circle_column_sups(a, sched, 64, 16, [32, 64])
+        again = _sups(a, sched, 64, 16, [32, 64])
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
     assert searched > 0 and len(calls) == searched
+
+
+def test_measure_K_evaluates_the_series_once(monkeypatch):
+    # the grid sups and every golden-section step of the refinement read one
+    # evaluation of the schedule and the modulation
+    values = Schedule.values
+    calls = []
+    monkeypatch.setattr(Schedule, "values",
+                        lambda self, *args: calls.append(args) or values(self, *args))
+    a = ModulationSeq.rotation(np.exp(2j * np.pi * 0.3))
+    sched, G = Schedule.identity(), WeightSeq.from_text("n^0.5", n0=1)
+    m = measure_K(a, sched, G, 512)
+    assert calls == [(512,)]
+    # the refinement won, and its value is psi_n at the reported lam
+    psi = abs(_psi(a, sched, m.n_at_max, m.lam))
+    assert m.K == psi / G.prefix(m.n_at_max)[-1]
+
+
+def test_real_coefficients_take_the_half_rows(monkeypatch):
+    # a real series reaches the kernel's half rows; the sups are the full
+    # rows' and the lowest maximizing j lies in the half row
+    sched, n, M, k_start = Schedule.power(2.0), 60, 50, 3
+    rng = np.random.Generator(np.random.Philox(key=31))
+    coefs = rng.standard_normal((3, n - k_start + 1))
+    n_ints = sched.values(n)[k_start - 1:]
+    cols = [k_start, 10, 33, n]
+    sups, argj, closed = circle_column_sups(coefs, n_ints, M, cols, k_start)
+    full, full_j, _ = circle_column_sups(coefs.astype(complex), n_ints, M, cols, k_start)
+    assert not closed.any()
+    assert np.allclose(sups, full, rtol=1e-13, atol=0.0)
+    assert np.all(argj <= M // 2)
+    assert np.all(np.minimum(full_j, M - full_j) == argj)
 
 
 def test_measure_K_streams_in_small_memory():
@@ -356,7 +391,7 @@ def test_nonnegative_sups_are_the_closed_form(monkeypatch, sched, n, M, k_start)
     a = ModulationSeq.explicit(coefs)
     cols = sorted({k_start, k_start + 1, (k_start + n) // 2, n - 1, n})
     monkeypatch.setattr("ergolab.transforms.circle_prefix_rows", _must_not_run)
-    sups, argj = circle_column_sups(a, sched, n, M, cols, k_start)
+    sups, argj, _ = _sups(a, sched, n, M, cols, k_start)
     mags = _dense_column_mags(a, sched, M, cols, k_start)
     assert np.allclose(sups, mags.max(axis=1), rtol=1e-13, atol=0.0)
     assert argj.tolist() == [0] * len(cols)
@@ -372,8 +407,8 @@ def test_nonnegative_sups_span_many_blocks(monkeypatch, k_start):
     coefs = np.abs(_random_coefs(11, seed=11))
     M = 1 << 16
     monkeypatch.setattr("ergolab.transforms.circle_prefix_rows", _must_not_run)
-    sups, argj = circle_column_sups(ModulationSeq.explicit(coefs), sched, 11, M,
-                                    range(k_start, 12), k_start)
+    sups, argj, _ = _sups(ModulationSeq.explicit(coefs), sched, 11, M,
+                          range(k_start, 12), k_start)
     assert not argj.any()
     for m in range(k_start, 12):
         phases = np.exp(2j * np.pi * np.outer(np.arange(M),
@@ -387,7 +422,7 @@ def test_nonnegative_exact_ties_take_index_zero():
     coefs = [0.5, 2.0, 0.0, 1.25]
     a = ModulationSeq.explicit(coefs)
     sched = Schedule.explicit([8, 16, 40, 64])
-    sups, argj = circle_column_sups(a, sched, 4, 8, [1, 2, 3, 4])
+    sups, argj, _ = _sups(a, sched, 4, 8, [1, 2, 3, 4])
     mags = _dense_column_mags(a, sched, 8, [1, 2, 3, 4])
     assert np.allclose(mags, mags[:, :1], rtol=1e-13, atol=0.0)
     assert sups.tolist() == [0.5, 2.5, 2.5, 3.75]
@@ -413,8 +448,7 @@ def test_one_bad_coefficient_keeps_the_fft_path(bad):
     sched = Schedule.power(2.0)
     cols = [1, 5, 10, 17, 24]
     with np.errstate(invalid="ignore"):
-        sups, argj = circle_column_sups(ModulationSeq.explicit(coefs), sched, 24,
-                                        64, cols)
+        sups, argj, _ = _sups(ModulationSeq.explicit(coefs), sched, 24, 64, cols)
         ref_sups, ref_argj = _fft_path_sups(coefs, sched, 24, 64, cols)
     assert np.array_equal(sups, ref_sups, equal_nan=True)
     assert argj.tolist() == ref_argj.tolist()
@@ -437,7 +471,7 @@ def test_zero_modulation_has_K_zero_and_psi_zero():
     zero, ident = ModulationSeq.constant(0), Schedule.identity()
     m = measure_K(zero, ident, WeightSeq.from_text("n", n0=1), 64)
     assert m.K == 0.0
-    assert modulated_poly(zero, ident, 64, np.exp(0.3j)) == 0j
+    assert _psi(zero, ident, 64, np.exp(0.3j)) == 0j
 
 
 def _kernel_rows(coefs, residues, M, cols, k_start=1):
@@ -537,8 +571,8 @@ def test_stacked_sups_mix_closed_form_and_grid_rows(monkeypatch):
     rows[5, 9] = math.nan
     cols = [k_start, 10, 33, 33, n]
     with np.errstate(invalid="ignore"):
-        alone = [transforms._column_sups(ModulationSeq.explicit(r), sched, n, M,
-                                         cols, k_start) for r in rows]
+        alone = [_sups(ModulationSeq.explicit(r), sched, n, M, cols, k_start)
+                 for r in rows]
     calls = []
     kernel = transforms.circle_prefix_rows
 
@@ -548,8 +582,8 @@ def test_stacked_sups_mix_closed_form_and_grid_rows(monkeypatch):
 
     monkeypatch.setattr(transforms, "circle_prefix_rows", counted)
     with np.errstate(invalid="ignore"):
-        sups, argj, closed = transforms._column_sups(ModulationSeq.explicit(rows),
-                                                     sched, n, M, cols, k_start)
+        sups, argj, closed = _sups(ModulationSeq.explicit(rows), sched, n, M,
+                                   cols, k_start)
     assert calls == [(4, n - k_start + 1)]
     assert closed.tolist() == [False, True, False, False, True, False]
     for i, (s1, a1, c1) in enumerate(alone):
@@ -568,8 +602,8 @@ def test_stacked_sups_feed_the_kernel_at_most_2_18_over_m_rows(monkeypatch):
     rows = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
     rows[[2, 6]] = np.abs(rows[[2, 6]].real)
     cols = [k_start, 5, 17, 17, 60, n]
-    alone = [transforms._column_sups(ModulationSeq.explicit(r), sched, n, M,
-                                     cols, k_start) for r in rows]
+    alone = [_sups(ModulationSeq.explicit(r), sched, n, M, cols, k_start)
+             for r in rows]
     calls = []
     kernel = transforms.circle_prefix_rows
 
@@ -578,8 +612,8 @@ def test_stacked_sups_feed_the_kernel_at_most_2_18_over_m_rows(monkeypatch):
         return kernel(coefs, *args)
 
     monkeypatch.setattr(transforms, "circle_prefix_rows", counted)
-    sups, argj, closed = transforms._column_sups(ModulationSeq.explicit(rows),
-                                                 sched, n, M, cols, k_start)
+    sups, argj, closed = _sups(ModulationSeq.explicit(rows), sched, n, M,
+                               cols, k_start)
     assert calls == [(3, n - k_start + 1)] * 2 + [(1, n - k_start + 1)]
     assert np.flatnonzero(closed).tolist() == [2, 6]
     for i, (s1, a1, c1) in enumerate(alone):
