@@ -333,11 +333,12 @@ def cmd_random(args) -> int:
     ladder = parse_ladder(args.ladder) if args.ladder else \
         tuple(2**j for j in range(8, 13))
     require_size("the ladder top", max(ladder))
-    require_size("--n-lambda", args.n_lambda, MAX_GRID)
     if args.samples < 1:
         raise ValueError("sample count must be >= 1")
-    if args.stat == "sup" and args.n_lambda < 1:
-        raise ValueError(f"grid size must be >= 1, got {args.n_lambda}")
+    if args.stat == "sup":
+        require_size("--n-lambda", args.n_lambda, MAX_GRID)
+        if args.n_lambda < 1:
+            raise ValueError(f"grid size must be >= 1, got {args.n_lambda}")
     config = {"command": "random", "stat": args.stat, "law": args.law,
               "seed": args.seed, "samples": args.samples,
               "ladder": list(ladder),

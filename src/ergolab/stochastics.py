@@ -9,7 +9,8 @@ bit-identical: ``random_sup_stat`` takes a group's draws and normalized series
 as the rows of one ``circle_column_sups`` call (one ``circle_prefix_rows``
 call, each row with its own bins and sums), and ``random_hilbert`` takes a
 group as one series over the samples' stacked coefficients, each sample with
-its own products and sequential sums.
+its own products and sequential sums, and over the distinct atoms: atoms
+whose term rows are bytewise equal share one series.
 """
 
 from __future__ import annotations
@@ -224,6 +225,24 @@ def random_sup_1rt1(mod: RandomModulation, G: WeightSeq, sched: Schedule,
 # random one-sided ergodic Hilbert transforms over a cocycle
 
 
+def _atom_classes(blocks, size: int):
+    """(keep, atom_class) for the atoms 0..size-1 of the term blocks (axis 1
+    the atom): two atoms share a class when their columns V[:, w] are
+    bytewise equal in every block, so -0.0 and +0.0 stay apart.  Each block
+    splits the classes by the bytes of its columns, and the scan stops once
+    every atom is alone.  ``keep`` holds the first atom of each class, in
+    order, and ``atom_class`` the class of each atom."""
+    labels = [0] * size
+    for V in blocks:
+        if len(set(labels)) == size:
+            break
+        keys = {}
+        labels = [keys.setdefault((c, V[:, w].tobytes()), len(keys))
+                  for w, c in enumerate(labels)]
+    labels = np.asarray(labels)
+    return np.unique(labels, return_index=True)[1], labels
+
+
 def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
                    W: WeightSeq, n_ladder, samples: int,
                    regime_reports=None,
@@ -235,11 +254,14 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     running maximal function, with max-over-w Cauchy gaps between consecutive
     ladder entries in ``extra``.
 
-    The blocks of V_k are built once.  The samples run in ordered groups of
-    max(1, _GROUP_TERMS // n) for n terms: one ``series_rows`` over the
-    blocks V[:, None] and the group's coefficients as the columns of one
-    (n, g) array gives every sample the rows it would have alone, bit for
-    bit, at the cost of one pass over the blocks per group.
+    The blocks of V_k are built once and cut to one atom per class of
+    ``_atom_classes``: atoms whose rows V_k(w) are bytewise equal have equal
+    sums, norms and maxima, so the series runs over the distinct atoms and
+    the results are spread back to every atom.  The samples run in ordered
+    groups of max(1, _GROUP_TERMS // n) for n terms: one ``series_rows``
+    over the blocks V[:, None] and the group's coefficients as the columns
+    of one (n, g) array gives every sample the rows it would have alone,
+    bit for bit, at the cost of one pass over the blocks per group.
     """
     if samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -259,6 +281,9 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     # blocks of V_k(w) = (T^{n_k} f)(w) = T_w ... T_{alpha^{n_k - 1} w} g h(alpha^{n_k} w)
     # for the skew operator T of C, shared across Monte Carlo samples
     blocks = list(skew_operator(C).blocks(n_vals[k_start - 1:], f))
+    keep, atom_class = _atom_classes(blocks, C.space.size)
+    for i, V in enumerate(blocks):      # one full block held at a time
+        blocks[i] = V.take(keep, axis=1)
     w = W.prefix(kmax)
     mu = C.space.weights
     rows = np.asarray(ladder) - k_start
@@ -277,15 +302,16 @@ def random_hilbert(mod, C: Cocycle, h: VectorField | None, g, sched: Schedule,
     def one_group(ys):
         # column j of the coefficients, and of every row, is sample ys[j]
         coefs = np.stack([coefficients(y) for y in ys], axis=1)
-        running = np.zeros((len(ys), C.space.size))
+        running = np.zeros((len(ys), len(keep)))
         snaps = []
         for i0, S in series_rows((V[:, None] for V in blocks), coefs):
             np.maximum(running, pointwise_norms(S).max(axis=0), out=running)
             snaps.append(S[rows[(rows >= i0) & (rows < i0 + len(S))] - i0])
-        snaps = np.concatenate(snaps)
+        snaps = np.concatenate(snaps).take(atom_class, axis=2)
         gaps = pointwise_norms(np.diff(snaps, axis=0)).max(axis=2)
         return [(float(np.sqrt(np.sum(mu * r**2))), gap.tolist(), final)
-                for r, gap, final in zip(running, gaps.T, snaps[-1])]
+                for r, gap, final in zip(running.take(atom_class, axis=1), gaps.T,
+                                         snaps[-1])]
 
     size = max(1, _GROUP_TERMS // len(w))
     results = [r for y0 in range(0, samples, size)

@@ -650,11 +650,12 @@ def test_check_failed_registry_expectation_exits_1(tmp_path, capsys, monkeypatch
     (("hilbert", "--check", "t8", "--ladder", "32,64"),
      [("--p", "1.25"), ("--schedule", "power:2")], ("--seed", "1")),
     (("random", "--stat", "hilbert", "--ladder", "16,32", "--samples", "2"),
-     [("--G", "n^2"), ("--schedule", "power:2"), ("--n-lambda", "32")], ("--seed", "1")),
+     [("--G", "n^2"), ("--schedule", "power:2"), ("--n-lambda", "32"),
+      ("--n-lambda", "99999999999")], ("--seed", "1")),
 ], ids=["t41", "t44", "t8", "random-hilbert"])
 def test_runs_are_named_by_the_flags_they_read(tmp_path, argv, ignored, read):
-    # a flag the mode ignores leaves the run dir where it was; a flag it
-    # reads names a new one
+    # a flag the mode ignores, at any value, leaves the run dir where it
+    # was; a flag it reads names a new one
     for extra in [(), *ignored]:
         assert _run(tmp_path, *argv, *extra) == 0
     assert len(list(tmp_path.glob("run-*"))) == 1

@@ -338,6 +338,78 @@ def test_hilbert_sample_groups_do_not_change_results(monkeypatch, law):
         assert run() == base, f"results moved at groups of {size}"
 
 
+def _partly_repeating_hilbert(mod, samples):
+    """random_hilbert over a 6-atom cocycle whose atoms 0..3 cycle under one
+    fiber, so their term rows are equal, and whose atoms 4 and 5 swap under
+    two other fibers, so each stays alone."""
+    space = SampleSpace.finite(6)
+    base = Transformation.permutation(space, np.array([1, 2, 3, 0, 5, 4]))
+    A, B, D = (registry._random_contraction(2, seed) for seed in (1, 2, 3))
+    C = Cocycle(base, [A] * 4 + [B, D])
+    return random_hilbert(mod, C, None, [1.0, 0.0], Schedule.identity(),
+                          WeightSeq.from_text("n", n0=1), (5, 9, 30), samples,
+                          no_regime_check=True)
+
+
+def _distinct_hilbert(mod, samples):
+    """random_hilbert whose scalar h differs at each atom, so no two atoms'
+    term rows are equal."""
+    C, _ = _constant_setup()
+    h = VectorField(C.space, np.array([[1.0], [2.0], [-0.5]]))
+    return random_hilbert(mod, C, h, [1.0, 0.0], Schedule.identity(),
+                          WeightSeq.from_text("n", n0=1), (5, 9, 30), samples,
+                          no_regime_check=True)
+
+
+@pytest.mark.parametrize("hilbert, classes", [
+    (_e5_hilbert(), 1), (_distinct_hilbert, 3), (_partly_repeating_hilbert, 3),
+], ids=["all-equal", "all-distinct", "partly-equal"])
+def test_hilbert_atom_classes_do_not_change_results(monkeypatch, hilbert, classes):
+    # the series runs over one atom per class of bytewise equal term rows;
+    # every atom alone in its class may not move a bit
+    mod = RandomModulation("complex-gaussian", seed=5)
+    atom_classes, found = stochastics._atom_classes, []
+
+    def recording(blocks, size):
+        keep, atom_class = atom_classes(blocks, size)
+        found.append(len(keep))
+        return keep, atom_class
+
+    def run():
+        est = hilbert(mod, 7)
+        return canonical_hash(est.to_json()), [f.tobytes() for f in est.final_fields]
+
+    monkeypatch.setattr(stochastics, "_atom_classes", recording)
+    base = run()
+    assert found == [classes]
+    monkeypatch.setattr(stochastics, "_atom_classes",
+                        lambda blocks, size: (np.arange(size), np.arange(size)))
+    assert run() == base
+
+
+def test_atom_classes_compare_bytes_block_by_block():
+    # atom 3 differs from atom 0 only in the sign of a zero, atom 2 only in
+    # the second block; once every atom is alone no block is read
+    first, second = np.zeros((2, 4, 2), dtype=complex), np.zeros((2, 4, 2), dtype=complex)
+    first[1, 3, 0] = complex(-0.0, 0.0)
+    second[:, 2] = 1.0
+    keep, atom_class = stochastics._atom_classes([first, second], 4)
+    assert keep.tolist() == [0, 2, 3] and atom_class.tolist() == [0, 0, 1, 2]
+    keep, atom_class = stochastics._atom_classes([first[:, 2:], None], 2)
+    assert keep.tolist() == [0, 1] and atom_class.tolist() == [0, 1]
+
+
+def test_e5_hilbert_sums_one_atom(monkeypatch):
+    # E5 puts one contraction on every atom of its 16-cycle, so the term rows
+    # of all 16 atoms are equal and the series runs over one of them
+    shapes, series_rows = [], stochastics.series_rows
+    monkeypatch.setattr(stochastics, "series_rows", lambda blocks, coefs: series_rows(
+        (shapes.append(V.shape) or V for V in blocks), coefs))
+    est = _e5_hilbert()(RandomModulation("gaussian", seed=1), 8)
+    assert shapes and {shape[2] for shape in shapes} == {1}
+    assert [f.shape for f in est.final_fields] == [(16, 2)] * 8
+
+
 def test_hilbert_samples_are_a_prefix_of_more_samples():
     mod = RandomModulation("rademacher", seed=3)
     hilbert = _e5_hilbert()
@@ -349,8 +421,10 @@ def test_hilbert_samples_are_a_prefix_of_more_samples():
 
 
 def test_hilbert_sample_groups_bound_peak_memory():
-    # 3.3 MiB at the default groups of 4 samples, 2.9 MiB one sample at a
-    # time and 16.6 MiB with all 64 samples in one stack
+    # 2.9 MiB at the default groups of 4 samples, as one sample at a time,
+    # since the series runs over E5's one distinct atom and building the
+    # blocks sets the peak (3.3 MiB over all 16 atoms); 8.2 MiB with all 64
+    # samples in one stack
     mod = RandomModulation("gaussian", seed=1)
     hilbert = _e5_hilbert()
     hilbert(mod, 1)           # first calls of numpy kernels allocate once
