@@ -237,9 +237,9 @@ def cmd_slln(args) -> int:
     M = args.grid
     if M < 2:
         raise ValueError(f"--grid must be >= 2, got {M}")
-    require_size("--grid", M, MAX_GRID)
     while M < 4 * n_max:
         M *= 2
+    require_size("--grid", M, MAX_GRID)
     ladder = parse_ladder(args.ladder) if args.ladder else \
         tuple(2**j for j in range(6, 14) if 2**j <= n_max)
     config = {"command": "slln", "example": args.example, "G": args.G,
@@ -308,13 +308,11 @@ def cmd_hilbert(args) -> int:
         write_json(run_dir_for(args.out, config) / f"{args.check}.json", doc, config)
         return 0 if passed else 1
 
-    config = {"command": "hilbert", "check": None, "p": args.p,
-              "seed": args.seed, "n_max": args.n_max, "G": args.G,
-              "W": args.W, "schedule": args.schedule, "lam": args.lam,
-              "ladder": args.ladder, "operator": args.operator}
-    # trace mode: one transform run; --G is validated, the transform uses W
+    # trace mode: one transform run, named by the flags it reads
+    config = {"command": "hilbert", "check": None, "seed": args.seed,
+              "n_max": args.n_max, "W": args.W, "schedule": args.schedule,
+              "lam": args.lam, "operator": args.operator}
     require_size("--n-max", args.n_max)
-    WeightSeq.from_text(args.G or "n", n0=None)
     W = WeightSeq.from_text(args.W or "n", n0=None)
     sched = parse_schedule(args.schedule or "identity")
     operator = None

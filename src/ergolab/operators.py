@@ -5,6 +5,8 @@ sample space is discretized (circle grid or finite atom space).  Koopman
 operators of measure-preserving maps act by index remapping on the grid,
 matrix operators act pointwise on the C^d values, Markov operators act across
 the atoms of a finite space, and skew operators realize operator cocycles.
+Every kind takes its powers T^n from one square-and-multiply over cached
+squares, started at its one-step map; index maps compose exactly.
 """
 
 from __future__ import annotations
@@ -70,13 +72,15 @@ class SampleSpace:
 
 
 class Transformation:
-    """Measure-preserving map on a sample space.
+    """Measure-preserving map on a sample space, kept as its one-step grid
+    index map ``step``: x_i -> x_step[i].  Its n-th iterate is the power
+    T^n of its Koopman operator.
 
-    rotation(j, M): x -> x + j/M on the matching M-point grid (exact index
-    shift).
-    doubling: x -> 2x mod 1 on a grid of M = 2^m points (exact index map,
-    non-invertible).
-    permutation(pi): atom i -> pi[i] on a finite space.
+    rotation(j, M): x -> x + j/M on the matching M-point grid, step
+    (i + j) mod M.
+    doubling: x -> 2x mod 1 on a grid of M = 2^m points, step 2i mod M
+    (non-invertible).
+    permutation(pi): atom i -> pi[i] on a finite space, step a copy of pi.
     """
 
     def __init__(self, kind: str, space: SampleSpace, *, shift: int | None = None,
@@ -84,21 +88,24 @@ class Transformation:
         self.kind = kind
         self.space = space
         self.shift = shift
-        self.pi = None if pi is None else np.asarray(pi, dtype=np.int64)
+        M = space.size
         if kind == "rotation":
             if space.kind != "circle":
                 raise ValueError("rotation needs a circle space")
             if shift is None:
                 raise ValueError("grid rotation needs an integer shift j (theta = j/M)")
+            self.step = (np.arange(M) + shift) % M
         elif kind == "doubling":
             if space.kind != "circle":
                 raise ValueError("doubling needs a circle grid")
-            if space.size & (space.size - 1):
+            if M & (M - 1):
                 raise ValueError("doubling grid size must be a power of two")
+            self.step = np.arange(M) * 2 % M
         elif kind == "permutation":
             if space.kind != "finite":
                 raise ValueError("permutation needs a finite space")
-            if sorted(self.pi.tolist()) != list(range(space.size)):
+            self.step = np.array(pi, dtype=np.int64)
+            if sorted(self.step.tolist()) != list(range(M)):
                 raise ValueError("pi must be a permutation of 0..m-1")
         else:
             raise ValueError(f"unknown transformation kind {kind!r}")
@@ -114,28 +121,6 @@ class Transformation:
     @classmethod
     def permutation(cls, space: SampleSpace, pi) -> "Transformation":
         return cls("permutation", space, pi=pi)
-
-    def index_map(self, n: int = 1) -> np.ndarray:
-        """Grid index map of the n-th iterate: x_i -> x_map[i]."""
-        if n < 0:
-            raise ValueError("iterate count must be nonnegative")
-        M = self.space.size
-        idx = np.arange(M, dtype=np.int64)
-        if self.kind == "rotation":
-            # reduce n * shift mod M in Python ints before it meets int64
-            return (idx + int(n) % M * self.shift % M) % M
-        if self.kind == "doubling":
-            return (idx * pow(2, n, M)) % M
-        # permutation: binary exponentiation on the map
-        result = idx
-        base = self.pi
-        e = n
-        while e:
-            if e & 1:
-                result = base[result]
-            base = base[base]
-            e >>= 1
-        return result
 
 
 class VectorField:
@@ -243,6 +228,7 @@ class LinearOperator:
         if kind == "koopman":
             if transformation is None:
                 raise ValueError("koopman operator needs a transformation")
+            self._pow_cache = [transformation.step]   # T^{2^b} for b = 0, 1, ...
             self.contraction = transformation.kind != "doubling"
         elif kind in ("matrix", "markov"):
             if self.matrix is None or self.matrix.ndim != 2 or \
@@ -261,7 +247,7 @@ class LinearOperator:
         elif kind == "skew":
             if cocycle is None:
                 raise ValueError("skew operator needs a cocycle")
-            self._pow_cache = [(cocycle.fibers, cocycle.base.index_map(1))]
+            self._pow_cache = [(cocycle.fibers, cocycle.base.step)]
             self.contraction = True
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
@@ -283,21 +269,23 @@ class LinearOperator:
     # -- powers and action ---------------------------------------------------
 
     def power(self, n: int):
-        """T^n: for koopman the exact index map of the n-th iterate; for matrix
+        """T^n: for koopman the grid index map of the n-th iterate; for matrix
         kinds the matrix; for skew (A, idx) with A[w] = T_w T_{alpha w} ...
-        T_{alpha^{n-1} w} and idx the index map of alpha^n.  All but koopman
-        come from one square-and-multiply over the cached squares T^{2^b}, in
-        ascending b, started at the lowest set bit of n."""
+        T_{alpha^{n-1} w} and idx the index map of alpha^n.  Every kind comes
+        from one square-and-multiply over the cached squares T^{2^b}, in
+        ascending b, started at the lowest set bit of n.  Index maps compose
+        by gathers, so they stay exact at any n; n times a shift is never
+        formed."""
         n = int(n)
         if n < 0:
             raise ValueError("power must be nonnegative")
-        if self.kind == "koopman":
-            return self.transformation.index_map(n)
         if n == 0:
+            if self.kind == "koopman":
+                return np.arange(self.transformation.space.size)
             if self.kind == "skew":
                 c = self.cocycle
                 return (np.broadcast_to(np.eye(c.dim, dtype=complex), c.fibers.shape),
-                        c.base.index_map(0))
+                        np.arange(c.space.size))
             return np.eye(self.matrix.shape[0], dtype=complex)
         while (1 << len(self._pow_cache)) <= n:
             last = self._pow_cache[-1]

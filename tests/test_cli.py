@@ -652,7 +652,10 @@ def test_check_failed_registry_expectation_exits_1(tmp_path, capsys, monkeypatch
     (("random", "--stat", "hilbert", "--ladder", "16,32", "--samples", "2"),
      [("--G", "n^2"), ("--schedule", "power:2"), ("--n-lambda", "32"),
       ("--n-lambda", "99999999999")], ("--seed", "1")),
-], ids=["t41", "t44", "t8", "random-hilbert"])
+    (("hilbert", "--n-max", "24"),
+     [("--p", "1.25"), ("--G", "n^2"), ("--G", "n^"), ("--ladder", "8,16")],
+     ("--seed", "1")),
+], ids=["t41", "t44", "t8", "random-hilbert", "trace"])
 def test_runs_are_named_by_the_flags_they_read(tmp_path, argv, ignored, read):
     # a flag the mode ignores, at any value, leaves the run dir where it
     # was; a flag it reads names a new one
@@ -793,6 +796,7 @@ def test_sizes_past_the_summation_cap_exit_2_at_once(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("random", "--n-lambda", str((1 << 22) + 1)),
     ("slln", "--grid", str((1 << 22) + 1)),
+    ("slln", "--n-max", "1000000", "--grid", "3"),
 ])
 def test_grids_past_the_grid_cap_exit_2_at_once(tmp_path, capsys, argv):
     t0 = time.perf_counter()

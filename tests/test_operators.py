@@ -135,7 +135,31 @@ def test_rotation_index_map_exact_near_index_cap(n):
     M, shift = 1000, 997
     T = Transformation.rotation(SampleSpace.circle(M), shift)
     expected = [(i + int(n) * shift) % M for i in range(M)]
-    assert T.index_map(n).tolist() == expected
+    assert LinearOperator.koopman(T).power(n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 2**10 - 1, 10**18 + 7, 2**62])
+def test_koopman_and_skew_powers_match_the_closed_forms(n):
+    # the cached squares give each iterate's closed form: rotation by n*shift
+    # in Python ints, doubling by 2^n mod M, and pi applied n times (n mod
+    # lcm(1..12) times, since the order of pi divides that lcm)
+    circle, atoms = SampleSpace.circle(1024), SampleSpace.finite(12)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    pi = rng.permutation(12)
+    cycle = list(range(12))
+    for _ in range(n % 27720):
+        cycle = [int(pi[i]) for i in cycle]
+    cases = [
+        (Transformation.rotation(circle, 997), [(i + n * 997) % 1024 for i in range(1024)]),
+        (Transformation.doubling(circle), [i * pow(2, n, 1024) % 1024 for i in range(1024)]),
+        (Transformation.permutation(atoms, pi), cycle),
+    ]
+    for T, expected in cases:
+        P = LinearOperator.koopman(T).power(n)
+        assert P.dtype == np.int64 and P.tolist() == expected
+        if T.kind != "doubling":
+            fibers = np.broadcast_to(np.eye(2), (T.space.size, 2, 2))
+            assert skew_operator(Cocycle(T, fibers)).power(n)[1].tolist() == expected
 
 
 def test_doubling_isometry_on_bandlimited_fields():
